@@ -137,81 +137,6 @@ def _obs_overhead(n: int, requests: int) -> dict:
     return result
 
 
-def _compile_amortization(n: int, calls: int) -> dict:
-    """Prepared-query plan compilation: build cost at ``prepare()`` vs
-    the steady-state hit path, against an interpreted twin service.
-
-    Wall-clock readings — text block only; the gated drill above runs
-    without the compiler and is untouched.  The asserted claims are
-    structural: ``prepare()`` compiles at least one plan up front, the
-    calls that follow are served from the plan cache (hits, no further
-    builds), and compiled answers match the interpreted twin's.
-    """
-    import time
-
-    from repro.perf.experiments import TC_QUERY
-    from repro.serve.service import QueryService
-    from repro.workloads.graphs import random_graph
-
-    def build(compile_flag: bool) -> QueryService:
-        service = QueryService(
-            max_concurrency=2, max_queue=calls, compile=compile_flag
-        )
-        service.register_database("g", random_graph(n, 0.3, seed=n))
-        return service
-
-    def one_call(service: QueryService, seed: int):
-        async def go():
-            return await service.call("t0", "tc", "g", request_seed=seed)
-
-        start = time.perf_counter()
-        response = asyncio.run(go())
-        return time.perf_counter() - start, response
-
-    compiled = build(True)
-    start = time.perf_counter()
-    info = compiled.prepare("tc", TC_QUERY, ("u", "v"))
-    prepare_s = time.perf_counter() - start
-    assert info.get("compiled_plans", 0) >= 1, info
-
-    interpreted = build(False)
-    interpreted.prepare("tc", TC_QUERY, ("u", "v"))
-
-    first_s, first_resp = one_call(compiled, 0)
-    compiled_steady = min(
-        one_call(compiled, 1 + i)[0] for i in range(calls)
-    )
-    interp_steady = min(
-        one_call(interpreted, 1 + i)[0] for i in range(calls)
-    )
-    _, interp_resp = one_call(interpreted, 0)
-    assert set(first_resp.rows) == set(interp_resp.rows)
-
-    snap = compiled.registry.snapshot()
-    builds = snap.get("compile.builds", 0)
-    build_ms = snap.get("compile.build_ms", {}).get("sum", 0.0)
-    hits = snap.get("compile.hits", 0)
-    assert hits >= 1, snap
-    compiled.close()
-    interpreted.close()
-
-    saving = interp_steady - compiled_steady
-    return {
-        "prepare": prepare_s,
-        "builds": builds,
-        "build_ms": build_ms,
-        "hits": hits,
-        "first": first_s,
-        "steady": compiled_steady,
-        "interp": interp_steady,
-        # calls until prepare()'s build cost is paid back by the
-        # steady-state saving (inf when the saving is in the noise)
-        "break_even": (
-            (build_ms / 1000.0) / saving if saving > 1e-9 else float("inf")
-        ),
-    }
-
-
 def bench_serve_drill(benchmark):
     """The gated robustness drill across database sizes."""
     jobs = bench_jobs()
@@ -259,7 +184,6 @@ def bench_serve_drill(benchmark):
     latency, wait = load["latency"], load["queue_wait"]
     obs = _obs_overhead(SIZES[-1], LOAD_REQUESTS)
     tax = obs["traced"] / max(obs["plain"], 1e-9)
-    amort = _compile_amortization(SIZES[-1], 12)
     body = (
         series_table(
             (
@@ -285,23 +209,6 @@ def bench_serve_drill(benchmark):
         f"{obs['samples']} samples parsed back"
         + f"\n  flight events recorded={obs['flight']}, "
         f"traces retained={obs['traces']}"
-        + (
-            f"\n\nprepared-query compile amortization (n={SIZES[-1]}; "
-            "wall-clock, not gated):"
-            + f"\n  prepare() compiled {int(amort['builds'])} plan(s) in "
-            f"{amort['build_ms']:.3f} ms ({amort['prepare'] * 1000:.3f} ms "
-            "total prepare)"
-            + f"\n  calls: first={amort['first'] * 1000:.3f} ms, "
-            f"steady={amort['steady'] * 1000:.3f} ms compiled vs "
-            f"{amort['interp'] * 1000:.3f} ms interpreted "
-            f"({int(amort['hits'])} plan-cache hits, 0 rebuilds)"
-            + (
-                f"\n  build cost amortized after ~{amort['break_even']:.1f} "
-                "call(s)"
-                if amort["break_even"] != float("inf")
-                else "\n  steady-state saving within noise at this size"
-            )
-        )
         + ("" if jobs == 1 else f"\nsweep ran with {jobs} worker processes")
     )
     emit("SERVE", "query service robustness drill + concurrent load", body)

@@ -108,25 +108,6 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_compile_argument(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument(
-        "--compile",
-        dest="compile",
-        action="store_true",
-        default=None,
-        help="compile pure-FO subtrees (and fixpoint bodies) into "
-        "straight-line plans (default: the REPRO_COMPILE environment "
-        "variable)",
-    )
-    group.add_argument(
-        "--no-compile",
-        dest="compile",
-        action="store_false",
-        help="force interpreted evaluation even when REPRO_COMPILE is set",
-    )
-
-
 def _add_budget_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--timeout",
@@ -155,27 +136,15 @@ def _add_budget_arguments(parser: argparse.ArgumentParser) -> None:
 EVAL_JSON_SCHEMA_VERSION = 1
 
 
-def _explain_plan(formula, db, backend_name) -> int:
-    from repro.kernel.backend import resolve_backend
-    from repro.perf.compile import describe_plans
-
-    backend = resolve_backend(backend_name, db.domain)
-    print(describe_plans(formula, db, backend))
-    return 0
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
     db = _load_db(args.db)
     formula = parse_formula(args.query)
-    if args.explain_plan:
-        return _explain_plan(formula, db, args.backend)
     out = tuple(args.out or sorted(free_variables(formula)))
     options = EvalOptions(
         strategy=FixpointStrategy(args.strategy),
         k_limit=args.k_limit,
         budget=_budget_from_args(args),
         backend=args.backend,
-        compile=args.compile,
     )
     result = evaluate(formula, db, out, options)
     if args.json:
@@ -229,7 +198,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         trace=tracer,
         budget=_budget_from_args(args),
         backend=args.backend,
-        compile=args.compile,
     )
     result = evaluate(formula, db, out, options)
     answer = (
@@ -312,7 +280,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         trace=tracer,
         budget=budget,
         backend=backend,
-        compile=args.compile,
     )
     result = evaluate(formula, db, out, options)
     extras = {
@@ -328,9 +295,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     for name, value in result.stats.registry.snapshot().items():
         if name.startswith("cache."):
             extras[name] = value
-    for name, value in result.stats.registry.snapshot().items():
-        if name.startswith("compile."):
-            extras[name] = value
     report = annotate_evaluation(
         formula,
         tracer,
@@ -340,13 +304,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     )
     text = report.render()
     print(text)
-    if args.plan:
-        from repro.kernel.backend import resolve_backend
-        from repro.perf.compile import describe_plans
-
-        print()
-        print("== compiled plan ==")
-        print(describe_plans(formula, db, resolve_backend(backend, db.domain)))
     if args.report_file:
         with open(args.report_file, "w") as handle:
             handle.write(text + "\n")
@@ -479,7 +436,6 @@ def _sweep_workload(
     seed: int = 0,
     edge_prob: float = 0.3,
     backend: Optional[str] = None,
-    compile: Optional[bool] = None,
 ) -> dict:
     """One sweep point: evaluate the query at database size ``parameter``.
 
@@ -495,7 +451,6 @@ def _sweep_workload(
         budget=budget,
         subquery_cache=cache,
         backend=backend,
-        compile=compile,
     )
     result = evaluate(formula, db, out, options)
     counters = {"answer_rows": float(len(result.relation))}
@@ -528,7 +483,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         seed=args.seed,
         edge_prob=args.edge_prob,
         backend=args.backend,
-        compile=args.compile,
     )
     result = run_sweep(
         "cli-sweep",
@@ -824,14 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit one JSON document (answer, stats, full metrics "
         "snapshot) instead of the row table",
     )
-    p_eval.add_argument(
-        "--explain-plan",
-        action="store_true",
-        help="print the compiled straight-line plan (op sequence, "
-        "per-op arity, predicted peak width) instead of evaluating",
-    )
     _add_backend_argument(p_eval)
-    _add_compile_argument(p_eval)
     _add_budget_arguments(p_eval)
     p_eval.set_defaults(func=_cmd_eval)
 
@@ -863,7 +810,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="truncate the span tree below this depth",
     )
     _add_backend_argument(p_trace)
-    _add_compile_argument(p_trace)
     p_trace.add_argument(
         "--jsonl",
         default=None,
@@ -957,14 +903,7 @@ def build_parser() -> argparse.ArgumentParser:
         "e.g. a served request's cross-process trace "
         "(repro serve --smoke --trace-out)",
     )
-    p_explain.add_argument(
-        "--plan",
-        action="store_true",
-        help="also print the compiled straight-line plan for every "
-        "compilable region (fixpoint bodies included)",
-    )
     _add_backend_argument(p_explain)
-    _add_compile_argument(p_explain)
     _add_budget_arguments(p_explain)
     p_explain.set_defaults(func=_cmd_explain)
 
@@ -1028,7 +967,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--k-limit", type=int, default=None)
     _add_backend_argument(p_sweep)
-    _add_compile_argument(p_sweep)
     p_sweep.add_argument(
         "--seed", type=int, default=0, help="random-database seed"
     )

@@ -43,7 +43,6 @@ from repro.logic.printer import format_formula
 from repro.logic.syntax import Formula
 from repro.logic.variables import free_variables, variable_width
 from repro.perf.cache import SubqueryCache, resolve_subquery_cache
-from repro.perf.compile import PlanCache
 
 
 @dataclass
@@ -88,17 +87,6 @@ class EvalOptions:
     provenance: first-entry stages, semi-naive deltas, PFP
     trajectories).  Like ``trace``, the default ``None`` costs the
     engines nothing.
-
-    ``compile`` routes pure-FO subtrees (including FP/PFP iteration
-    bodies) through the straight-line query compiler
-    (:mod:`repro.perf.compile`): ``True``/``False`` force it, ``None``
-    (default) consults the ``REPRO_COMPILE`` environment variable.
-    Compiled evaluation is observationally identical to the interpreter
-    — answers, stats counters, guard charges, structured errors.
-    ``plan_cache`` optionally shares compiled plans across evaluations
-    (a :class:`~repro.perf.compile.PlanCache` instance); ``None`` gives
-    each compiled evaluation a private cache.  The ESO engine grounds
-    to SAT and ignores both.
     """
 
     strategy: FixpointStrategy = FixpointStrategy.MONOTONE
@@ -113,8 +101,6 @@ class EvalOptions:
     subquery_cache: Union[bool, "SubqueryCache", None] = None
     backend: Union[str, None] = None
     stage_log: Optional[StageLog] = None
-    compile: Union[bool, None] = None
-    plan_cache: Union[bool, "PlanCache", None] = None
 
 
 @dataclass
@@ -200,8 +186,6 @@ def _dispatch(
             guard=guard,
             subquery_cache=cache,
             backend=options.backend,
-            compile=options.compile,
-            plan_cache=options.plan_cache,
         )
         relation = evaluator.answer(formula, tuple(output_vars))
         return EvalResult(
@@ -252,8 +236,6 @@ def _dispatch(
             degrade=options.degrade,
             backend=options.backend,
             observer=observer,
-            compile=options.compile,
-            plan_cache=options.plan_cache,
         )
         return EvalResult(
             relation,
@@ -281,8 +263,6 @@ def _dispatch(
         subquery_cache=cache,
         backend=options.backend,
         observer=observer,
-        compile=options.compile,
-        plan_cache=options.plan_cache,
     )
     return EvalResult(
         relation,

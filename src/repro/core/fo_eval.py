@@ -22,13 +22,6 @@ from repro.database.relation import Relation
 from repro.errors import EvaluationError, VariableBoundError
 from repro.core.interp import EvalStats, VarTable
 from repro.kernel.backend import resolve_backend
-from repro.perf.compile import (
-    UNCOMPILABLE,
-    compile_program,
-    resolve_compile,
-    resolve_plan_cache,
-    subformula_at,
-)
 from repro.guard.budget import GuardLike, NULL_GUARD
 from repro.obs.tracer import NULL_TRACER, TracerLike
 from repro.logic.syntax import (
@@ -97,6 +90,10 @@ def atom_table(
 class BoundedEvaluator:
     """Evaluates formulas bottom-up with bounded-arity intermediates.
 
+    This is the one FO evaluation path: the FP and PFP engines run their
+    iteration bodies through :meth:`_eval`, and the differential suites
+    check it against the brute-force oracle :mod:`repro.core.naive_eval`.
+
     Parameters
     ----------
     db:
@@ -137,18 +134,6 @@ class BoundedEvaluator:
         (see :func:`repro.kernel.backend.resolve_backend`).  Backends
         change only the representation of intermediate tables — answers
         and all :class:`EvalStats` counters are identical.
-    compile:
-        ``True`` routes every pure-FO subtree through the straight-line
-        query compiler (:mod:`repro.perf.compile`) — same answers, same
-        counters, same guard charges, no per-node dispatch.  ``None``
-        (default) consults the ``REPRO_COMPILE`` environment variable;
-        formulas the compiler declines fall back to this interpreter
-        node by node.
-    plan_cache:
-        Optional :class:`repro.perf.compile.PlanCache` shared across
-        evaluators/requests; ``None`` gives each compiled evaluator a
-        private cache (carrying the ``compile.*`` counters), ``False``
-        disables plan caching.
     """
 
     def __init__(
@@ -161,8 +146,6 @@ class BoundedEvaluator:
         guard: GuardLike = NULL_GUARD,
         subquery_cache=None,
         backend=None,
-        compile=None,
-        plan_cache=None,
     ):
         self.db = db
         self.domain = db.domain
@@ -175,16 +158,6 @@ class BoundedEvaluator:
         self.tracer = tracer
         self.guard = guard
         self.subquery_cache = subquery_cache
-        self._compile = resolve_compile(compile)
-        self.plan_cache = (
-            resolve_plan_cache(plan_cache, registry=self.stats.registry)
-            if self._compile
-            else None
-        )
-        # compiled-program entries per (formula identity, dynamic rel
-        # set): [formula, Program-or-None, warm]; the formula reference
-        # keeps the id()-based key alive
-        self._programs: Dict[tuple, list] = {}
         # memo entries keep a strong reference to their formula so the
         # id()-based key can never alias a recycled object
         self._memo: Dict[tuple, Tuple[Formula, VarTable]] = {}
@@ -268,14 +241,6 @@ class BoundedEvaluator:
                     self._memo[key] = (formula, hit)
                     return hit
                 self.stats.bump("subquery_cache_misses")
-        if self._compile:
-            entry = self._program_for(formula, env)
-            if entry[1] is not None:
-                table = self._run_program(entry, env)
-                if ckey is not None:
-                    cache.put(ckey, table)
-                self._memo[key] = (formula, table)
-                return table
         tracer = self.tracer
         if tracer.enabled:
             with tracer.span(
@@ -304,90 +269,20 @@ class BoundedEvaluator:
             self._expr_labels[id(formula)] = cached
         return cached[1]
 
-    def _rel_names(self, formula: Formula) -> tuple:
+    def _memo_key(self, formula: Formula, env: Dict[str, Relation]):
         cached = self._free_rels.get(id(formula))
         if cached is None:
             from repro.logic.variables import free_relation_variables
 
             cached = (formula, tuple(sorted(free_relation_variables(formula))))
             self._free_rels[id(formula)] = cached
-        return cached[1]
-
-    def _memo_key(self, formula: Formula, env: Dict[str, Relation]):
-        rels = self._rel_names(formula)
+        rels = cached[1]
         # state_key lets packed relations key by mask instead of hashing
         # their materialized tuple sets
         bound_here = tuple(
             (name, env[name].state_key()) for name in rels if name in env
         )
         return (id(formula), bound_here)
-
-    # -- compiled plans -----------------------------------------------
-
-    def _program_for(self, formula: Formula, env: Dict[str, Relation]) -> list:
-        """The ``[formula, Program-or-None, warm, nodes]`` entry for this node.
-
-        Programs are specialized to the *dynamic* relation set — the free
-        relation names bound in ``env`` (fixpoint recursion relations)
-        rather than resolved from the immutable database.  The entry's
-        ``warm`` flag flips after the first successful run, switching the
-        replayed charge schedule from the interpreter's first-visit
-        behaviour to its memo-served steady state.  ``nodes`` holds the
-        program's static-segment subtrees resolved against *this*
-        formula object (cached plans are shared across structurally
-        equal formulas, but the memo keys on object identity).
-        """
-        dyn = tuple(
-            name for name in self._rel_names(formula) if name in env
-        )
-        pkey = (id(formula), dyn)
-        entry = self._programs.get(pkey)
-        if entry is None:
-            program = self._build_program(formula, frozenset(dyn))
-            nodes = None
-            if program is not None:
-                nodes = [
-                    subformula_at(formula, seg[0])
-                    for seg in program.segments
-                ]
-            entry = [formula, program, False, nodes]
-            self._programs[pkey] = entry
-        return entry
-
-    def _build_program(self, formula: Formula, dyn: frozenset):
-        cache = self.plan_cache
-        key = None
-        if cache is not None:
-            key = cache.key_for(formula, dyn, self.db, self.backend.name)
-            if key is not None:
-                hit = cache.get(key)
-                if hit is not None:
-                    return None if hit is UNCOMPILABLE else hit
-        from time import perf_counter
-
-        start = perf_counter()
-        program = compile_program(formula, dyn, self.db, self.backend)
-        if cache is not None:
-            cache.record_build(perf_counter() - start)
-            if key is not None:
-                cache.put(key, program)
-        return program
-
-    def _run_program(self, entry: list, env: Dict[str, Relation]) -> VarTable:
-        program = entry[1]
-        tracer = self.tracer
-        if tracer.enabled:
-            value = program.run_traced(
-                env, self.stats, self.guard, tracer, entry[2],
-                memo=self._memo, nodes=entry[3],
-            )
-        else:
-            value = program.run(
-                env, self.stats, self.guard, entry[2],
-                memo=self._memo, nodes=entry[3], tracer=tracer,
-            )
-        entry[2] = True
-        return program.wrap(value, tracer)
 
     def _eval_node(self, formula: Formula, env: Dict[str, Relation]) -> VarTable:
         if isinstance(formula, RelAtom):

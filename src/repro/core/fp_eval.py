@@ -599,8 +599,6 @@ def solve_query(
     subquery_cache=None,
     backend=None,
     observer: StageLogLike = NULL_STAGE_LOG,
-    compile=None,
-    plan_cache=None,
 ) -> Relation:
     """Evaluate an FO/FP/PFP query under the chosen strategy.
 
@@ -639,7 +637,5 @@ def solve_query(
         guard=guard,
         subquery_cache=subquery_cache,
         backend=backend,
-        compile=compile,
-        plan_cache=plan_cache,
     )
     return evaluator.answer(formula, output_vars)

@@ -152,20 +152,6 @@ class EvalStats:
         if len(table.variables) > self._max_arity.value:
             self._max_arity.value = len(table.variables)
 
-    def observe_rows(self, rows: int, arity: int) -> None:
-        """Audit one intermediate result by its dimensions alone.
-
-        The compiled evaluation path (:mod:`repro.perf.compile`) works on
-        raw backend values with no table wrapper to hand to
-        :meth:`observe_table`; this records the identical counters.
-        """
-        self._table_ops.value += 1
-        self._rows_hist.observe(rows)
-        if rows > self._max_rows.value:
-            self._max_rows.value = rows
-        if arity > self._max_arity.value:
-            self._max_arity.value = arity
-
     def bump(self, key: str, amount: int = 1) -> None:
         counter = self._note_cache.get(key)
         if counter is None:

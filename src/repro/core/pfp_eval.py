@@ -267,8 +267,6 @@ def pfp_answer(
     degrade: bool = True,
     backend=None,
     observer: StageLogLike = NULL_STAGE_LOG,
-    compile=None,
-    plan_cache=None,
 ) -> Relation:
     """Evaluate a PFP^k query with live-space accounting.
 
@@ -298,7 +296,5 @@ def pfp_answer(
         tracer=tracer,
         guard=guard,
         backend=backend,
-        compile=compile,
-        plan_cache=plan_cache,
     )
     return evaluator.answer(formula, output_vars)

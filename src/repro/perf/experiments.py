@@ -49,7 +49,6 @@ def _options(
     tracer,
     k_limit: Optional[int] = None,
     backend: Optional[str] = None,
-    compile: Optional[bool] = None,
 ):
     from repro.core.engine import EvalOptions
     from repro.core.fp_eval import FixpointStrategy
@@ -63,7 +62,6 @@ def _options(
         budget=budget,
         trace=tracer,
         backend=backend,
-        compile=compile,
     )
 
 
@@ -96,16 +94,12 @@ def tc_workload(
     strategy: str = "seminaive",
     deadline: Optional[float] = None,
     backend: Optional[str] = None,
-    compile: bool = False,
 ) -> Dict[str, float]:
     """Transitive closure of a path graph — the T2-FP strategy sweep.
 
     A path graph maximizes fixpoint depth (n-1 rounds), so the
     iteration/delta counters separate the fixpoint strategies cleanly;
     the whole workload is seed-free and fully deterministic.
-    ``compile=True`` routes the fixpoint bodies through the straight-line
-    plan compiler — the counters must not move (that is the compiled
-    lane's regression contract), only the wall clock.
     """
     from repro.core.engine import evaluate
     from repro.workloads.graphs import path_graph
@@ -115,8 +109,7 @@ def tc_workload(
         _parsed(TC_QUERY),
         path_graph(n),
         ("u", "v"),
-        _options(strategy, deadline, tracer, backend=backend,
-                 compile=compile or None),
+        _options(strategy, deadline, tracer, backend=backend),
     )
     return _counters(result)
 
@@ -342,18 +335,8 @@ EXPERIMENTS: Dict[str, PerfExperiment] = {
         workload=tc_workload,
         options={"strategy": "seminaive", "backend": "packed"},
         fit_counters=("table_ops", "answer_rows"),
-        # min-of-5 with warmup: the packed pair is the compiled-vs-
-        # interpreted comparison, so both sides measure steady state
-        repetitions=5,
-    ),
-    "T2-FP-COMPILED": PerfExperiment(
-        experiment_id="T2-FP-COMPILED",
-        title="FP^k transitive closure: compiled plans on the packed kernel",
-        parameters=(6.0, 10.0, 14.0, 18.0, 26.0),
-        workload=tc_workload,
-        options={"strategy": "seminaive", "backend": "packed",
-                 "compile": True},
-        fit_counters=("table_ops", "answer_rows"),
+        # min-of-5 with warmup: the recorded packed-kernel timings then
+        # measure steady state, not first-run import and mask-cache fills
         repetitions=5,
     ),
     "T2-FO": PerfExperiment(
@@ -390,7 +373,6 @@ EXPERIMENTS: Dict[str, PerfExperiment] = {
 ALIASES: Dict[str, str] = {
     "bench_table2_fp": "T2-FP",
     "bench_table2_fp_packed": "T2-FP-PACKED",
-    "bench_table2_fp_compiled": "T2-FP-COMPILED",
     "bench_table2_fo": "T2-FO",
     "bench_table2_eso": "T2-ESO",
     "bench_serve": "SERVE",
@@ -432,13 +414,9 @@ def explain_target(
         parameter if parameter is not None else experiment.parameters[-1]
     )
     options: Dict[str, object] = {}
-    if experiment.experiment_id in (
-        "T2-FP", "T2-FP-PACKED", "T2-FP-COMPILED"
-    ):
+    if experiment.experiment_id in ("T2-FP", "T2-FP-PACKED"):
         options["strategy"] = experiment.options["strategy"]
         options["backend"] = experiment.options["backend"]
-        if experiment.options.get("compile"):
-            options["compile"] = True
         return parse_formula(TC_QUERY), path_graph(n), ("u", "v"), options
     if experiment.experiment_id == "T2-FO":
         q = path_query_fo3(int(experiment.options["path_len"]))

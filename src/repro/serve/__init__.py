@@ -1,7 +1,7 @@
 """A resilient multi-tenant query service over the bounded-variable engines.
 
 The paper's central promise — PTIME data complexity for ``L^k`` queries
-(Prop 3.1) — is an *amortization* argument: compile the small, fixed
+(Prop 3.1) — is an *amortization* argument: prepare the small, fixed
 query once, then answer it against large, changing data within a
 polynomial budget.  This package is that argument turned into a server:
 

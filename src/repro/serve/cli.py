@@ -4,7 +4,9 @@ Two modes share one flag surface:
 
 * **server mode** (default) — register databases from standard-encoding
   files (``--db NAME=PATH``), prepare queries
-  (``--prepare NAME=OUTVARS=QUERY``), then listen until interrupted::
+  (``--prepare NAME=OUTVARS=QUERY``), then listen until SIGINT or
+  SIGTERM, either of which closes the listener and the worker pool and
+  exits 0::
 
       python -m repro serve --db g=graph.db \\
           --prepare "tc=u,v=[lfp S(x, y). E(x, y) | exists z. (E(x, z) & S(z, y))](u, v)" \\
@@ -39,6 +41,7 @@ import asyncio
 import json
 import os
 import random
+import signal
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.engine import Query
@@ -95,7 +98,6 @@ def _build_service(args: argparse.Namespace) -> QueryService:
         telemetry_path=args.telemetry,
         fault_injector=injector,
         flight_dump_dir=args.flight_dump,
-        compile=args.compile,
     )
     for tenant, weight in (("t0", 1.0), ("t1", 1.0), ("t2", 2.0), ("t3", 4.0)):
         service.set_tenant(
@@ -333,14 +335,19 @@ async def _run_server(args: argparse.Namespace) -> int:
     print(f"repro serve: listening on http://{host}:{port} "
           f"(workers={args.workers}, concurrency={args.max_concurrency}, "
           f"queue={args.max_queue})")
+    # SIGTERM takes the same shutdown path as Ctrl-C, so the pool's
+    # forkserver and workers exit with the server instead of outliving it
+    terminated = asyncio.Event()
+    loop = asyncio.get_running_loop()
+    loop.add_signal_handler(signal.SIGTERM, terminated.set)
     try:
-        while True:
-            await asyncio.sleep(3600)
-    except asyncio.CancelledError:
-        raise
+        await terminated.wait()
     finally:
+        loop.remove_signal_handler(signal.SIGTERM)
         await server.close()
         service.close()
+    print("repro serve: terminated, shut down cleanly")
+    return 0
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -375,14 +382,6 @@ def add_serve_parser(sub) -> None:
                    help="register a database file (repeatable)")
     p.add_argument("--prepare", action="append", metavar="NAME=OUTVARS=QUERY",
                    help="prepare a named query (repeatable)")
-    compile_group = p.add_mutually_exclusive_group()
-    compile_group.add_argument(
-        "--compile", dest="compile", action="store_true", default=None,
-        help="compile prepared queries into specialized plans at "
-        "prepare() time (default: REPRO_COMPILE env)")
-    compile_group.add_argument(
-        "--no-compile", dest="compile", action="store_false",
-        help="force interpreted evaluation")
     p.add_argument("--telemetry", default=None, metavar="PATH",
                    help="append per-request JSONL telemetry to PATH")
     p.add_argument("--flight-dump", default=None, metavar="DIR",

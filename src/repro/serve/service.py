@@ -68,7 +68,6 @@ from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import LATENCY_BUCKETS, MetricsRegistry
 from repro.obs.slo import SLOBoard, SLOPolicy
 from repro.perf.cache import SubqueryCache
-from repro.perf.compile import PlanCache, resolve_compile
 from repro.serve.admission import AdmissionController, TenantPolicy
 from repro.serve.retry import CircuitBreaker, RetryPolicy
 from repro.serve.telemetry import TelemetryLog
@@ -173,15 +172,6 @@ class QueryService:
         ``True`` shares one :class:`~repro.perf.cache.SubqueryCache`
         across requests (inline path) and enables per-process worker
         caches (pool path); an instance is used as-is; falsy disables.
-    compile:
-        Route evaluation through the straight-line query compiler
-        (:mod:`repro.perf.compile`).  ``None`` (default) consults
-        ``REPRO_COMPILE``.  When on, the service keeps one shared
-        generation-keyed :class:`~repro.perf.compile.PlanCache`
-        (``compile.*`` counters land in the registry and ``/metrics``),
-        prepared queries compile against every registered database at
-        :meth:`prepare` time, and pool workers keep a per-process plan
-        cache — the compiled analogue of the worker subquery cache.
     fault_injector:
         Optional ``request_index -> ChaosSpec`` hook — how the smoke
         test and the chaos bench inject faults into a live service
@@ -205,7 +195,6 @@ class QueryService:
         retry: Optional[RetryPolicy] = None,
         registry: Optional[MetricsRegistry] = None,
         cache: Union[bool, SubqueryCache, None] = True,
-        compile: Union[bool, None] = None,
         telemetry_path: Optional[str] = None,
         fault_injector: Optional[Callable[[int], ChaosSpec]] = None,
         slo: Optional[SLOPolicy] = None,
@@ -236,10 +225,6 @@ class QueryService:
             self._cache = cache
         else:
             self._cache = None
-        self._compile = resolve_compile(compile)
-        self._plans: Optional[PlanCache] = (
-            PlanCache(registry=self.registry) if self._compile else None
-        )
         self.telemetry = TelemetryLog(telemetry_path)
         self.fault_injector = fault_injector
         self.started = clock()
@@ -277,9 +262,6 @@ class QueryService:
                 f"register_database expects a Database, got {type(db).__name__}"
             )
         self._dbs[name] = db
-        if self._plans is not None:
-            for query in self._queries.values():
-                self._warm_plans(query, [db])
 
     def database(self, name: str) -> Database:
         try:
@@ -307,10 +289,6 @@ class QueryService:
             )
         if applied and self._cache is not None:
             self._cache.invalidate()
-        if applied and self._plans is not None:
-            # generation keys already make stale plans unreachable; the
-            # invalidation releases their folded constant registers
-            self._plans.invalidate()
         return {
             "applied": applied,
             "db": db_name,
@@ -320,42 +298,16 @@ class QueryService:
     def prepare(
         self, name: str, text: str, output_vars: Sequence[str] = ()
     ) -> Dict[str, object]:
-        """Parse, validate, and store a named query — compiled once here,
-        evaluated many times by :meth:`call`.
-
-        With the query compiler on, the formula also compiles into the
-        shared plan cache against every registered database now, so the
-        first ``call`` starts on the plan-cache hit path."""
+        """Parse, validate, and store a named query — parsed once here,
+        evaluated many times by :meth:`call`."""
         query = Query.parse(text, output_vars=output_vars, name=name)
         self._queries[name] = query
-        info = {
+        return {
             "name": name,
             "width": query.width,
             "language": query.language.value,
             "arity": query.arity,
         }
-        if self._plans is not None:
-            info["compiled_plans"] = self._warm_plans(
-                query, self._dbs.values()
-            )
-        return info
-
-    def _warm_plans(self, query: Query, dbs) -> int:
-        """Build (or confirm cached) plans for ``query`` over ``dbs``.
-
-        Pure-FO queries compile whole; fixpoint queries warm their bodies
-        with the recursion relation dynamic — the same per-round plan the
-        evaluator looks up, so the first request pays no compile latency.
-        Returns how many compiled regions are now cached across ``dbs``.
-        """
-        from repro.kernel.backend import resolve_backend
-        from repro.perf.compile import warm_plans
-
-        built = 0
-        for db in dbs:
-            backend = resolve_backend(None, db.domain)
-            built += warm_plans(query.formula, db, backend, self._plans)
-        return built
 
     def query(self, name: str) -> Query:
         try:
@@ -416,7 +368,7 @@ class QueryService:
             "request", request_id=request_id, tenant=tenant,
             query=query, db=db,
         )
-        compiled = self.query(query)
+        prepared = self.query(query)
         database = self.database(db)
         policy = self.policy_for(tenant)
         if chaos is None and self.fault_injector is not None:
@@ -435,7 +387,7 @@ class QueryService:
         start = self._clock()
         try:
             response = await self._serve(
-                tenant, policy, compiled, database,
+                tenant, policy, prepared, database,
                 query, db, strategy, backend, seed, chaos, queue_wait,
                 request_id, trace,
             )
@@ -536,7 +488,7 @@ class QueryService:
         self,
         tenant: str,
         policy: TenantPolicy,
-        compiled: Query,
+        prepared: Query,
         database: Database,
         query_name: str,
         db_name: str,
@@ -575,9 +527,9 @@ class QueryService:
         while True:
             attempts += 1
             payload = build_payload(
-                compiled.formula,
+                prepared.formula,
                 database,
-                compiled.output_vars,
+                prepared.output_vars,
                 strategy=cur_strategy,
                 k_limit=None,
                 backend=cur_backend,
@@ -587,7 +539,6 @@ class QueryService:
                 allow_crash=served_by == "pool",
                 request_id=request_id,
                 trace=trace,
-                compile=self._compile,
             )
             attempt_start = self._clock() - serve_start
             try:
@@ -595,9 +546,7 @@ class QueryService:
                     raw = await self._pool.submit(payload)
                 else:
                     raw = evaluate_payload(
-                        payload,
-                        cache=self._cache if cache_on else None,
-                        plans=self._plans,
+                        payload, cache=self._cache if cache_on else None
                     )
                 breaker.record_success()
                 attempt_trail.append(

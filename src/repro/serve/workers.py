@@ -33,7 +33,6 @@ from repro.complexity.measure import shutdown_pool
 from repro.errors import ReproError
 from repro.guard.chaos import InjectedFault
 from repro.perf.cache import SubqueryCache
-from repro.perf.compile import PlanCache
 
 
 class WorkerCrashed(ReproError):
@@ -53,7 +52,6 @@ def build_payload(
     allow_crash: bool = False,
     request_id: Optional[str] = None,
     trace: bool = False,
-    compile: Optional[bool] = None,
 ) -> Dict[str, object]:
     """The picklable description of one evaluation attempt.
 
@@ -76,22 +74,17 @@ def build_payload(
         "allow_crash": bool(allow_crash),
         "request_id": request_id,
         "trace": bool(trace),
-        "compile": compile,
     }
 
 
 def evaluate_payload(
-    payload: Dict[str, object],
-    cache: Optional[SubqueryCache] = None,
-    plans: Optional[PlanCache] = None,
+    payload: Dict[str, object], cache: Optional[SubqueryCache] = None
 ) -> Dict[str, object]:
     """Evaluate one payload and return a plain, picklable answer dict.
 
     ``cache`` overrides the payload's cache flag with a concrete
     instance — the inline path passes the service's shared cross-request
-    cache; pool workers pass their per-process cache.  ``plans`` is the
-    analogous compiled-plan cache (only consulted when the payload's
-    ``compile`` flag is on).
+    cache; pool workers pass their per-process cache.
 
     When the payload asks for tracing, evaluation runs under a private
     :class:`~repro.obs.tracer.Tracer` and the answer dict carries the
@@ -106,7 +99,6 @@ def evaluate_payload(
     subquery_cache = cache if cache is not None else bool(payload["cache"])
     traced = bool(payload.get("trace"))
     tracer = Tracer() if traced else None
-    compiled = payload.get("compile")
     options = EvalOptions(
         strategy=FixpointStrategy(payload["strategy"]),
         k_limit=payload["k_limit"],
@@ -115,8 +107,6 @@ def evaluate_payload(
         subquery_cache=subquery_cache,
         backend=payload["backend"],
         trace=tracer,
-        compile=compiled,
-        plan_cache=plans if plans is not None and compiled else None,
     )
     result = evaluate(
         payload["formula"], payload["db"], payload["out"], options
@@ -155,24 +145,12 @@ CRASH_EXIT_CODE = 70
 #: The per-worker-process cross-request cache (pool workers only).
 _WORKER_CACHE: Optional[SubqueryCache] = None
 
-#: The per-worker-process compiled-plan cache (pool workers only) —
-#: plans stay warm across the requests each worker serves, keyed by
-#: database generation so mutations can never serve a stale plan.
-_WORKER_PLANS: Optional[PlanCache] = None
-
 
 def _worker_cache() -> SubqueryCache:
     global _WORKER_CACHE
     if _WORKER_CACHE is None:
         _WORKER_CACHE = SubqueryCache()
     return _WORKER_CACHE
-
-
-def _worker_plans() -> PlanCache:
-    global _WORKER_PLANS
-    if _WORKER_PLANS is None:
-        _WORKER_PLANS = PlanCache()
-    return _WORKER_PLANS
 
 
 def worker_call(payload: Dict[str, object]) -> Dict[str, object]:
@@ -183,9 +161,8 @@ def worker_call(payload: Dict[str, object]) -> Dict[str, object]:
     suite exercises genuine ``BrokenProcessPool`` recovery end to end.
     """
     cache = _worker_cache() if payload["cache"] else None
-    plans = _worker_plans() if payload.get("compile") else None
     try:
-        return evaluate_payload(payload, cache=cache, plans=plans)
+        return evaluate_payload(payload, cache=cache)
     except InjectedFault as fault:
         if fault.kind == "crash" and payload.get("allow_crash"):
             os._exit(CRASH_EXIT_CODE)

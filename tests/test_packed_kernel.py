@@ -8,7 +8,9 @@ Three layers:
   agree with the corresponding :class:`VarTable` operation on random
   tables over random small domains (including ``n = 0`` and ``n = 1``);
 * :class:`PackedRelation` against plain :class:`Relation`, including the
-  cross-representation equality/hash contract the engines rely on.
+  cross-representation equality/hash contract the engines rely on;
+* the bounded atom/align mask caches and their ``kernel.cache.*``
+  counters.
 """
 
 import itertools
@@ -16,11 +18,18 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.engine import EvalOptions, evaluate
+from repro.core.fp_eval import FixpointStrategy
 from repro.core.interp import VarTable
+from repro.database.database import Database
 from repro.database.domain import Domain
 from repro.database.relation import Relation
 from repro.errors import EvaluationError, SchemaError
+from repro.kernel.backend import PackedBackend
 from repro.kernel.packed import (
+    ALIGN_CACHE_LIMIT,
+    ATOM_CACHE_LIMIT,
+    BoundedMaskCache,
     DomainCodec,
     PackedRelation,
     PackedTable,
@@ -29,6 +38,8 @@ from repro.kernel.packed import (
     _stretch,
     popcount,
 )
+from repro.logic.parser import parse_formula
+from repro.logic.syntax import Const, Var
 
 VARS = ("w", "x", "y", "z")
 
@@ -500,3 +511,72 @@ class TestPackedRelation:
         codec = DomainCodec(Domain.range(2))
         with pytest.raises(SchemaError):
             PackedRelation(-1, 0, codec)
+
+
+# ---------------------------------------------------------------------------
+# bounded kernel caches (kernel.cache.*)
+# ---------------------------------------------------------------------------
+
+
+def test_bounded_mask_cache_caps_and_counts():
+    stats = {"t_hits": 0, "t_misses": 0, "t_evictions": 0, "events": 0}
+    cache = BoundedMaskCache(3, stats, "t")
+    for i in range(5):
+        assert cache.get(("k", i)) is None
+        cache.put(("k", i), i)
+    assert len(cache) == 3
+    assert stats["t_evictions"] == 2
+    assert cache.get(("k", 4)) == 4
+    assert stats["t_hits"] == 1
+    assert stats["t_misses"] == 5
+    assert stats["t_evictions"] == 2
+    # the change counter lets the backend skip stat syncs when idle:
+    # 5 misses + 2 evictions + 1 hit
+    assert stats["events"] == 8
+    # LRU order: touching an entry protects it from the next eviction
+    cache.get(("k", 2))
+    cache.put(("k", 9), 9)
+    assert cache.get(("k", 2)) == 2
+    assert cache.get(("k", 3)) is None
+
+
+def test_align_and_atom_caches_are_bounded():
+    # codecs are shared per domain, so tallies are read as deltas
+    table = PackedBackend(Domain.range(2)).full(["a"])
+    stats = table._codec.cache_stats
+    evicted = stats["align_evictions"]
+    # hammer one table with more join schemas than the cap
+    for i in range(ALIGN_CACHE_LIMIT + 10):
+        table._aligned(tuple(sorted(["a", "v{:03d}".format(i)])))
+    assert len(table._align_cache) <= ALIGN_CACHE_LIMIT
+    assert stats["align_evictions"] - evicted >= 10
+
+    # and one codec with more distinct constant-selection atoms than
+    # the cap: E(c, x) for every c in a successor cycle
+    n = ATOM_CACHE_LIMIT + 10
+    backend = PackedBackend(Domain.range(n))
+    codec = backend.codec
+    edges = Relation(2, [(i, (i + 1) % n) for i in range(n)])
+    evicted = codec.cache_stats["atom_evictions"]
+    for c in range(n):
+        table = backend.atom_table(edges, (Const(c), Var("x")))
+        assert table.rows == frozenset({((c + 1) % n,)})
+        assert len(codec.atom_masks) <= ATOM_CACHE_LIMIT
+    assert codec.cache_stats["atom_evictions"] - evicted >= 10
+
+
+def test_kernel_cache_counters_reach_registry():
+    db = Database.from_tuples(
+        range(6), {"E": (2, [(0, 1), (1, 2), (2, 3), (3, 1), (4, 5)])}
+    )
+    formula = parse_formula(
+        "[lfp S(x, y). E(x, y) | exists z. (E(x, z) & S(z, y))](x, y)"
+    )
+    result = evaluate(
+        formula, db, ("x", "y"),
+        EvalOptions(backend="packed", strategy=FixpointStrategy.SEMINAIVE),
+    )
+    snap = result.stats.registry.snapshot()
+    # the closure joins E against S every round, so both caches see use
+    assert snap["kernel.cache.atom_hits"] + snap["kernel.cache.atom_misses"] >= 1
+    assert snap["kernel.cache.align_hits"] + snap["kernel.cache.align_misses"] >= 1

@@ -1,7 +1,16 @@
 """HTTP front-end tests: routes, error mapping, and the CLI smoke drill."""
 
 import asyncio
+import os
 import re
+import select
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
 
 from repro.guard.budget import Budget
 from repro.serve.admission import TenantPolicy
@@ -217,3 +226,78 @@ class TestCLISmoke:
         assert retries and float(retries.group(1)) >= 1
         assert telemetry.exists()
         assert len(telemetry.read_text().splitlines()) == 10
+
+
+def _live_session_members(sid):
+    """Pids of the live (non-zombie) processes in session ``sid``."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        # fields: state, ppid, pgrp, session, ...
+        if fields[0] not in "ZX" and int(fields[3]) == sid:
+            members.append(int(entry))
+    return members
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/stat"), reason="reads process state from /proc"
+)
+class TestServerProcess:
+    def test_sigterm_shuts_down_cleanly_and_empties_session(self):
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+            PYTHONUNBUFFERED="1",
+        )
+        # its own session: every process the server starts (resource
+        # tracker, forkserver, pool worker) stays findable by session id
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--workers", "1"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            env=env,
+            start_new_session=True,
+        )
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 60)
+            line = proc.stdout.readline().decode() if ready else ""
+            port = int(re.search(r"http://[^:]+:(\d+)", line).group(1))
+
+            def post(path, body):
+                return asyncio.run(asyncio.wait_for(
+                    _http_json("127.0.0.1", port, "POST", path, body), 60
+                ))
+
+            assert post("/register", PATH_DB)[0] == 200
+            status, _ = post(
+                "/prepare",
+                {"name": "tc", "query": TC_QUERY, "output_vars": ["u", "v"]},
+            )
+            assert status == 200
+            status, out = post("/call", {"tenant": "t0", "query": "tc", "db": "g"})
+            assert status == 200 and out["served_by"] == "pool"
+
+            proc.send_signal(signal.SIGTERM)
+            deadline = time.monotonic() + 10
+            assert proc.wait(10) == 0
+            while _live_session_members(proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert _live_session_members(proc.pid) == []
+            # with the session empty nobody else holds the pipe open
+            assert "shut down cleanly" in proc.stdout.read().decode()
+        finally:
+            for pid in _live_session_members(proc.pid):
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()

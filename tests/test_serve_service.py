@@ -205,6 +205,36 @@ class TestMutation:
         service.close()
 
 
+class TestCacheFreshness:
+    """Cached answers stay fresh by content, not by ``Database.generation``.
+
+    Two distinct databases at the same generation with different facts
+    must never be served each other's rows, neither from the shared
+    inline cache nor from a pool worker's per-process cache.
+    """
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_same_generation_databases_never_share_answers(self, workers):
+        forward = path_db()
+        backward = Database.from_tuples(
+            range(6), {"E": (2, [(i + 1, i) for i in range(5)])}
+        )
+        assert forward.generation == backward.generation == 0
+        assert expected_tc(forward) != expected_tc(backward)
+        service = QueryService(retry=FAST_RETRY, workers=workers)
+        try:
+            service.prepare("tc", TC_QUERY, ("u", "v"))
+            # register, re-register over the same name, then register
+            # the first database again under a second name
+            for name, db in (("g", forward), ("g", backward), ("h", forward)):
+                service.register_database(name, db)
+                response = run(service.call("t0", "tc", name))
+                assert response.served_by == ("pool" if workers else "inline")
+                assert sorted(response.rows) == expected_tc(db)
+        finally:
+            service.close()
+
+
 class TestTelemetryAndStats:
     def test_jsonl_telemetry_records_outcomes(self, tmp_path):
         path = tmp_path / "events.jsonl"
