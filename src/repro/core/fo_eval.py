@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.database.database import Database
-from repro.database.domain import Domain
 from repro.database.relation import Relation
 from repro.errors import EvaluationError, VariableBoundError
 from repro.core.interp import EvalStats, VarTable
@@ -35,7 +34,6 @@ from repro.logic.syntax import (
     Or,
     RelAtom,
     SOExists,
-    Term,
     Truth,
     Var,
     _FixpointBase,
@@ -46,45 +44,6 @@ RelEnv = Mapping[str, Relation]
 FixpointSolver = Callable[
     ["BoundedEvaluator", _FixpointBase, Dict[str, Relation]], Relation
 ]
-
-
-def atom_table(
-    relation: Relation, terms: Sequence[Term], domain: Domain
-) -> VarTable:
-    """The table of an atom ``R(t_1, ..., t_m)``.
-
-    Columns are the distinct variables among the terms; constants select,
-    repeated variables impose equality — the "selection condition on S_i
-    according to the pattern of equalities" of Lemma 3.6's proof.
-    """
-    if len(terms) != relation.arity:
-        raise EvaluationError(
-            f"atom has {len(terms)} arguments for a relation of arity "
-            f"{relation.arity}"
-        )
-    var_positions: Dict[str, list] = {}
-    const_positions = []
-    for i, term in enumerate(terms):
-        if isinstance(term, Var):
-            var_positions.setdefault(term.name, []).append(i)
-        elif isinstance(term, Const):
-            const_positions.append((i, term.value))
-        else:
-            raise EvaluationError(f"unknown term {term!r}")
-    columns = sorted(var_positions)
-    rows = []
-    for tup in relation.tuples:
-        if any(tup[i] != value for i, value in const_positions):
-            continue
-        ok = True
-        for positions in var_positions.values():
-            first = tup[positions[0]]
-            if any(tup[p] != first for p in positions[1:]):
-                ok = False
-                break
-        if ok:
-            rows.append(tuple(tup[var_positions[v][0]] for v in columns))
-    return VarTable(tuple(columns), rows)
 
 
 class BoundedEvaluator:
@@ -216,7 +175,13 @@ class BoundedEvaluator:
     # -- recursive evaluation ------------------------------------------
 
     def _eval(self, formula: Formula, env: Dict[str, Relation]) -> VarTable:
-        key = self._memo_key(formula, env)
+        rels = self._relation_names(formula)
+        # state_key lets packed relations key by mask instead of hashing
+        # their materialized tuple sets
+        key = (
+            id(formula),
+            tuple((name, env[name].state_key()) for name in rels if name in env),
+        )
         cached = self._memo.get(key)
         if cached is not None:
             # the entry holds a strong reference to its formula, so an
@@ -227,10 +192,15 @@ class BoundedEvaluator:
         cache = self.subquery_cache
         ckey = None
         if cache is not None and cache.cacheable(formula):
-            ckey = cache.key_for(formula, env, self.db, self.backend.name)
+            ckey = cache.key_for(
+                formula, rels, env, self.db, self.backend.name
+            )
             if ckey is not None:
                 hit = cache.get(ckey)
                 if hit is not None:
+                    # entries are stored untraced; this evaluation's
+                    # kernel ops on the table belong in its own trace
+                    hit = self.backend.bind(hit, self.tracer)
                     self.stats.bump("subquery_cache_hits")
                     if self.guard.enabled:
                         self.guard.charge_rows(
@@ -256,7 +226,7 @@ class BoundedEvaluator:
         self.stats.observe_table(table)
         self.backend.observe(table)
         if ckey is not None:
-            cache.put(ckey, table)
+            cache.put(ckey, self.backend.bind(table, NULL_TRACER))
         self._memo[key] = (formula, table)
         return table
 
@@ -269,20 +239,15 @@ class BoundedEvaluator:
             self._expr_labels[id(formula)] = cached
         return cached[1]
 
-    def _memo_key(self, formula: Formula, env: Dict[str, Relation]):
+    def _relation_names(self, formula: Formula) -> Tuple[str, ...]:
+        """The formula's free relation variables, sorted."""
         cached = self._free_rels.get(id(formula))
         if cached is None:
             from repro.logic.variables import free_relation_variables
 
             cached = (formula, tuple(sorted(free_relation_variables(formula))))
             self._free_rels[id(formula)] = cached
-        rels = cached[1]
-        # state_key lets packed relations key by mask instead of hashing
-        # their materialized tuple sets
-        bound_here = tuple(
-            (name, env[name].state_key()) for name in rels if name in env
-        )
-        return (id(formula), bound_here)
+        return cached[1]
 
     def _eval_node(self, formula: Formula, env: Dict[str, Relation]) -> VarTable:
         if isinstance(formula, RelAtom):

@@ -6,9 +6,9 @@ relations over it.  Relations and the domain are immutable values;
 — for long-lived *registered* databases behind the :mod:`repro.serve`
 query service — go through the fact-mutation hooks
 (:meth:`Database.add_fact` / :meth:`Database.remove_fact`), which swap in
-a fresh immutable relation and bump a monotone ``generation`` counter.
-Caches key on that counter, so a mutated database can never serve stale
-cached rows (see :class:`repro.perf.cache.SubqueryCache`).
+a fresh immutable relation.  Caches key on relation content, so a
+mutated database can never serve stale cached rows and needs no cache
+call (see :class:`repro.perf.cache.SubqueryCache`).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class Database:
     is checked at construction time so downstream evaluators can rely on it.
     """
 
-    __slots__ = ("_domain", "_relations", "_schema", "_generation")
+    __slots__ = ("_domain", "_relations", "_schema")
 
     def __init__(self, domain: Domain, relations: Mapping[str, Relation]):
         self._domain = domain
@@ -51,7 +51,6 @@ class Database:
         self._schema = DatabaseSchema(
             RelationSchema(name, rel.arity) for name, rel in rels.items()
         )
-        self._generation = 0
 
     @classmethod
     def from_tuples(
@@ -112,24 +111,14 @@ class Database:
         remaining = {k: v for k, v in self._relations.items() if k != name}
         return Database(self._domain, remaining)
 
-    @property
-    def generation(self) -> int:
-        """Monotone mutation counter, bumped by every applied fact change.
-
-        Cache keys embed it (:meth:`repro.perf.cache.SubqueryCache.key_for`)
-        so entries computed against an earlier state of this database
-        object become unreachable the moment it mutates.
-        """
-        return self._generation
-
     def add_fact(self, name: str, values: Sequence["Value"]) -> bool:
         """Add one tuple to relation ``name`` in place.
 
         The mutation hook for registered databases: validates the tuple
-        against the domain and the relation's arity, swaps in a fresh
-        immutable :class:`~repro.database.relation.Relation`, and bumps
-        :attr:`generation` when the fact was actually new.  Returns
-        whether the database changed.
+        against the domain and the relation's arity and, when the fact
+        is new, swaps in a fresh immutable
+        :class:`~repro.database.relation.Relation`.  Returns whether the
+        database changed.
         """
         rel = self.relation(name)
         fact = tuple(values)
@@ -146,22 +135,19 @@ class Database:
         if fact in rel:
             return False
         self._relations[name] = Relation(rel.arity, rel.tuples | {fact})
-        self._generation += 1
         return True
 
     def remove_fact(self, name: str, values: Sequence["Value"]) -> bool:
         """Remove one tuple from relation ``name`` in place.
 
         The counterpart of :meth:`add_fact`; removing an absent fact is a
-        no-op that leaves :attr:`generation` untouched.  Returns whether
-        the database changed.
+        no-op.  Returns whether the database changed.
         """
         rel = self.relation(name)
         fact = tuple(values)
         if fact not in rel:
             return False
         self._relations[name] = Relation(rel.arity, rel.tuples - {fact})
-        self._generation += 1
         return True
 
     def total_tuples(self) -> int:

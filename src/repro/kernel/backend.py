@@ -31,18 +31,14 @@ assert sparse/packed counter equality.
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from repro.core.interp import VarTable
 from repro.database.domain import Domain, Value
 from repro.database.relation import Relation
 from repro.errors import EvaluationError, SchemaError
-from repro.kernel.packed import (
-    CACHE_STAT_KEYS,
-    DomainCodec,
-    PackedRelation,
-    PackedTable,
-)
+from repro.kernel.lru import LRU
+from repro.kernel.packed import DomainCodec, PackedRelation, PackedTable
 from repro.logic.syntax import Const, Term, Var
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, TracerLike
@@ -59,10 +55,9 @@ DEFAULT_BACKEND = "sparse"
 DEFAULT_MAX_BITS = 1 << 27
 
 #: Shared codecs, keyed by (value-equal) domain, so selector-mask caches
-#: survive across evaluations.  Bounded crudely — codecs are small, but
-#: long property-test sessions create thousands of throwaway domains.
-_CODECS: Dict[Domain, DomainCodec] = {}
-_CODEC_CACHE_LIMIT = 256
+#: survive across evaluations.  Codecs are small, but long property-test
+#: sessions create thousands of throwaway domains.
+_CODECS = LRU(256)
 
 
 def codec_for(domain: Domain, registry: Optional[MetricsRegistry] = None) -> DomainCodec:
@@ -73,16 +68,21 @@ def codec_for(domain: Domain, registry: Optional[MetricsRegistry] = None) -> Dom
             "kernel.codec_hits" if codec is not None else "kernel.codec_misses"
         ).inc()
     if codec is None:
-        if len(_CODECS) >= _CODEC_CACHE_LIMIT:
-            _CODECS.clear()
         codec = DomainCodec(domain)
-        _CODECS[domain] = codec
+        _CODECS.put(domain, codec)
     return codec
 
 
-def _parse_terms(relation: Relation, terms: Sequence[Term]):
-    """Shared atom-term analysis: variable positions, constant positions,
-    sorted column names — the selection pattern of Lemma 3.6's proof."""
+def select_atom(relation: Relation, terms: Sequence[Term]):
+    """The selection pattern behind the table of an atom
+    ``R(t_1, ..., t_m)``, shared by both backends.
+
+    Columns are the distinct variables among the terms, sorted;
+    constants select, repeated variables impose equality — the
+    "selection condition on S_i according to the pattern of equalities"
+    of Lemma 3.6's proof.  Returns ``(columns, var_positions,
+    const_positions)``; :func:`selected_rows` applies it row by row.
+    """
     if len(terms) != relation.arity:
         raise EvaluationError(
             f"atom has {len(terms)} arguments for a relation of arity "
@@ -97,7 +97,21 @@ def _parse_terms(relation: Relation, terms: Sequence[Term]):
             const_positions.append((i, term.value))
         else:
             raise EvaluationError(f"unknown term {term!r}")
-    return var_positions, const_positions, sorted(var_positions)
+    return sorted(var_positions), var_positions, const_positions
+
+
+def selected_rows(relation: Relation, pattern) -> Iterator[Tuple[Value, ...]]:
+    """The rows of ``relation`` that match a :func:`select_atom`
+    pattern, projected to its columns.  A generator: the relation's
+    tuples are read only once iteration starts."""
+    columns, var_positions, const_positions = pattern
+    firsts = [var_positions[v][0] for v in columns]
+    repeats = [(ps[0], p) for ps in var_positions.values() for p in ps[1:]]
+    for tup in relation.tuples:
+        if all(tup[i] == value for i, value in const_positions) and all(
+            tup[i] == tup[j] for i, j in repeats
+        ):
+            yield tuple(tup[i] for i in firsts)
 
 
 class SparseBackend:
@@ -121,9 +135,8 @@ class SparseBackend:
         return VarTable.full(variables, self.domain)
 
     def atom_table(self, relation: Relation, terms: Sequence[Term]) -> VarTable:
-        from repro.core.fo_eval import atom_table
-
-        return atom_table(relation, terms, self.domain)
+        pattern = select_atom(relation, terms)
+        return VarTable(tuple(pattern[0]), selected_rows(relation, pattern))
 
     def empty_relation(self, arity: int) -> Relation:
         return Relation.empty(arity)
@@ -133,6 +146,10 @@ class SparseBackend:
 
     def observe(self, table) -> None:
         """No kernel metrics for the reference representation."""
+
+    def bind(self, table: VarTable, tracer: TracerLike) -> VarTable:
+        """Sparse tables trace nothing: there is nothing to re-bind."""
+        return table
 
     def __repr__(self) -> str:
         return f"SparseBackend(n={len(self.domain)})"
@@ -158,25 +175,21 @@ class PackedBackend:
         self._tables = registry.counter("kernel.tables")
         self._mask_bits = registry.gauge("kernel.mask_bits")
         self._popcounts = registry.histogram("kernel.popcount")
-        # bounded-cache tallies live on the shared codec; this backend
-        # publishes the deltas it witnesses as kernel.cache.* counters
-        self._cache_counters = {
-            name: registry.counter("kernel.cache." + name)
-            for name in CACHE_STAT_KEYS
-        }
-        self._cache_seen = dict(self.codec.cache_stats)
+        # cache tallies live on the shared codec; this backend publishes
+        # the deltas it witnesses as kernel.cache.* counters
+        tallies = self.codec.atom_tallies + self.codec.align_tallies
+        self._cache_tallies = [
+            (tally, registry.counter("kernel.cache." + tally.name))
+            for tally in tallies
+        ]
+        self._cache_seen = [tally.value for tally in tallies]
 
-    def _sync_cache_stats(self) -> None:
-        stats = self.codec.cache_stats
+    def _sync_cache_tallies(self) -> None:
         seen = self._cache_seen
-        if stats["events"] == seen["events"]:
-            return
-        seen["events"] = stats["events"]
-        for name, counter in self._cache_counters.items():
-            delta = stats[name] - seen[name]
-            if delta:
-                counter.inc(delta)
-                seen[name] = stats[name]
+        for i, (tally, counter) in enumerate(self._cache_tallies):
+            if tally.value != seen[i]:
+                counter.inc(tally.value - seen[i])
+                seen[i] = tally.value
 
     def _guard_width(self, k: int) -> None:
         bits = self.codec.size(k)
@@ -218,7 +231,17 @@ class PackedBackend:
         if isinstance(table, PackedTable):
             self._mask_bits.set_max(self.codec.size(len(table.variables)))
             self._popcounts.observe(len(table))
-        self._sync_cache_stats()
+        self._sync_cache_tallies()
+
+    def bind(self, table: PackedTable, tracer: TracerLike) -> PackedTable:
+        """``table`` over this backend's codec, tracing into ``tracer``.
+
+        For tables kept in a cache that outlives evaluations: stored
+        bound to no tracer, an entry holds no evaluation's spans in
+        memory; served bound to the current evaluation's tracer, its
+        later kernel ops are traced there.
+        """
+        return table.bound_to(self.codec, tracer)
 
     # -- atoms ---------------------------------------------------------
 
@@ -231,45 +254,25 @@ class PackedBackend:
         variables, permutation to sorted columns — runs as mask kernels
         with no per-row Python work.
         """
-        var_positions, const_positions, columns = _parse_terms(relation, terms)
+        pattern = select_atom(relation, terms)
+        columns, var_positions, const_positions = pattern
         self._guard_width(len(columns))
         if isinstance(relation, PackedRelation) and relation.codec is self.codec:
             return self._atom_from_mask(
                 relation, var_positions, const_positions, columns
             )
-        return self._atom_from_rows(
-            relation, var_positions, const_positions, columns
-        )
-
-    def _atom_from_rows(
-        self, relation, var_positions, const_positions, columns
-    ) -> PackedTable:
         # Encoding a sparse relation walks it row by row — the only
         # per-row loop left in the packed pipeline.  Base relations are
-        # immutable and hit with the same term shape on every solve, so
-        # cache the finished mask on the (shared) codec's bounded LRU.
+        # immutable and hit with the same terms on every solve, so cache
+        # the finished mask on the (shared) codec's LRU.
         cache = self.codec.atom_masks
-        key = (
-            relation,
-            tuple(const_positions),
-            tuple((name, tuple(ps)) for name, ps in sorted(var_positions.items())),
-        )
+        key = (relation, tuple(terms))
         mask = cache.get(key)
         if mask is None:
             encode = self.codec.encode_row
             mask = 0
-            for tup in relation.tuples:
-                if any(tup[i] != value for i, value in const_positions):
-                    continue
-                ok = True
-                for positions in var_positions.values():
-                    first = tup[positions[0]]
-                    if any(tup[p] != first for p in positions[1:]):
-                        ok = False
-                        break
-                if ok:
-                    row = tuple(tup[var_positions[v][0]] for v in columns)
-                    mask |= 1 << encode(row)
+            for row in selected_rows(relation, pattern):
+                mask |= 1 << encode(row)
             cache.put(key, mask)
         return PackedTable(self.codec, tuple(columns), mask, self.tracer)
 
@@ -345,4 +348,6 @@ __all__ = [
     "SparseBackend",
     "codec_for",
     "resolve_backend",
+    "select_atom",
+    "selected_rows",
 ]

@@ -38,7 +38,6 @@ masks end-to-end and convergence checks are integer comparisons.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import OrderedDict
 from typing import (
     Dict,
     FrozenSet,
@@ -54,6 +53,7 @@ from typing import (
 from repro.database.domain import Domain, Value
 from repro.database.relation import Relation
 from repro.errors import EvaluationError, SchemaError
+from repro.kernel.lru import LRU, new_tallies
 from repro.obs.tracer import NULL_TRACER, TracerLike
 
 Row = Tuple[Value, ...]
@@ -96,37 +96,6 @@ def _rep_factor(width: int, count: int) -> int:
     return result
 
 
-def _stretch(mask: int, count: int, width: int, stride: int) -> int:
-    """Spread ``count`` adjacent ``width``-bit blocks to ``stride`` spacing.
-
-    Recursive halving keeps this at ``O(count)`` big-int operations with
-    logarithmic recursion depth — the work per level is proportional to
-    the integer size, not to ``count · width``.
-    """
-    if count <= 1 or width == stride:
-        return mask
-    half = count // 2
-    lo = mask & ((1 << (half * width)) - 1)
-    hi = mask >> (half * width)
-    return _stretch(lo, half, width, stride) | (
-        _stretch(hi, count - half, width, stride) << (half * stride)
-    )
-
-
-def _compress(mask: int, count: int, width: int, stride: int) -> int:
-    """Inverse of :func:`_stretch`: gather ``count`` blocks at ``stride``
-    spacing into adjacency.  The caller must already have cleared every
-    bit outside the low ``width`` bits of each block."""
-    if count <= 1 or width == stride:
-        return mask
-    half = count // 2
-    lo = mask & ((1 << (half * stride)) - 1)
-    hi = mask >> (half * stride)
-    return _compress(lo, half, width, stride) | (
-        _compress(hi, count - half, width, stride) << (half * width)
-    )
-
-
 #: Per-codec cap on cached sparse-relation atom encodings.
 ATOM_CACHE_LIMIT = 128
 
@@ -135,62 +104,6 @@ ATOM_CACHE_LIMIT = 128
 #: normally a handful — but adversarial property-test formulas can meet
 #: one memoized atom under hundreds of schemas.
 ALIGN_CACHE_LIMIT = 64
-
-
-class BoundedMaskCache:
-    """A tiny LRU of masks with aggregate hit/miss/eviction tallies.
-
-    The tallies live on a shared ``stats`` dict (the codec's
-    ``cache_stats``) under ``{prefix}_hits`` / ``{prefix}_misses`` /
-    ``{prefix}_evictions``; :class:`~repro.kernel.backend.PackedBackend`
-    syncs them into its registry as ``kernel.cache.*`` counters.
-    """
-
-    __slots__ = ("_entries", "_limit", "_stats", "_prefix")
-
-    def __init__(self, limit: int, stats: Dict[str, int], prefix: str):
-        self._entries: "OrderedDict[object, int]" = OrderedDict()
-        self._limit = limit
-        self._stats = stats
-        self._prefix = prefix
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key) -> Optional[int]:
-        stats = self._stats
-        mask = self._entries.get(key)
-        if mask is None:
-            stats[self._prefix + "_misses"] += 1
-            stats["events"] += 1
-            return None
-        self._entries.move_to_end(key)
-        stats[self._prefix + "_hits"] += 1
-        stats["events"] += 1
-        return mask
-
-    def put(self, key, mask: int) -> None:
-        self._entries[key] = mask
-        self._entries.move_to_end(key)
-        while len(self._entries) > self._limit:
-            self._entries.popitem(last=False)
-            self._stats[self._prefix + "_evictions"] += 1
-            self._stats["events"] += 1
-
-
-#: The tally keys every codec's ``cache_stats`` carries.  ``events`` is
-#: a change counter, not a published metric: backends compare it against
-#: their last-seen value to skip the sync loop when nothing happened.
-CACHE_STAT_KEYS = (
-    "atom_hits",
-    "atom_misses",
-    "atom_evictions",
-    "align_hits",
-    "align_misses",
-    "align_evictions",
-)
-
-_CACHE_STAT_FIELDS = CACHE_STAT_KEYS + ("events",)
 
 
 class DomainCodec:
@@ -210,8 +123,9 @@ class DomainCodec:
         "_rep",
         "_plans",
         "_diffs",
+        "atom_tallies",
+        "align_tallies",
         "atom_masks",
-        "cache_stats",
     )
 
     def __init__(self, domain: Domain):
@@ -223,15 +137,15 @@ class DomainCodec:
         self._rep: Dict[int, int] = {}
         self._plans: Dict[Tuple[int, int, int], list] = {}
         self._diffs: Dict[Tuple[int, int, int], list] = {}
-        # aggregate bounded-cache tallies for every table/atom cache that
-        # hangs off this codec; backends publish deltas as kernel.cache.*
-        self.cache_stats: Dict[str, int] = {k: 0 for k in _CACHE_STAT_FIELDS}
-        # sparse-relation atom encodings (see PackedBackend._atom_from_rows):
-        # keyed by (relation, term shape) so each base relation is walked
+        # tallies of the caches that hang off this codec, one triple shared
+        # by the alignment caches of all its tables; backends publish the
+        # deltas as kernel.cache.* counters
+        self.atom_tallies = new_tallies("atom_")
+        self.align_tallies = new_tallies("align_")
+        # sparse-relation atom encodings (see PackedBackend.atom_table):
+        # keyed by (relation, terms) so each base relation is walked
         # row-by-row once per codec rather than once per evaluation
-        self.atom_masks = BoundedMaskCache(
-            ATOM_CACHE_LIMIT, self.cache_stats, "atom"
-        )
+        self.atom_masks = LRU(ATOM_CACHE_LIMIT, tallies=self.atom_tallies)
 
     # -- encoding ------------------------------------------------------
 
@@ -330,8 +244,7 @@ class DomainCodec:
         ``width``-bit block down next to its even neighbour — one AND,
         XOR, shift, OR on the whole integer per round, ``O(log count)``
         rounds total.  The round masks are cached per layout; building
-        them costs ``O(count)`` once (the recursive :func:`_compress`
-        costs that *per call*)."""
+        them costs ``O(count)`` once."""
         key = (count, width, stride)
         plan = self._plans.get(key)
         if plan is None:
@@ -475,7 +388,7 @@ class PackedTable:
         self._mask = mask
         self._tracer = tracer
         self._row_cache: Optional[FrozenSet[Row]] = None
-        self._align_cache: Optional[BoundedMaskCache] = None
+        self._align_cache: Optional[LRU] = None
 
     # -- constructors --------------------------------------------------
 
@@ -534,6 +447,19 @@ class PackedTable:
             raise EvaluationError(f"duplicate table columns: {variables}")
         return cls(codec, ordered, codec.full_mask(len(ordered)), tracer)
 
+    def bound_to(self, codec: DomainCodec, tracer: TracerLike) -> "PackedTable":
+        """This table over ``codec`` (one for an equal domain), tracing
+        into ``tracer``.  Alignment masks depend only on the content:
+        both tables use one align cache from here on.  Decoded rows are
+        passed on if this table has them; the copy decodes its own
+        otherwise."""
+        if codec is self._codec and tracer is self._tracer:
+            return self
+        table = PackedTable(codec, self._vars, self._mask, tracer)
+        table._row_cache = self._row_cache
+        table._align_cache = self._align_lru()
+        return table
+
     # -- accessors -----------------------------------------------------
 
     @property
@@ -590,6 +516,15 @@ class PackedTable:
             self._codec, other.variables, other.rows, tracer=self._tracer
         )
 
+    def _align_lru(self) -> LRU:
+        """This table's align cache, created on first use."""
+        cache = self._align_cache
+        if cache is None:
+            cache = self._align_cache = LRU(
+                ALIGN_CACHE_LIMIT, tallies=self._codec.align_tallies
+            )
+        return cache
+
     def _aligned(self, target: Tuple[str, ...]) -> int:
         """The mask cylindrified to a sorted superset schema.
 
@@ -599,11 +534,7 @@ class PackedTable:
         if target == self._vars:
             return self._mask
         codec = self._codec
-        cache = self._align_cache
-        if cache is None:
-            cache = self._align_cache = BoundedMaskCache(
-                ALIGN_CACHE_LIMIT, codec.cache_stats, "align"
-            )
+        cache = self._align_lru()
         mask = cache.get(target)
         if mask is not None:
             return mask
@@ -940,8 +871,6 @@ class PackedRelation(Relation):
 __all__ = [
     "ALIGN_CACHE_LIMIT",
     "ATOM_CACHE_LIMIT",
-    "BoundedMaskCache",
-    "CACHE_STAT_KEYS",
     "DomainCodec",
     "PackedRelation",
     "PackedTable",

@@ -17,12 +17,14 @@ query, repeated closed subformulas across fixpoint parameter assignments,
 and whole repeated queries across evaluations that share a cache instance.
 
 The cache key *contains* the relevant relation values, so a mutated
-environment (a fixpoint iteration's new recursion relation, a modified
-database relation) can never produce a stale hit — it simply misses.  The
-price is hashing those relations; :class:`~repro.database.relation.Relation`
-hashes its frozenset, which CPython caches after the first computation.
+environment (a fixpoint iteration's new recursion relation, a database
+relation changed in place by :meth:`~repro.database.database.Database.add_fact`)
+can never produce a stale hit — it simply misses, and nothing ever needs
+invalidating.  The price is hashing those relations;
+:class:`~repro.database.relation.Relation` hashes its frozenset, which
+CPython caches after the first computation.
 
-Capacity is bounded two ways, both LRU:
+Capacity is bounded two ways by one :class:`~repro.kernel.lru.LRU`:
 
 * ``max_entries`` bounds the number of retained tables;
 * ``max_total_rows`` bounds the *sum of retained rows* — the cache's
@@ -40,14 +42,13 @@ alongside the engine counters.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.core.interp import VarTable
 from repro.database.database import Database
 from repro.database.relation import Relation
+from repro.kernel.lru import LRU, TALLIES
 from repro.logic.syntax import Formula
-from repro.logic.variables import free_relation_variables
 from repro.obs.metrics import MetricsRegistry
 
 #: Default bound on retained tables.
@@ -60,7 +61,7 @@ DEFAULT_MAX_TOTAL_ROWS = 1 << 20
 DEFAULT_MIN_FORMULA_SIZE = 3
 
 CacheKey = Tuple[
-    Formula, Tuple[object, ...], str, int, Tuple[Tuple[str, object], ...]
+    Formula, Tuple[object, ...], str, Tuple[Tuple[str, object], ...]
 ]
 
 
@@ -79,43 +80,36 @@ class SubqueryCache:
         min_formula_size: int = DEFAULT_MIN_FORMULA_SIZE,
         registry: Optional[MetricsRegistry] = None,
     ):
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
-        self.max_total_rows = max_total_rows
         self.min_formula_size = min_formula_size
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._hits = self.registry.counter("cache.hits")
-        self._misses = self.registry.counter("cache.misses")
-        self._evictions = self.registry.counter("cache.evictions")
+        self._lru = LRU(
+            max_entries,
+            max_total_rows,
+            tallies=[self.registry.counter("cache." + t) for t in TALLIES],
+        )
         self._entries_gauge = self.registry.gauge("cache.entries")
         self._rows_gauge = self.registry.gauge("cache.rows")
-        self._entries: "OrderedDict[CacheKey, VarTable]" = OrderedDict()
-        self._total_rows = 0
-        # formula → its free relation names; keyed by the formula object
-        # itself (strong reference), so the analysis runs once per subtree
-        self._free_rels: Dict[Formula, FrozenSet[str]] = {}
 
     # -- readings --------------------------------------------------------
 
     @property
     def hits(self) -> int:
-        return self._hits.value
+        return self._lru.hits.value
 
     @property
     def misses(self) -> int:
-        return self._misses.value
+        return self._lru.misses.value
 
     @property
     def evictions(self) -> int:
-        return self._evictions.value
+        return self._lru.evictions.value
 
     @property
     def total_rows(self) -> int:
-        return self._total_rows
+        return self._lru.weight
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._lru)
 
     # -- keying ----------------------------------------------------------
 
@@ -126,6 +120,7 @@ class SubqueryCache:
     def key_for(
         self,
         formula: Formula,
+        rels: Iterable[str],
         env: Dict[str, Relation],
         db: Database,
         backend: str = "sparse",
@@ -134,26 +129,17 @@ class SubqueryCache:
         be keyed (a relation name that resolves nowhere — the evaluation
         itself will fail, so there is nothing to cache).
 
+        ``rels`` names the formula's free relation variables in sorted
+        order (the evaluator keeps them for its memo key).
+
         The key embeds the backend name so a shared cache never serves a
         sparse table to a packed evaluation or vice versa, and relations
         enter the fingerprint via :meth:`Relation.state_key`, which packed
         relations answer with their mask instead of hashing a materialized
         tuple set.
-
-        The key also embeds the database's :attr:`~Database.generation`
-        mutation counter: a registered database mutated in place through
-        :meth:`Database.add_fact` / :meth:`Database.remove_fact` keys to
-        a fresh slot on its next evaluation, so a long-lived shared cache
-        (the :mod:`repro.serve` cross-request cache) can never serve rows
-        computed against a pre-mutation state — even for subformulas
-        whose own relations were untouched by the mutation.
         """
-        rels = self._free_rels.get(formula)
-        if rels is None:
-            rels = free_relation_variables(formula)
-            self._free_rels[formula] = rels
         fingerprint = []
-        for name in sorted(rels):
+        for name in rels:
             relation = env.get(name)
             if relation is None:
                 try:
@@ -161,25 +147,13 @@ class SubqueryCache:
                 except Exception:
                     return None
             fingerprint.append((name, relation.state_key()))
-        return (
-            formula,
-            db.domain.values,
-            backend,
-            db.generation,
-            tuple(fingerprint),
-        )
+        return (formula, db.domain.values, backend, tuple(fingerprint))
 
     # -- lookup / store --------------------------------------------------
 
     def get(self, key: CacheKey) -> Optional[VarTable]:
         """The cached table for ``key``, refreshing its LRU position."""
-        table = self._entries.get(key)
-        if table is None:
-            self._misses.inc()
-            return None
-        self._entries.move_to_end(key)
-        self._hits.inc()
-        return table
+        return self._lru.get(key)
 
     def put(self, key: CacheKey, table: VarTable) -> None:
         """Store a table, evicting least-recently-used entries as needed.
@@ -187,52 +161,14 @@ class SubqueryCache:
         A table larger than ``max_total_rows`` on its own is not retained
         at all (retaining it would evict everything else for one entry).
         """
-        rows = len(table)
-        if rows > self.max_total_rows:
-            return
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self._total_rows -= len(old)
-        self._entries[key] = table
-        self._total_rows += rows
-        while (
-            len(self._entries) > self.max_entries
-            or self._total_rows > self.max_total_rows
-        ):
-            _, evicted = self._entries.popitem(last=False)
-            self._total_rows -= len(evicted)
-            self._evictions.inc()
-        self._entries_gauge.set(len(self._entries))
-        self._rows_gauge.set(self._total_rows)
-
-    # -- invalidation ----------------------------------------------------
-
-    def invalidate(self, formula: Optional[Formula] = None) -> int:
-        """Drop entries; all of them, or those of one (structural) formula.
-
-        Keys embed the full relevant relation environment, so invalidation
-        is never *required* for correctness — it exists to release memory
-        (e.g. after a database is discarded).  Returns the number of
-        entries dropped.
-        """
-        if formula is None:
-            dropped = len(self._entries)
-            self._entries.clear()
-            self._free_rels.clear()
-            self._total_rows = 0
-        else:
-            stale = [k for k in self._entries if k[0] == formula]
-            for key in stale:
-                self._total_rows -= len(self._entries.pop(key))
-            dropped = len(stale)
-        self._entries_gauge.set(len(self._entries))
-        self._rows_gauge.set(self._total_rows)
-        return dropped
+        self._lru.put(key, table, len(table))
+        self._entries_gauge.set(len(self._lru))
+        self._rows_gauge.set(self._lru.weight)
 
     def __repr__(self) -> str:
         return (
-            f"SubqueryCache(entries={len(self._entries)}/{self.max_entries}, "
-            f"rows={self._total_rows}, hits={self.hits}, "
+            f"SubqueryCache(entries={len(self._lru)}/{self._lru.max_entries}, "
+            f"rows={self.total_rows}, hits={self.hits}, "
             f"misses={self.misses}, evictions={self.evictions})"
         )
 

@@ -84,11 +84,6 @@ from repro.serve.workers import (
 #: the transient-fault shape retry loops exist for).
 ChaosSpec = Union[None, ChaosPolicy, Sequence[Optional[ChaosPolicy]]]
 
-#: When the shared cache holds at least this fraction of its row bound,
-#: new requests bypass it (``"cache-bypass"``) instead of thrashing the
-#: LRU under pressure.
-CACHE_PRESSURE_FRACTION = 0.9
-
 #: Version of the ``/stats`` document layout; bump on key changes (the
 #: ``EVAL_JSON_SCHEMA_VERSION`` pattern).  v2 added ``schema_version``,
 #: ``uptime_seconds``, per-tenant breaker cooldowns, ``slo``,
@@ -172,6 +167,9 @@ class QueryService:
         ``True`` shares one :class:`~repro.perf.cache.SubqueryCache`
         across requests (inline path) and enables per-process worker
         caches (pool path); an instance is used as-is; falsy disables.
+        Cache keys hold the content of every relation a cached table
+        was computed from, so :meth:`mutate` needs no cache call, and
+        the cache's LRU alone bounds its memory.
     fault_injector:
         Optional ``request_index -> ChaosSpec`` hook — how the smoke
         test and the chaos bench inject faults into a live service
@@ -274,9 +272,9 @@ class QueryService:
     ) -> Dict[str, object]:
         """Apply one fact mutation to a registered database.
 
-        Bumps the database's generation counter (so cache keys move on)
-        and additionally invalidates the shared cache — generations make
-        stale hits *impossible*, invalidation releases the now-dead rows.
+        Returns ``{"applied": bool, "db": name}``.  No cache is touched:
+        cache keys hold relation content, so entries for the old content
+        can never be hit again and age out of the LRU.
         """
         db = self.database(db_name)
         if op == "add":
@@ -287,13 +285,7 @@ class QueryService:
             raise EvaluationError(
                 f"unknown mutation op {op!r} (expected 'add' or 'remove')"
             )
-        if applied and self._cache is not None:
-            self._cache.invalidate()
-        return {
-            "applied": applied,
-            "db": db_name,
-            "generation": db.generation,
-        }
+        return {"applied": applied, "db": db_name}
 
     def prepare(
         self, name: str, text: str, output_vars: Sequence[str] = ()
@@ -512,10 +504,6 @@ class QueryService:
             self._short_circuit.inc()
         degraded: List[str] = []
         cache_on = self._cache is not None
-        if cache_on and self._cache_pressured():
-            cache_on = False
-            degraded.append("cache-bypass")
-            self._degraded.inc()
         cur_strategy = strategy
         cur_backend = backend
         delays = self.retry.delays(seed)
@@ -711,15 +699,6 @@ class QueryService:
         if cache_on:
             return ("cache-off", backend, strategy, False)
         return None
-
-    def _cache_pressured(self) -> bool:
-        cache = self._cache
-        return (
-            cache is not None
-            and cache.max_total_rows > 0
-            and cache.total_rows
-            >= CACHE_PRESSURE_FRACTION * cache.max_total_rows
-        )
 
     def _emit_failure(
         self,

@@ -15,7 +15,10 @@ payload in the current process; :class:`WorkerPool` ships payloads to a
   :class:`WorkerCrashed`;
 * pool workers keep a per-process :class:`~repro.perf.cache.SubqueryCache`
   that stays warm across the requests each worker serves — the pool
-  analogue of the service's shared in-process cache.
+  analogue of the service's shared in-process cache.  Each payload
+  carries its database by value and the cache keys hold relation
+  content, so a mutation in the service reaches every worker's cache
+  with no message: the next payload's content keys to fresh entries.
 
 Results cross the process boundary as plain dicts (sorted rows + stats),
 never as live ``EvalResult`` objects.

@@ -3,15 +3,20 @@
 import pytest
 from hypothesis import given
 
-from repro.core.fo_eval import BoundedEvaluator, atom_table
+from repro.core.fo_eval import BoundedEvaluator
 from repro.core.interp import EvalStats
 from repro.core.naive_eval import naive_answer
 from repro.database import Database, Relation
 from repro.errors import EvaluationError, VariableBoundError
+from repro.kernel.backend import SparseBackend
 from repro.logic.parser import parse_formula
 from repro.logic.variables import free_variables, variable_width
 
 from tests.conftest import databases, fo_formulas
+
+
+def atom_table(relation, terms, domain):
+    return SparseBackend(domain).atom_table(relation, terms)
 
 
 class TestAtomTable:

@@ -25,21 +25,20 @@ from repro.database.database import Database
 from repro.database.domain import Domain
 from repro.database.relation import Relation
 from repro.errors import EvaluationError, SchemaError
-from repro.kernel.backend import PackedBackend
+from repro.kernel.backend import PackedBackend, SparseBackend
+from repro.kernel.lru import LRU
 from repro.kernel.packed import (
     ALIGN_CACHE_LIMIT,
     ATOM_CACHE_LIMIT,
-    BoundedMaskCache,
     DomainCodec,
     PackedRelation,
     PackedTable,
-    _compress,
     _rep_factor,
-    _stretch,
     popcount,
 )
 from repro.logic.parser import parse_formula
 from repro.logic.syntax import Const, Var
+from repro.obs.tracer import NULL_TRACER, Tracer
 
 VARS = ("w", "x", "y", "z")
 
@@ -90,11 +89,12 @@ class TestPrimitives:
         packed = 0
         for h, block in enumerate(blocks):
             packed |= block << (h * width)
-        spread = _stretch(packed, count, width, stride)
+        codec = DomainCodec(Domain.range(2))
+        spread = codec._stretch_fast(packed, count, width, stride)
         for h, block in enumerate(blocks):
             assert (spread >> (h * stride)) & ((1 << width) - 1) == block
         assert spread.bit_length() <= (count - 1) * stride + width
-        assert _compress(spread, count, width, stride) == packed
+        assert codec._compress_fast(spread, count, width, stride) == packed
 
 
 # ---------------------------------------------------------------------------
@@ -519,37 +519,37 @@ class TestPackedRelation:
 
 
 def test_bounded_mask_cache_caps_and_counts():
-    stats = {"t_hits": 0, "t_misses": 0, "t_evictions": 0, "events": 0}
-    cache = BoundedMaskCache(3, stats, "t")
+    cache = LRU(3)
     for i in range(5):
         assert cache.get(("k", i)) is None
         cache.put(("k", i), i)
     assert len(cache) == 3
-    assert stats["t_evictions"] == 2
+    assert cache.evictions.value == 2
     assert cache.get(("k", 4)) == 4
-    assert stats["t_hits"] == 1
-    assert stats["t_misses"] == 5
-    assert stats["t_evictions"] == 2
-    # the change counter lets the backend skip stat syncs when idle:
-    # 5 misses + 2 evictions + 1 hit
-    assert stats["events"] == 8
+    assert cache.hits.value == 1
+    assert cache.misses.value == 5
+    assert cache.evictions.value == 2
     # LRU order: touching an entry protects it from the next eviction
     cache.get(("k", 2))
     cache.put(("k", 9), 9)
     assert cache.get(("k", 2)) == 2
     assert cache.get(("k", 3)) is None
+    # a falsy value is still a hit
+    cache.put(("k", 0), 0)
+    assert cache.get(("k", 0)) == 0
+    assert cache.hits.value == 4
 
 
 def test_align_and_atom_caches_are_bounded():
     # codecs are shared per domain, so tallies are read as deltas
     table = PackedBackend(Domain.range(2)).full(["a"])
-    stats = table._codec.cache_stats
-    evicted = stats["align_evictions"]
+    _, _, evictions = table.codec.align_tallies
+    evicted = evictions.value
     # hammer one table with more join schemas than the cap
     for i in range(ALIGN_CACHE_LIMIT + 10):
         table._aligned(tuple(sorted(["a", "v{:03d}".format(i)])))
     assert len(table._align_cache) <= ALIGN_CACHE_LIMIT
-    assert stats["align_evictions"] - evicted >= 10
+    assert evictions.value - evicted >= 10
 
     # and one codec with more distinct constant-selection atoms than
     # the cap: E(c, x) for every c in a successor cycle
@@ -557,12 +557,45 @@ def test_align_and_atom_caches_are_bounded():
     backend = PackedBackend(Domain.range(n))
     codec = backend.codec
     edges = Relation(2, [(i, (i + 1) % n) for i in range(n)])
-    evicted = codec.cache_stats["atom_evictions"]
+    evicted = codec.atom_masks.evictions.value
     for c in range(n):
         table = backend.atom_table(edges, (Const(c), Var("x")))
         assert table.rows == frozenset({((c + 1) % n,)})
         assert len(codec.atom_masks) <= ATOM_CACHE_LIMIT
-    assert codec.cache_stats["atom_evictions"] - evicted >= 10
+    assert codec.atom_masks.evictions.value - evicted >= 10
+
+
+def test_atom_over_a_packed_relation_never_decodes_it():
+    # a fixpoint iterate is a PackedRelation over the backend's codec:
+    # its atoms must run on the mask alone, without decoding its rows
+    domain = Domain.range(4)
+    backend = PackedBackend(domain)
+    rows = [(0, 1, 0), (2, 1, 2), (1, 1, 0), (3, 0, 3), (2, 3, 3)]
+    for terms in [
+        (Var("y"), Const(1), Var("y")),
+        (Var("z"), Var("x"), Var("x")),
+        (Const(9), Var("x"), Var("y")),
+    ]:
+        rel = PackedRelation(3, mask_of(backend.codec, rows), backend.codec)
+        table = backend.atom_table(rel, terms)
+        assert rel._materialized is None
+        expected = SparseBackend(domain).atom_table(Relation(3, rows), terms)
+        assert table == expected
+
+
+def test_rebound_tables_share_one_align_cache():
+    # a cached table is stored bound to no tracer and served rebound to
+    # each evaluation's tracer; alignments one binding computes are hits
+    # for the others
+    codec = PackedBackend(Domain.range(3)).codec
+    built = PackedTable(codec, ("a",), 0b101, Tracer())
+    stored = built.bound_to(codec, NULL_TRACER)
+    served = stored.bound_to(codec, Tracer())
+    hits = codec.align_tallies[0]
+    built._aligned(("a", "b"))
+    before = hits.value
+    assert served._aligned(("a", "b")) == built._aligned(("a", "b"))
+    assert hits.value - before == 2
 
 
 def test_kernel_cache_counters_reach_registry():

@@ -1,6 +1,9 @@
-"""Unit tests for the SubqueryCache: LRU bounds, invalidation, metrics."""
+"""Unit tests for the SubqueryCache: LRU bounds, content keys, metrics."""
 
 from __future__ import annotations
+
+import gc
+import weakref
 
 import pytest
 
@@ -8,7 +11,9 @@ from repro.core.engine import EvalOptions, evaluate
 from repro.core.interp import VarTable
 from repro.database.database import Database
 from repro.logic.parser import parse_formula
+from repro.logic.variables import free_relation_variables
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import Tracer
 from repro.perf import SubqueryCache
 from repro.perf.cache import resolve_subquery_cache
 
@@ -20,7 +25,12 @@ def _db(n=3):
 
 
 def _key(cache, text, db):
-    return cache.key_for(parse_formula(text), {}, db)
+    return _key_of(cache, parse_formula(text), db)
+
+
+def _key_of(cache, formula, db):
+    rels = sorted(free_relation_variables(formula))
+    return cache.key_for(formula, rels, {}, db)
 
 
 def _table(rows):
@@ -78,30 +88,20 @@ class TestLRUBounds:
         with pytest.raises(ValueError):
             SubqueryCache(max_entries=0)
 
-
-class TestInvalidation:
-    def test_invalidate_all(self):
-        cache = SubqueryCache()
-        db = _db()
-        k1 = _key(cache, "E(x, x)", db)
-        k2 = _key(cache, "~E(x, x)", db)
-        cache.put(k1, _table([0]))
-        cache.put(k2, _table([1]))
-        assert cache.invalidate() == 2
-        assert len(cache) == 0 and cache.total_rows == 0
-        assert cache.get(k1) is None
-
-    def test_invalidate_single_formula_is_structural(self):
-        cache = SubqueryCache()
-        db = _db()
-        keep = _key(cache, "~E(x, x)", db)
-        drop = _key(cache, "E(x, x)", db)
-        cache.put(keep, _table([0]))
-        cache.put(drop, _table([1]))
-        # a *fresh* parse of the same text: equal by structure, not id
-        assert cache.invalidate(parse_formula("E(x, x)")) == 1
-        assert cache.get(drop) is None
-        assert cache.get(keep) is not None
+    def test_evicted_formulas_are_released(self):
+        """Only the retained entries keep formulas alive: the cache
+        holds no side table that outgrows its entry bound."""
+        cache = SubqueryCache(max_entries=4)
+        db = _db(4)
+        refs = []
+        for i in range(300):
+            formula = parse_formula(f"exists y. (E(x, y) & ~(y = {i}))")
+            evaluate(formula, db, ("x",), EvalOptions(subquery_cache=cache))
+            refs.append(weakref.ref(formula))
+            del formula
+        gc.collect()
+        assert len(cache) == 4
+        assert sum(ref() is not None for ref in refs) <= len(cache)
 
 
 class TestMetricsAndKeys:
@@ -129,16 +129,16 @@ class TestMetricsAndKeys:
         mutated = _db(3).with_relation(
             "E", _db(3).relation("E").__class__(2, [(2, 0)])
         )
-        assert cache.key_for(formula, {}, db) == cache.key_for(
-            formula, {}, grown
+        assert _key_of(cache, formula, db) == _key_of(
+            cache, formula, grown
         )  # same relation value → same key
-        assert cache.key_for(formula, {}, db) != cache.key_for(
-            formula, {}, mutated
+        assert _key_of(cache, formula, db) != _key_of(
+            cache, formula, mutated
         )
 
     def test_key_is_none_for_unresolvable_relation(self):
         cache = SubqueryCache()
-        assert cache.key_for(parse_formula("R(x)"), {}, _db()) is None
+        assert _key(cache, "R(x)", _db()) is None
 
     def test_leaves_are_not_cacheable(self):
         cache = SubqueryCache()
@@ -177,10 +177,46 @@ class TestEngineIntegration:
         assert cache.hits >= 1
         assert second.stats.notes.get("subquery_cache_hits", 0) >= 1
 
+    def test_cache_hit_records_kernel_spans_into_the_current_trace(self):
+        """A packed table served from a shared cache runs its later
+        kernel ops under the evaluation it is served to, not the one
+        that built it."""
+        db = Database.from_tuples(
+            range(4),
+            {
+                "E": (2, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)]),
+                "P": (1, [(1,), (3,)]),
+            },
+        )
+        inner = "exists y. (E(x, y) & exists x. E(y, x))"
+        outer = f"({inner}) & exists z. (E(z, x) & P(z))"
+        cache = SubqueryCache()
+
+        def kernel_spans(tracer):
+            return [s.name for s in tracer.spans if s.name.startswith("kernel.")]
+
+        first, second = Tracer(), Tracer()
+        evaluate(
+            parse_formula(inner), db, ("x",),
+            EvalOptions(backend="packed", subquery_cache=cache, trace=first),
+        )
+        built = kernel_spans(first)
+        result = evaluate(
+            parse_formula(outer), db, ("x",),
+            EvalOptions(backend="packed", subquery_cache=cache, trace=second),
+        )
+        assert result.stats.notes["subquery_cache_hits"] >= 1
+        assert kernel_spans(first) == built
+        # the second conjunct's own join, then its join with the served
+        # table
+        assert kernel_spans(second).count("kernel.join") == 2
+
 
 class TestGenerationKeys:
-    """Cache keys embed the database generation: mutations can never
-    serve stale rows, even without an explicit invalidate."""
+    """Keys are built from relation content, so each content generation
+    of a database keys apart: an add or remove that changes a relation
+    moves the key, one that changes nothing keeps it, and no cache call
+    is needed after a mutation."""
 
     def test_key_moves_when_a_fact_is_added(self):
         cache = SubqueryCache()
@@ -189,7 +225,10 @@ class TestGenerationKeys:
         assert db.add_fact("E", (2, 0))
         after = _key(cache, "E(x, x)", db)
         assert before != after
-        assert before[3] == 0 and after[3] == 1  # the generation slot
+        rebuilt = Database.from_tuples(
+            range(3), {"E": (2, [(0, 1), (1, 2), (2, 0)])}
+        )
+        assert after == _key(cache, "E(x, x)", rebuilt)
 
     def test_noop_mutations_keep_the_key(self):
         cache = SubqueryCache()
@@ -212,7 +251,6 @@ class TestGenerationKeys:
             formula, db, ("x",), EvalOptions(subquery_cache=cache)
         )
         assert (3,) in second.relation.tuples  # fresh, not the cached rows
-        # and the warm entries for the old generation were not hit
         plain = evaluate(formula, db, ("x",), EvalOptions())
         assert second.relation == plain.relation
 
@@ -220,10 +258,15 @@ class TestGenerationKeys:
         db = _db(4)
         formula = parse_formula("exists y. E(x, y)")
         cache = SubqueryCache()
+        before = _key_of(cache, formula, db)
         first = evaluate(formula, db, ("x",), EvalOptions(subquery_cache=cache))
         assert (2,) in first.relation.tuples
         assert db.remove_fact("E", (2, 3))
+        assert _key_of(cache, formula, db) != before
         second = evaluate(
             formula, db, ("x",), EvalOptions(subquery_cache=cache)
         )
         assert (2,) not in second.relation.tuples
+        # restoring the fact restores the content, and with it the key
+        assert db.add_fact("E", (2, 3))
+        assert _key_of(cache, formula, db) == before

@@ -117,3 +117,23 @@ def test_cache_correct_under_rel_env_mutation(db, formula):
         got = evaluator.answer(formula, out, rel_env=rel_env)
         expected = naive_answer(formula, db, out, rel_env=rel_env)
         assert got == expected, rel_env
+
+
+@given(databases(), fo_formulas(), st.data())
+def test_shared_cache_tracks_in_place_mutation(db, formula, data):
+    """One database mutated in place between evaluations through one
+    shared cache, with no cache call after a mutation: every answer must
+    equal the brute-force oracle on the database as it is now."""
+    out = tuple(sorted(free_variables(formula)))
+    options = EvalOptions(subquery_cache=SubqueryCache(), backend=None)
+    values = st.sampled_from(db.domain.values)
+    for _ in range(4):
+        got = evaluate(formula, db, out, options).relation
+        assert got == naive_answer(formula, db, out)
+        name = data.draw(st.sampled_from(db.relation_names()))
+        relation = db.relation(name)
+        if relation and data.draw(st.booleans()):
+            fact = data.draw(st.sampled_from(sorted(relation.tuples)))
+            assert db.remove_fact(name, fact)
+        else:
+            db.add_fact(name, data.draw(st.tuples(*[values] * relation.arity)))
