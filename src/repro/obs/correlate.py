@@ -46,13 +46,15 @@ def attempt_record(
     outcome: str,
     spans: Optional[Sequence[Dict[str, object]]] = None,
     pid: Optional[int] = None,
+    shipped_db: Optional[bool] = None,
 ) -> Dict[str, object]:
     """One attempt's contribution to a request trace.
 
     ``start`` is seconds since the request began; ``spans`` are the
     worker-side span dicts (absent when the attempt died before
     reporting — a crashed worker ships nothing back, which is itself
-    signal).
+    signal).  ``shipped_db`` says whether the attempt had to send its
+    database to a pool worker that held no copy of its version.
     """
     return {
         "attempt": attempt,
@@ -62,6 +64,7 @@ def attempt_record(
         "outcome": outcome,
         "spans": list(spans) if spans else [],
         "pid": pid,
+        "shipped_db": shipped_db,
     }
 
 
@@ -77,8 +80,8 @@ def assemble_trace(
     ``parent_id`` linkage forms: ``serve.request`` → one
     ``serve.attempt`` per attempt → that attempt's worker spans.  Every
     span's attrs carry the ``request_id``; attempt spans additionally
-    carry ``served_by``, ``outcome``, and the worker ``pid`` when the
-    attempt ran in a pool process.
+    carry ``served_by``, ``outcome``, ``shipped_db`` when the record has
+    it, and the worker ``pid`` when the attempt ran in a pool process.
     """
     out: List[Dict[str, object]] = []
     root_id = 1
@@ -102,6 +105,8 @@ def assemble_trace(
             "served_by": record.get("served_by"),
             "outcome": record.get("outcome"),
         }
+        if record.get("shipped_db") is not None:
+            attrs["shipped_db"] = record["shipped_db"]
         if record.get("pid") is not None:
             attrs["pid"] = record["pid"]
         out.append(

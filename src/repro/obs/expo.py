@@ -50,6 +50,7 @@ METRIC_HELP: Dict[str, str] = {
     "serve.retries": "Request attempts retried after transient faults.",
     "serve.degraded": "Degradation-ladder steps taken.",
     "serve.worker_crashes": "Worker processes that died mid-request.",
+    "serve.db_ships": "Databases sent to a pool worker lacking that version.",
     "serve.breaker_trips": "Circuit-breaker open transitions.",
     "serve.breaker_short_circuit": "Requests short-circuited past the pool.",
     "serve.answer_rows": "Answer rows returned across all requests.",

@@ -213,6 +213,15 @@ class AdmissionController:
             await ticket.future
         except asyncio.CancelledError:
             ticket.cancelled = True
+            future = ticket.future
+            if (
+                future.done()
+                and not future.cancelled()
+                and future.exception() is None
+            ):
+                # the slot was granted before the caller was cancelled;
+                # nobody will release it, so give it back now
+                self.release()
             raise
         wait = self._clock() - ticket.enqueued
         self._queue_wait.observe(wait)

@@ -14,11 +14,14 @@ Two modes share one flag surface:
 
 * **smoke mode** (``--smoke N``) — the CI resilience drill: start the
   server on an ephemeral port, fire ``N`` concurrent HTTP clients at it
-  across four tenants, inject one worker crash mid-run
-  (``--crash-at``), and assert that every response is either a correct
-  answer (differentially checked against a direct in-process
-  evaluation) or a structured 429/503.  Exit 0 only if that holds and
-  the injected crash was actually retried.
+  across four tenants in two waves around one ``/mutate`` that changes
+  the answer, inject one worker crash mid-run (``--crash-at``), and
+  assert that every response is either a correct answer for its wave
+  (differentially checked against a direct in-process evaluation of
+  the database before or after the mutation) or a structured 429/503.
+  Exit 0 only if that holds and the injected crash was actually
+  retried.  The second wave is what catches a pool worker answering
+  from a stale resident copy of the database.
 
 The smoke drill auto-provisions a seeded random graph database
 (``smoke``) and the transitive-closure query (``tc``) so it needs no
@@ -46,6 +49,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.engine import Query
 from repro.database.database import Database
+from repro.database.relation import Relation
 from repro.errors import ReproError
 from repro.guard.budget import Budget
 from repro.guard.chaos import ChaosPolicy
@@ -172,18 +176,45 @@ async def _http_text(host: str, port: int, path: str) -> Tuple[int, str]:
     return status, body_bytes.decode("utf-8")
 
 
+def _smoke_mutation(db: Database) -> Tuple[str, Tuple[int, int], Database]:
+    """One edge mutation that changes the drill's TC answer.
+
+    Returns ``(op, edge, mutated database)``: the first pair missing
+    from the closure is added, or, when the closure is complete, the
+    first edge whose removal shrinks it is removed.
+    """
+    query = Query.parse(TC_QUERY, ("u", "v"))
+    closure = query.run(db).relation.tuples
+    edges = db.relation("E")
+    for u in db.domain:
+        for v in db.domain:
+            if (u, v) not in closure:
+                added = Relation(2, edges.tuples | {(u, v)})
+                return "add", (u, v), db.with_relation("E", added)
+    for edge in sorted(edges.tuples):
+        removed = db.with_relation("E", Relation(2, edges.tuples - {edge}))
+        if query.run(removed).relation.tuples != closure:
+            return "remove", edge, removed
+    raise ReproError("no single-edge mutation changes the smoke answer")
+
+
 async def _run_smoke(args: argparse.Namespace) -> int:
     service = _build_service(args)
     db = _smoke_db(args.seed)
+    op, edge, mutated = _smoke_mutation(db)
     service.register_database("smoke", db)
     service.prepare("tc", TC_QUERY, ("u", "v"))
-    expected = sorted(
-        Query.parse(TC_QUERY, ("u", "v")).run(db).relation.tuples
-    )
+    query = Query.parse(TC_QUERY, ("u", "v"))
+    expected = [
+        sorted(query.run(wave_db).relation.tuples)
+        for wave_db in (db, mutated)
+    ]
     server = ServeHTTP(service, args.host, args.port)
     host, port = await server.start()
+    first = args.smoke // 2
     print(f"smoke: serving on {host}:{port}, firing {args.smoke} requests "
-          f"(crash injected at request {args.crash_at})")
+          f"in two waves ({first} + {args.smoke - first}) around one "
+          f"/mutate (crash injected at request {args.crash_at})")
 
     async def one_call(i: int) -> Tuple[int, Dict[str, object]]:
         try:
@@ -205,10 +236,16 @@ async def _run_smoke(args: argparse.Namespace) -> int:
             return -1, repr(exc)
 
     gathered = await asyncio.gather(
-        mid_drill_scrape(), *[one_call(i) for i in range(args.smoke)]
+        mid_drill_scrape(), *[one_call(i) for i in range(first)]
     )
     scrape_status, scrape_text = gathered[0]
-    results = gathered[1:]
+    mutate_status, mutate_body = await _http_json(
+        host, port, "POST", "/mutate",
+        {"db": "smoke", "op": op, "relation": "E", "values": list(edge)},
+    )
+    second = await asyncio.gather(
+        *[one_call(i) for i in range(first, args.smoke)]
+    )
     _, stats = await _http_json(host, port, "GET", "/stats")
     trace_status, trace_body = await _http_json(host, port, "GET", "/trace")
     await server.close()
@@ -216,18 +253,20 @@ async def _run_smoke(args: argparse.Namespace) -> int:
 
     counts: Dict[int, int] = {}
     wrong: List[int] = []
-    for i, (status, body) in enumerate(results):
-        counts[status] = counts.get(status, 0) + 1
-        if status == 200:
-            rows = sorted(tuple(row) for row in body["rows"])
-            if rows != expected:
-                wrong.append(i)
+    for wave, results in enumerate((gathered[1:], second)):
+        for status, body in results:
+            counts[status] = counts.get(status, 0) + 1
+            if status == 200:
+                rows = sorted(tuple(row) for row in body["rows"])
+                if rows != expected[wave]:
+                    wrong.append(wave + 1)
     metrics = stats.get("metrics", {})
     retries = metrics.get("serve.retries", 0)
     crashes = metrics.get("serve.worker_crashes", 0)
     print(f"smoke: statuses={dict(sorted(counts.items()))} "
           f"retries={retries} worker_crashes={crashes} "
-          f"shed={metrics.get('serve.shed', 0)}")
+          f"shed={metrics.get('serve.shed', 0)} "
+          f"db_ships={metrics.get('serve.db_ships', 0)}")
     latency = metrics.get("serve.latency_seconds", {})
     if isinstance(latency, dict) and latency.get("count"):
         print(f"smoke: latency p50={latency.get('p50', 0):.4f}s "
@@ -244,8 +283,13 @@ async def _run_smoke(args: argparse.Namespace) -> int:
     if bad_statuses:
         print(f"smoke: FAIL — unexpected statuses {bad_statuses}")
         ok = False
+    if mutate_status != 200 or not mutate_body.get("applied"):
+        print(f"smoke: FAIL — /mutate {op} {edge} returned "
+              f"{mutate_status}: {mutate_body}")
+        ok = False
     if wrong:
-        print(f"smoke: FAIL — {len(wrong)} responses had wrong rows")
+        print(f"smoke: FAIL — {len(wrong)} responses had wrong rows "
+              f"(waves {sorted(set(wrong))})")
         ok = False
     if args.crash_at > 0 and args.crash_at <= args.smoke and retries < 1:
         print("smoke: FAIL — injected crash was never retried")

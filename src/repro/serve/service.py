@@ -44,6 +44,7 @@ sustained fault injection.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -72,6 +73,7 @@ from repro.serve.admission import AdmissionController, TenantPolicy
 from repro.serve.retry import CircuitBreaker, RetryPolicy
 from repro.serve.telemetry import TelemetryLog
 from repro.serve.workers import (
+    NotResident,
     WorkerCrashed,
     WorkerPool,
     build_payload,
@@ -160,6 +162,9 @@ class QueryService:
         and single-flight, the right mode for tests and benches.  ``> 0``
         runs a supervised :class:`~repro.serve.workers.WorkerPool` of
         that many processes; worker crashes are retried transparently.
+        Each worker keeps a resident copy of every database it has
+        served, so a pool payload carries a version token (see
+        :meth:`_db_version`) instead of the database.
     retry:
         The backoff schedule shared by all tenants (each tenant's
         ``max_attempts`` comes from its :class:`TenantPolicy`).
@@ -231,6 +236,10 @@ class QueryService:
         self.flight_dump_dir = flight_dump_dir
         self.traces = TraceStore(capacity=trace_capacity)
         self._dbs: Dict[str, Database] = {}
+        #: db name -> (identity, held objects, version token); see
+        #: :meth:`_db_version`
+        self._versions: Dict[str, Tuple[object, Tuple[object, ...], int]] = {}
+        self._version_tokens = itertools.count(1)
         self._queries: Dict[str, Query] = {}
         self._tenants: Dict[str, TenantPolicy] = {}
         self._default_policy = TenantPolicy()
@@ -247,6 +256,7 @@ class QueryService:
         )
         self._breaker_trips = self.registry.counter("serve.breaker_trips")
         self._answer_rows = self.registry.counter("serve.answer_rows")
+        self._db_ships = self.registry.counter("serve.db_ships")
         self._latency = self.registry.histogram(
             "serve.latency_seconds", bounds=LATENCY_BUCKETS
         )
@@ -267,6 +277,32 @@ class QueryService:
         except KeyError:
             raise EvaluationError(f"unknown database {name!r}") from None
 
+    def _db_version(self, name: str, database: Database) -> int:
+        """The version token of the database registered as ``name``.
+
+        Pool workers keep a resident copy per name, tagged with this
+        token.  Domains and relations are immutable values, and every
+        change to a registered database — :meth:`mutate`, a direct
+        ``add_fact``/``remove_fact``, re-registration — swaps in new
+        objects, so the token is derived from the identity of the
+        domain and relation objects the database holds right now: the
+        same objects keep their token, any other object mints a fresh
+        one.  The objects behind the current token are held here, so
+        their ids cannot be reused by newer objects while compared, and
+        tokens come from a counter, so a worker holding an older copy
+        can never match a newer token.
+        """
+        names = database.relation_names()
+        objects = (database.domain,) + tuple(
+            database.relation(rel) for rel in names
+        )
+        identity = (names, tuple(map(id, objects)))
+        held = self._versions.get(name)
+        if held is None or held[0] != identity:
+            held = (identity, objects, next(self._version_tokens))
+            self._versions[name] = held
+        return held[2]
+
     def mutate(
         self, db_name: str, op: str, relation: str, values: Sequence[object]
     ) -> Dict[str, object]:
@@ -274,7 +310,9 @@ class QueryService:
 
         Returns ``{"applied": bool, "db": name}``.  No cache is touched:
         cache keys hold relation content, so entries for the old content
-        can never be hit again and age out of the LRU.
+        can never be hit again and age out of the LRU.  Nor is any worker
+        told: the swapped-in relation gives the database a new version
+        token at its next pool call.
         """
         db = self.database(db_name)
         if op == "add":
@@ -360,29 +398,25 @@ class QueryService:
             "request", request_id=request_id, tenant=tenant,
             query=query, db=db,
         )
-        prepared = self.query(query)
-        database = self.database(db)
         policy = self.policy_for(tenant)
         if chaos is None and self.fault_injector is not None:
             chaos = self.fault_injector(index)
         seed = index if request_seed is None else request_seed
         try:
+            prepared = self.query(query)
+            database = self.database(db)
             queue_wait = await self.admission.admit(
                 tenant, weight=policy.weight, deadline=policy.deadline()
             )
-        except Overloaded as exc:
-            self._fail(
-                tenant, query, db, "overloaded", exc.reason,
-                request_id, arrival, exc,
-            )
-            raise
-        start = self._clock()
-        try:
-            response = await self._serve(
-                tenant, policy, prepared, database,
-                query, db, strategy, backend, seed, chaos, queue_wait,
-                request_id, trace,
-            )
+            start = self._clock()
+            try:
+                response = await self._serve(
+                    tenant, policy, prepared, database,
+                    query, db, strategy, backend, seed, chaos, queue_wait,
+                    request_id, trace,
+                )
+            finally:
+                self.admission.release(self._clock() - start)
         except Overloaded as exc:
             self._fail(
                 tenant, query, db, "overloaded", exc.reason,
@@ -407,8 +441,6 @@ class QueryService:
                 request_id, arrival, exc,
             )
             raise
-        finally:
-            self.admission.release(self._clock() - start)
         response.seconds = self._clock() - start
         response.request_id = request_id
         self._ok.inc()
@@ -514,9 +546,11 @@ class QueryService:
         attempt_trail: List[Dict[str, object]] = []
         while True:
             attempts += 1
+            pooled = served_by == "pool"
+            version = self._db_version(db_name, database) if pooled else None
             payload = build_payload(
                 prepared.formula,
-                database,
+                None if pooled else database,
                 prepared.output_vars,
                 strategy=cur_strategy,
                 k_limit=None,
@@ -524,14 +558,26 @@ class QueryService:
                 budget=policy.budget,
                 chaos=_chaos_for_attempt(chaos, attempts),
                 cache=cache_on,
-                allow_crash=served_by == "pool",
+                allow_crash=pooled,
                 request_id=request_id,
                 trace=trace,
+                db_name=db_name,
+                db_version=version,
             )
             attempt_start = self._clock() - serve_start
+            shipped = False
             try:
-                if served_by == "pool":
-                    raw = await self._pool.submit(payload)
+                if pooled:
+                    try:
+                        raw = await self._pool.submit(payload)
+                    except NotResident:
+                        # hydration, not a retry: the same attempt again,
+                        # with the database attached
+                        shipped = True
+                        self._db_ships.inc()
+                        raw = await self._pool.submit(
+                            dict(payload, db=database)
+                        )
                 else:
                     raw = evaluate_payload(
                         payload, cache=self._cache if cache_on else None
@@ -546,6 +592,7 @@ class QueryService:
                         "ok",
                         spans=raw.get("spans"),
                         pid=raw.get("pid"),
+                        shipped_db=shipped,
                     )
                 )
                 spans = assemble_trace(
@@ -584,6 +631,7 @@ class QueryService:
                         attempt_start,
                         self._clock() - serve_start - attempt_start,
                         "crash" if crashed else "fault",
+                        shipped_db=shipped,
                     )
                 )
                 if crashed:
@@ -650,6 +698,7 @@ class QueryService:
                         attempt_start,
                         self._clock() - serve_start - attempt_start,
                         f"exhausted:{exc.kind}",
+                        shipped_db=shipped,
                     )
                 )
                 step = self._degrade_step(

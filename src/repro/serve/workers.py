@@ -13,12 +13,20 @@ payload in the current process; :class:`WorkerPool` ships payloads to a
   :func:`~repro.complexity.measure.shutdown_pool` helper and rebuilt on
   the next submit, and the failed request surfaces as the retryable
   :class:`WorkerCrashed`;
+* databases are **resident** in the workers: a pool payload names its
+  database and carries the service's version token for it, not the
+  database itself (``db=None``).  Each worker process keeps one
+  ``(version, Database)`` entry per database name; a worker whose entry
+  is missing or holds another version raises :class:`NotResident`, and
+  the service re-sends the same attempt once with the database attached,
+  which replaces the entry.  A rebuilt pool starts empty and re-hydrates
+  the same lazy way;
 * pool workers keep a per-process :class:`~repro.perf.cache.SubqueryCache`
   that stays warm across the requests each worker serves — the pool
-  analogue of the service's shared in-process cache.  Each payload
-  carries its database by value and the cache keys hold relation
-  content, so a mutation in the service reaches every worker's cache
-  with no message: the next payload's content keys to fresh entries.
+  analogue of the service's shared in-process cache.  Its keys hold
+  relation content, and a resident copy hands the same relation objects
+  to every request, so warm keys hash and compare without re-reading
+  the tuples.
 
 Results cross the process boundary as plain dicts (sorted rows + stats),
 never as live ``EvalResult`` objects.
@@ -30,7 +38,7 @@ import asyncio
 import multiprocessing
 import os
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.complexity.measure import shutdown_pool
 from repro.errors import ReproError
@@ -40,6 +48,29 @@ from repro.perf.cache import SubqueryCache
 
 class WorkerCrashed(ReproError):
     """A pool worker died mid-request; the request is safe to retry."""
+
+
+class NotResident(ReproError):
+    """A pool worker lacks the payload's version of its database.
+
+    Neither a fault nor a retry: the service answers it by re-sending
+    the same attempt once with the database attached.
+
+    ``db``
+        The database name the payload asked for.
+    ``version``
+        The version token the payload carried.
+    """
+
+    def __init__(self, message: str, db: str = "", version: object = None):
+        super().__init__(message)
+        self.db = db
+        self.version = version
+
+    def __reduce__(self):
+        # keep the fields across the pool boundary (the default
+        # exception pickling replays only the message)
+        return (type(self), (str(self), self.db, self.version))
 
 
 def build_payload(
@@ -55,8 +86,15 @@ def build_payload(
     allow_crash: bool = False,
     request_id: Optional[str] = None,
     trace: bool = False,
+    db_name: Optional[str] = None,
+    db_version: object = None,
 ) -> Dict[str, object]:
     """The picklable description of one evaluation attempt.
+
+    ``db`` is the database itself, or ``None`` in a pool payload, which
+    names its database by ``db_name`` and ``db_version`` instead (see
+    :func:`worker_call`); a pool payload that does carry ``db`` hydrates
+    the worker's resident copy.
 
     ``request_id`` is the cross-process trace context: it crosses the
     pool boundary inside the payload and comes back stamped on every
@@ -67,6 +105,8 @@ def build_payload(
     return {
         "formula": formula,
         "db": db,
+        "db_name": db_name,
+        "db_version": db_version,
         "out": tuple(out),
         "strategy": strategy,
         "k_limit": k_limit,
@@ -148,6 +188,10 @@ CRASH_EXIT_CODE = 70
 #: The per-worker-process cross-request cache (pool workers only).
 _WORKER_CACHE: Optional[SubqueryCache] = None
 
+#: The per-worker-process resident databases (pool workers only):
+#: database name -> (version token, Database), one entry per name.
+_RESIDENT: Dict[str, Tuple[object, object]] = {}
+
 
 def _worker_cache() -> SubqueryCache:
     global _WORKER_CACHE
@@ -156,16 +200,39 @@ def _worker_cache() -> SubqueryCache:
     return _WORKER_CACHE
 
 
+def _resident_db(payload: Dict[str, object]):
+    """The payload's database: stored if attached, else the resident copy.
+
+    Raises :class:`NotResident` when this process holds no copy of the
+    payload's version.
+    """
+    name, version = payload["db_name"], payload["db_version"]
+    if payload["db"] is not None:
+        _RESIDENT[name] = (version, payload["db"])
+        return payload["db"]
+    resident = _RESIDENT.get(name)
+    if resident is None or resident[0] != version:
+        raise NotResident(
+            f"worker {os.getpid()} holds no copy of database {name!r} "
+            f"at version {version!r}",
+            db=name,
+            version=version,
+        )
+    return resident[1]
+
+
 def worker_call(payload: Dict[str, object]) -> Dict[str, object]:
     """The pool-worker entry point (module-level, hence picklable).
 
-    An :class:`InjectedFault` of kind ``"crash"`` escalates to a real
+    The payload's database resolves through :func:`_resident_db`.  An
+    :class:`InjectedFault` of kind ``"crash"`` escalates to a real
     process death when the payload allows it — that is how the chaos
     suite exercises genuine ``BrokenProcessPool`` recovery end to end.
     """
+    db = _resident_db(payload)
     cache = _worker_cache() if payload["cache"] else None
     try:
-        return evaluate_payload(payload, cache=cache)
+        return evaluate_payload(dict(payload, db=db), cache=cache)
     except InjectedFault as fault:
         if fault.kind == "crash" and payload.get("allow_crash"):
             os._exit(CRASH_EXIT_CODE)
@@ -244,6 +311,7 @@ class WorkerPool:
 
 __all__ = [
     "CRASH_EXIT_CODE",
+    "NotResident",
     "WorkerCrashed",
     "WorkerPool",
     "build_payload",

@@ -97,6 +97,26 @@ class TestAdmission:
 
         run(main())
 
+    def test_cancel_after_grant_returns_the_slot(self):
+        """A caller cancelled after its ticket was granted, but before it
+        resumed, must not keep the slot: nobody would release it."""
+
+        async def main():
+            ctrl = AdmissionController(max_concurrency=1, max_queue=4)
+            await ctrl.admit("a")
+            waiter = asyncio.ensure_future(ctrl.admit("b"))
+            await asyncio.sleep(0)  # b parks in the queue
+            ctrl.release(0.01)  # grants b's ticket ...
+            waiter.cancel()  # ... and b's caller is cancelled before it runs
+            with pytest.raises(asyncio.CancelledError):
+                await waiter
+            assert ctrl.running == 0
+            await asyncio.wait_for(ctrl.admit("c"), timeout=1.0)
+            assert ctrl.running == 1
+            ctrl.release(0.01)
+
+        run(main())
+
     def test_weighted_fairness_dispatch_order(self):
         """Weight-4 tenant drains ~4 requests per weight-1 request."""
 

@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import pickle
 
 import pytest
 
@@ -11,10 +12,12 @@ from repro.errors import EvaluationError, Overloaded, ResourceExhausted
 from repro.guard.budget import Budget
 from repro.guard.chaos import ChaosPolicy
 from repro.perf.cache import SubqueryCache
+from repro.serve import workers
 from repro.serve.admission import TenantPolicy
 from repro.serve.cli import TC_QUERY
 from repro.serve.retry import OPEN, RetryPolicy
 from repro.serve.service import QueryService
+from repro.serve.workers import NotResident, build_payload, worker_call
 from repro.workloads.graphs import random_graph
 
 FAST_RETRY = RetryPolicy(base_delay=0.0, jitter=0.0)
@@ -32,6 +35,14 @@ def make_service(**kwargs):
     service.register_database("g", path_db())
     service.prepare("tc", TC_QUERY, ("u", "v"))
     return service
+
+
+def cycle_db(n=6):
+    """``path_db(n)`` plus the back-edge ``(n - 1, 0)``."""
+    return Database.from_tuples(
+        range(n),
+        {"E": (2, [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)])},
+    )
 
 
 def expected_tc(db):
@@ -264,6 +275,34 @@ class TestTelemetryAndStats:
         assert events[0]["rows"] > 0
         assert events[1]["detail"] == "retries-exhausted"
 
+    def test_unknown_names_are_counted_and_logged_once(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        service = make_service(telemetry_path=str(path))
+        run(service.call("t0", "tc", "g"))
+        with pytest.raises(EvaluationError):
+            run(service.call("t0", "nope", "g"))
+        with pytest.raises(EvaluationError):
+            run(service.call("t0", "tc", "nope"))
+        service.close()
+        snap = service.registry.snapshot()
+        ok, failed = snap["serve.ok"], snap["serve.failed"]
+        assert snap["serve.requests"] == ok + failed
+        assert (ok, failed) == (1, 2)
+        events = [
+            json.loads(line) for line in path.read_text().splitlines()
+        ]
+        assert [e["request_id"] for e in events] == [
+            "req-000001", "req-000002", "req-000003",
+        ]
+        assert [e["outcome"] for e in events] == ["ok", "error", "error"]
+        # every flight `request` event has an outcome event
+        for event in service.flight.events(kind="request"):
+            kinds = [
+                e["kind"]
+                for e in service.flight.events(request_id=event["request_id"])
+            ]
+            assert kinds[0] == "request" and len(kinds) == 2
+
     def test_stats_document_shape(self):
         service = make_service()
         run(service.call("t0", "tc", "g"))
@@ -298,3 +337,120 @@ class TestWorkerPool:
             assert sorted(clean.rows) == expected_tc(path_db())
         finally:
             service.close()
+
+
+def attempt_shipped(service, response):
+    """``shipped_db`` of each ``serve.attempt`` span of a request."""
+    return [
+        span["attrs"]["shipped_db"]
+        for span in service.traces.get(response.request_id)
+        if span["name"] == "serve.attempt"
+    ]
+
+
+class TestResidentDatabases:
+    """Pool workers keep a resident copy of each database, tagged with
+    the service's version token; a payload carries the token, and a
+    database crosses the pool boundary only when a worker lacks it."""
+
+    def test_unchanged_database_ships_once(self):
+        service = make_service(workers=1)
+        # one attempt and a breaker that trips on the first failure:
+        # hydrating the worker must be neither a retry nor a failure
+        service.set_tenant(
+            "t0", TenantPolicy(max_attempts=1, breaker_threshold=1)
+        )
+        try:
+            shipped = []
+            for _ in range(5):
+                response = run(service.call("t0", "tc", "g"))
+                assert response.served_by == "pool"
+                assert response.attempts == 1
+                assert sorted(response.rows) == expected_tc(path_db())
+                shipped.append(attempt_shipped(service, response))
+            assert shipped == [[True], [False], [False], [False], [False]]
+            snap = service.registry.snapshot()
+            assert snap["serve.db_ships"] == 1
+            assert snap["serve.retries"] == 0
+            assert service.stats()["breakers"]["t0"]["trips"] == 0
+            assert "repro_serve_db_ships_total 1" in service.metrics_text()
+        finally:
+            service.close()
+
+    def test_mutation_ships_the_new_version_once(self):
+        service = make_service(workers=1)
+        try:
+            run(service.call("t0", "tc", "g"))
+            service.mutate("g", "add", "E", (5, 0))
+            shipped = []
+            for _ in range(3):
+                response = run(service.call("t0", "tc", "g"))
+                assert sorted(response.rows) == expected_tc(cycle_db())
+                shipped.append(attempt_shipped(service, response))
+            assert shipped == [[True], [False], [False]]
+            assert service.registry.snapshot()["serve.db_ships"] == 2
+        finally:
+            service.close()
+
+    def test_direct_add_fact_reaches_the_next_pool_call(self):
+        service = make_service(workers=1)
+        try:
+            run(service.call("t0", "tc", "g"))
+            # bypasses mutate(): the swapped-in relation object alone
+            # must yield a new version token
+            assert service.database("g").add_fact("E", (5, 0))
+            response = run(service.call("t0", "tc", "g"))
+            assert sorted(response.rows) == expected_tc(cycle_db())
+            assert attempt_shipped(service, response) == [True]
+            assert service.registry.snapshot()["serve.db_ships"] == 2
+        finally:
+            service.close()
+
+    def test_crash_rebuild_rehydrates_lazily(self):
+        service = make_service(workers=1)
+        try:
+            run(service.call("t0", "tc", "g"))  # hydrates the first pool
+            crash = ChaosPolicy(seed=0, fail_at=2, fault_kinds=("crash",))
+            response = run(
+                service.call("t0", "tc", "g", chaos=[crash, None])
+            )
+            assert sorted(response.rows) == expected_tc(path_db())
+            assert response.attempts == 2
+            assert response.retries == 1
+            # the first attempt crashed on the resident copy; the retry
+            # met a rebuilt, empty pool and shipped the database again
+            assert attempt_shipped(service, response) == [False, True]
+            assert service.stats()["pool"]["restarts"] == 1
+            snap = service.registry.snapshot()
+            assert snap["serve.db_ships"] == 2
+            assert snap["serve.worker_crashes"] == 1
+            assert snap["serve.retries"] == 1
+        finally:
+            service.close()
+
+
+class TestResidentProtocol:
+    """The worker side of the protocol, run in this process."""
+
+    def test_worker_call_needs_the_payloads_version(self, monkeypatch):
+        monkeypatch.setattr(workers, "_RESIDENT", {})
+        formula = Query.parse(TC_QUERY, ("u", "v")).formula
+        payload = build_payload(
+            formula, None, ("u", "v"), db_name="g", db_version=1
+        )
+        with pytest.raises(NotResident) as exc:
+            worker_call(payload)
+        assert (exc.value.db, exc.value.version) == ("g", 1)
+        hydrated = worker_call(dict(payload, db=path_db()))
+        resident = worker_call(payload)
+        assert resident["rows"] == hydrated["rows"]
+        assert sorted(map(tuple, resident["rows"])) == expected_tc(path_db())
+        with pytest.raises(NotResident):
+            worker_call(dict(payload, db_version=2))
+
+    def test_not_resident_pickles_with_its_fields(self):
+        error = pickle.loads(
+            pickle.dumps(NotResident("absent", db="g", version=3))
+        )
+        assert isinstance(error, NotResident)
+        assert (str(error), error.db, error.version) == ("absent", "g", 3)
