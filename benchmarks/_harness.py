@@ -35,25 +35,8 @@ DEFAULT_POINT_DEADLINE = 60.0
 #: Environment variable selecting the sweep worker-process count.
 JOBS_ENV = "REPRO_BENCH_JOBS"
 
-#: Environment variable selecting the table backend for bench workloads
-#: (the same variable the engines consult — see
-#: :mod:`repro.kernel.backend`).
-BACKEND_ENV = "REPRO_BENCH_BACKEND"
 
-
-def bench_backend(default: str = "sparse") -> str:
-    """The table backend for bench workloads (``sparse`` or ``packed``).
-
-    Reads ``REPRO_BENCH_BACKEND``; an unknown value falls back to
-    ``default`` rather than failing the whole suite.  Benches that
-    compare the backends against each other pin theirs explicitly and
-    ignore this.
-    """
-    value = os.environ.get(BACKEND_ENV, default).strip().lower()
-    return value if value in ("sparse", "packed") else default
-
-
-def bench_jobs(default: int = 1) -> int:
+def sweep_jobs(default: int = 1) -> int:
     """Worker processes for sweep-based benches (``run_sweep(parallel=)``).
 
     Defaults to serial — parallel workers share cores, so per-point

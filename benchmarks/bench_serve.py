@@ -30,7 +30,7 @@ import functools
 from repro.complexity.measure import run_sweep
 from repro.perf.experiments import serve_workload
 
-from benchmarks._harness import bench_jobs, emit, emit_record, series_table
+from benchmarks._harness import emit, emit_record, series_table, sweep_jobs
 
 SIZES = [6, 8, 10]
 
@@ -139,7 +139,7 @@ def _obs_overhead(n: int, requests: int) -> dict:
 
 def bench_serve_drill(benchmark):
     """The gated robustness drill across database sizes."""
-    jobs = bench_jobs()
+    jobs = sweep_jobs()
     sweep = run_sweep(
         "SERVE", SIZES, _drill_workload, repetitions=1, warmup=False,
         parallel=jobs,

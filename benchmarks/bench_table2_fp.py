@@ -31,7 +31,7 @@ from repro.complexity.measure import run_sweep
 from repro.logic.parser import parse_formula
 from repro.workloads.graphs import labeled_graph, path_graph, random_graph
 
-from benchmarks._harness import bench_jobs, emit, emit_record, series_table
+from benchmarks._harness import emit, emit_record, series_table, sweep_jobs
 
 SIZES = [3, 4, 5, 6, 7]
 FAIR = parse_formula(
@@ -86,7 +86,7 @@ def bench_table2_fp_seminaive_vs_naive(benchmark):
     this bench, owns the equivalence guarantee, but tuple counts are
     cross-checked here too.
     """
-    jobs = bench_jobs()
+    jobs = sweep_jobs()
     sweeps = {
         strategy: run_sweep(
             f"tc-{strategy}",
@@ -153,7 +153,7 @@ def bench_table2_fp_packed_vs_sparse(benchmark):
     backend-differential test suite, but answer and iteration counters
     are cross-checked here too — they must be representation-independent.
     """
-    jobs = bench_jobs()
+    jobs = sweep_jobs()
     sweeps = {
         backend: run_sweep(
             f"tc-{backend}",
@@ -204,8 +204,10 @@ def bench_table2_fp_packed_vs_sparse(benchmark):
         "packed n^k-bit kernel vs sparse tables on transitive closure",
         body,
     )
+    # archived under its own id: the registered T2-FP-PACKED experiment
+    # (repro perf record) gates a different counter set
     emit_record(
-        "T2-FP-PACKED",
+        "T2-FP-PACKED-VS-SPARSE",
         "packed n^k-bit kernel on transitive closure",
         sweep=sweeps["packed"],
         fit_counters=("answer_rows", "iterations"),

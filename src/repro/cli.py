@@ -644,6 +644,24 @@ def _perf_policy(args: argparse.Namespace):
     )
 
 
+def _stored_experiment_id(name: str, store) -> str:
+    """The experiment id for a command that only reads stored records.
+
+    Registered experiments and their aliases resolve as usual.  Any
+    other id is accepted when the store holds its committed
+    ``BENCH_<id>.json`` baseline: benches archive records under ids
+    that have no registered workload, and only a fresh run needs one.
+    """
+    from repro.perf.experiments import ExperimentError, get_experiment
+
+    try:
+        return get_experiment(name).experiment_id
+    except ExperimentError:
+        if store.load_baseline(name) is not None:
+            return name
+        raise
+
+
 def _cmd_perf_compare(args: argparse.Namespace) -> int:
     import json as _json
 
@@ -652,7 +670,10 @@ def _cmd_perf_compare(args: argparse.Namespace) -> int:
     from repro.perf.experiments import get_experiment
 
     store = RunStore(args.store)
-    experiment_id = get_experiment(args.experiment).experiment_id
+    if args.use_latest:
+        experiment_id = _stored_experiment_id(args.experiment, store)
+    else:
+        experiment_id = get_experiment(args.experiment).experiment_id
     baseline = store.load_baseline(experiment_id)
     if baseline is None:
         raise ReproError(
@@ -681,7 +702,6 @@ def _cmd_perf_compare(args: argparse.Namespace) -> int:
 
 def _cmd_perf_report(args: argparse.Namespace) -> int:
     from repro.obs.runstore import RunStore
-    from repro.perf.experiments import get_experiment
 
     store = RunStore(args.store)
     if args.experiment is None:
@@ -693,7 +713,7 @@ def _cmd_perf_report(args: argparse.Namespace) -> int:
             entries = store.index(experiment_id)
             print(f"{experiment_id}: {len(entries)} record(s)")
         return 0
-    experiment_id = get_experiment(args.experiment).experiment_id
+    experiment_id = _stored_experiment_id(args.experiment, store)
     entries = store.index(experiment_id)
     if not entries:
         print(f"(no records for {experiment_id} under {args.store})")

@@ -7,12 +7,17 @@ Modules:
 * :mod:`~repro.core.naive_eval` — slow, obviously-correct reference
   semantics used as the testing oracle;
 * :mod:`~repro.core.fo_eval` — bottom-up FO^k evaluation (Prop 3.1);
-* :mod:`~repro.core.fp_eval` — FP^k evaluation under three strategies
-  (naive ``n^{k·l}``, monotone warm-start ``l·n^k``, alternation-aware with
-  certificate emission — Theorem 3.5);
+* :mod:`~repro.core.fp_eval` — FP^k evaluation: one fixpoint solver,
+  :class:`~repro.core.fp_eval.KleeneSolver`, whose single round loop runs
+  the naive ``n^{k·l}``, monotone warm-start ``l·n^k`` and semi-naive
+  schedules and the metered PFP iteration, plus dispatch to the
+  alternation-aware evaluation with certificate emission (Theorem 3.5,
+  :mod:`~repro.core.alternation`);
 * :mod:`~repro.core.certificates` — Lemma 3.3/3.4 certificates: extraction
   and polynomial-time verification;
-* :mod:`~repro.core.pfp_eval` — PFP^k evaluation (Theorem 3.8);
+* :mod:`~repro.core.pfp_eval` — PFP^k space accounting (Theorem 3.8): the
+  :class:`~repro.core.pfp_eval.SpaceMeter` and ``pfp_answer``, the
+  solver's naive iteration with the meter attached;
 * :mod:`~repro.core.eso_rewrite` — the Lemma 3.6 arity reduction;
 * :mod:`~repro.core.grounding` — FO^k → CNF grounding over a finite database;
 * :mod:`~repro.core.eso_eval` — ESO^k evaluation through the SAT solver

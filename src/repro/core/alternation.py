@@ -44,8 +44,10 @@ from repro.database.database import Database
 from repro.database.relation import Relation
 from repro.errors import EvaluationError
 from repro.core.abstraction import AbstractedQuery, AbstractFixpoint, abstract_query
-from repro.core.fo_eval import BoundedEvaluator
+from repro.core.fo_eval import BoundedEvaluator, check_variable_bound
+from repro.core.fp_eval import apply_operator
 from repro.core.interp import EvalStats
+from repro.guard.budget import GuardLike, NULL_GUARD
 from repro.logic.analysis import check_positivity
 from repro.logic.syntax import Formula
 from repro.logic.variables import free_variables
@@ -115,42 +117,34 @@ class FixpointCertificate:
 Env = Dict[str, Relation]
 
 
-def apply_operator(
-    evaluator: BoundedEvaluator,
-    node: AbstractFixpoint,
-    env: Env,
-) -> Relation:
-    """One application of node's abstracted operator under ``env``.
-
-    ``env`` must bind the node's own name (the self value), every enclosing
-    fixpoint name free in the body, and every immediate child's name.
-    """
-    table = evaluator._eval(node.body, env)
-    columns = node.columns
-    extra = set(table.variables) - set(columns)
-    if extra:
-        raise EvaluationError(
-            f"operator body of {node.name} produced unexpected free "
-            f"variables {sorted(extra)}"
-        )
-    table = table.cylindrify(columns, evaluator.domain)
-    return table.to_relation(columns)
-
-
 class AlternationEvaluator:
-    """Nested evaluation over the abstracted system, with certificates."""
+    """Nested evaluation over the abstracted system, with certificates.
+
+    Every Kleene step — of a true value in :meth:`solve_value` and of an
+    LFP chain in :meth:`extract` — counts one ``fixpoint_iterations``
+    and charges one iteration to ``guard``.
+    """
 
     def __init__(
         self,
         aq: AbstractedQuery,
         db: Database,
         stats: Optional[EvalStats] = None,
+        guard: GuardLike = NULL_GUARD,
     ):
         self.aq = aq
         self.db = db
         self.stats = stats if stats is not None else EvalStats()
-        self._evaluator = BoundedEvaluator(db, fixpoint_solver=None, stats=self.stats)
+        self._guard = guard
+        self._evaluator = BoundedEvaluator(
+            db, fixpoint_solver=None, stats=self.stats, guard=guard
+        )
         self._value_memo: Dict[Tuple[int, Tuple[Tuple[str, Relation], ...]], Relation] = {}
+
+    def _count_step(self, index: int, current: Relation) -> None:
+        self.stats.fixpoint_iterations += 1
+        if self._guard.enabled:
+            self._guard.charge_iteration(index=index, size=len(current))
 
     # -- true values -----------------------------------------------------
 
@@ -166,8 +160,10 @@ class AlternationEvaluator:
             current = Relation(
                 node.value_arity, self.db.domain.tuples(node.value_arity)
             )
+        index = 0
         while True:
-            self.stats.fixpoint_iterations += 1
+            self._count_step(index, current)
+            index += 1
             after = self._step(node, env, current)
             if after == current:
                 break
@@ -182,7 +178,9 @@ class AlternationEvaluator:
         for child_index in node.children:
             child = self.aq.nodes[child_index]
             inner_env[child.name] = self.solve_value(child, dict(inner_env))
-        return apply_operator(self._evaluator, node, inner_env)
+        return apply_operator(
+            self._evaluator, node.body, inner_env, node.columns, node.name
+        )
 
     # -- certificate extraction ----------------------------------------
 
@@ -203,8 +201,8 @@ class AlternationEvaluator:
         steps: List[LfpStep] = []
         current = Relation.empty(node.value_arity)
         previous_finals: Optional[Tuple[Relation, ...]] = None
-        previous_children: Optional[Tuple[Cert, ...]] = None
         while True:
+            self._count_step(len(steps), current)
             inner_env = dict(env)
             inner_env[node.name] = current
             children = []
@@ -213,7 +211,9 @@ class AlternationEvaluator:
                 child_cert = self.extract(child, dict(inner_env))
                 inner_env[child.name] = child_cert.value
                 children.append(child_cert)
-            after = apply_operator(self._evaluator, node, inner_env)
+            after = apply_operator(
+                self._evaluator, node.body, inner_env, node.columns, node.name
+            )
             if after == current:
                 break
             finals = tuple(c.value for c in children)
@@ -221,7 +221,6 @@ class AlternationEvaluator:
                 step_children: Optional[Tuple[Cert, ...]] = None
             else:
                 step_children = tuple(children)
-                previous_children = step_children
             previous_finals = finals
             steps.append(LfpStep(after, step_children))
             current = after
@@ -257,13 +256,19 @@ def alternation_answer_with_trace(
     k_limit: Optional[int] = None,
     stats: Optional[EvalStats] = None,
     require_positive: bool = True,
+    guard: GuardLike = NULL_GUARD,
 ) -> Tuple[Relation, FixpointCertificate]:
-    """Evaluate an FP query from below, returning the certificate too."""
+    """Evaluate an FP query from below, returning the certificate too.
+
+    ``k_limit`` bounds the query's variable width like the other
+    strategies; ``guard`` is charged one iteration per Kleene step.
+    """
     stats = stats if stats is not None else EvalStats()
     if require_positive:
         check_positivity(formula)
+    check_variable_bound(formula, k_limit)
     aq = abstract_query(formula)
-    evaluator = AlternationEvaluator(aq, db, stats)
+    evaluator = AlternationEvaluator(aq, db, stats, guard)
     return evaluator.answer_with_certificate(output_vars)
 
 
@@ -274,6 +279,7 @@ def alternation_answer(
     k_limit: Optional[int] = None,
     stats: Optional[EvalStats] = None,
     require_positive: bool = True,
+    guard: GuardLike = NULL_GUARD,
 ) -> Relation:
     """Evaluate an FP query by the Theorem 3.5 from-below method."""
     relation, _ = alternation_answer_with_trace(
@@ -283,5 +289,6 @@ def alternation_answer(
         k_limit=k_limit,
         stats=stats,
         require_positive=require_positive,
+        guard=guard,
     )
     return relation

@@ -48,9 +48,9 @@ from repro.core.alternation import (
     Cert,
     FixpointCertificate,
     alternation_answer_with_trace,
-    apply_operator,
 )
 from repro.core.fo_eval import BoundedEvaluator
+from repro.core.fp_eval import apply_operator
 from repro.core.interp import EvalStats
 from repro.logic.syntax import Formula, Not
 from repro.logic.variables import free_variables
@@ -151,7 +151,9 @@ class _Verifier:
         inner_env = dict(env)
         inner_env[node.name] = cert.value
         inner_env = self._verify_children(node, cert.children, inner_env)
-        bound = apply_operator(self._evaluator, node, inner_env)
+        bound = apply_operator(
+            self._evaluator, node.body, inner_env, node.columns, node.name
+        )
         if not cert.value.issubset(bound):
             raise CertificateError(
                 f"{node.name}: Lemma 3.3 post-fixpoint condition violated"
@@ -196,7 +198,9 @@ class _Verifier:
                 inner_env[node.name] = previous
                 inner_env = self._verify_children(node, children, inner_env)
                 inherited = children
-            bound = apply_operator(self._evaluator, node, inner_env)
+            bound = apply_operator(
+                self._evaluator, node.body, inner_env, node.columns, node.name
+            )
             if not step.value.issubset(bound):
                 raise CertificateError(
                     f"{node.name} step {position}: Lemma 3.4 chain link "

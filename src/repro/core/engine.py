@@ -32,12 +32,12 @@ from repro.errors import EvaluationError
 from repro.core.fo_eval import BoundedEvaluator
 from repro.core.fp_eval import FixpointStrategy, solve_query
 from repro.core.interp import EvalStats
-from repro.core.pfp_eval import SpaceMeter, pfp_answer
+from repro.core.pfp_eval import SpaceMeter
 from repro.guard.budget import Budget, GuardLike, resolve_guard
 from repro.guard.chaos import ChaosPolicy
 from repro.obs.provenance import NULL_STAGE_LOG, StageLog, StageLogLike
 from repro.obs.tracer import Tracer, TracerLike, resolve_tracer
-from repro.logic.analysis import Language, check_positivity, classify_language
+from repro.logic.analysis import Language, classify_language
 from repro.logic.parser import parse_formula
 from repro.logic.printer import format_formula
 from repro.logic.syntax import Formula
@@ -219,37 +219,12 @@ def _dispatch(
             guard=watched,
             stage_log=logged,
         )
-    if language == Language.PFP:
-        if options.check_positive:
-            check_positivity(formula)
-        meter = SpaceMeter(registry=stats.registry)
-        relation = pfp_answer(
-            formula,
-            db,
-            tuple(output_vars),
-            stats=stats,
-            meter=meter,
-            strict_space=options.strict_pfp_space,
-            k_limit=options.k_limit,
-            tracer=tracer,
-            guard=guard,
-            degrade=options.degrade,
-            backend=options.backend,
-            observer=observer,
-        )
-        return EvalResult(
-            relation,
-            language,
-            None,
-            stats,
-            space=meter,
-            tracer=recorded,
-            guard=watched,
-            stage_log=logged,
-        )
-    # FP: pure lfp/gfp formulas — any strategy applies (pfp/ifp mixtures
-    # classify as Language.PFP above and never reach this branch)
-    strategy = options.strategy
+    # FP and PFP: one fixpoint solver.  Pure lfp/gfp formulas run under
+    # any strategy; pfp/ifp mixtures classify as Language.PFP and take
+    # Theorem 3.8's metered naive iteration, as pfp_answer does
+    metered = language == Language.PFP
+    meter = SpaceMeter(registry=stats.registry) if metered else None
+    strategy = FixpointStrategy.NAIVE if metered else options.strategy
     relation = solve_query(
         formula,
         db,
@@ -260,15 +235,20 @@ def _dispatch(
         require_positive=options.check_positive,
         tracer=tracer,
         guard=guard,
-        subquery_cache=cache,
+        # like pfp_answer, the metered path runs without the cache
+        subquery_cache=None if metered else cache,
         backend=options.backend,
         observer=observer,
+        meter=meter,
+        strict_space=options.strict_pfp_space,
+        degrade=options.degrade,
     )
     return EvalResult(
         relation,
         language,
-        strategy,
+        None if metered else strategy,
         stats,
+        space=meter,
         tracer=recorded,
         guard=watched,
         stage_log=logged,

@@ -46,6 +46,18 @@ FixpointSolver = Callable[
 ]
 
 
+def check_variable_bound(formula: Formula, k_limit: Optional[int]) -> None:
+    """Raise :class:`~repro.errors.VariableBoundError` when ``formula``
+    uses more than ``k_limit`` variables (``None``: no bound)."""
+    if k_limit is None:
+        return
+    width = variable_width(formula)
+    if width > k_limit:
+        raise VariableBoundError(
+            f"query uses {width} variables, engine bound is k={k_limit}"
+        )
+
+
 class BoundedEvaluator:
     """Evaluates formulas bottom-up with bounded-arity intermediates.
 
@@ -133,13 +145,7 @@ class BoundedEvaluator:
         self, formula: Formula, rel_env: Optional[RelEnv] = None
     ) -> VarTable:
         """The table ``{assignments a : (B, a) ⊨ formula}``."""
-        if self.k_limit is not None:
-            width = variable_width(formula)
-            if width > self.k_limit:
-                raise VariableBoundError(
-                    f"query uses {width} variables, engine bound is "
-                    f"k={self.k_limit}"
-                )
+        check_variable_bound(formula, self.k_limit)
         env = dict(rel_env or {})
         return self._eval(formula, env)
 

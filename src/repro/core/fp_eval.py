@@ -1,6 +1,6 @@
 """FP^k / PFP^k evaluation strategies (Sections 3.2 and 3.4).
 
-Three interchangeable ways to evaluate fixpoint queries:
+Four interchangeable ways to evaluate fixpoint queries:
 
 ``NAIVE``
     The straightforward nested-loop program from Section 3.2: every
@@ -32,17 +32,20 @@ Three interchangeable ways to evaluate fixpoint queries:
     IFP, PFP, and non-monotone bodies fall back to naive iteration
     (see :mod:`repro.perf.seminaive`).
 
-All strategies are property-tested equal to each other and to the naive
-reference semantics.
+NAIVE, MONOTONE and SEMINAIVE are one :class:`KleeneSolver`: they
+differ only in where an LFP/GFP starts and how an LFP round is
+computed.  The same solver, given a :class:`~repro.core.pfp_eval.SpaceMeter`,
+is Theorem 3.8's space-metered PFP evaluation.  All strategies are
+property-tested equal to each other and to the naive reference
+semantics.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from repro.database.database import Database
-from repro.database.domain import Domain
 from repro.database.relation import Relation
 from repro.errors import EvaluationError
 from repro.core.fo_eval import BoundedEvaluator
@@ -60,6 +63,10 @@ from repro.logic.syntax import (
     _FixpointBase,
 )
 from repro.logic.variables import free_relation_variables
+from repro.perf.seminaive import delta_relation_name, differential
+
+if TYPE_CHECKING:
+    from repro.core.pfp_eval import SpaceMeter
 
 
 class FixpointStrategy(enum.Enum):
@@ -71,361 +78,113 @@ class FixpointStrategy(enum.Enum):
     SEMINAIVE = "seminaive"
 
 
-StepFunction = Callable[[Relation], Relation]
-
-
-def _traced_step(
-    step: StepFunction,
-    current: Relation,
-    index: int,
-    tracer: TracerLike,
-) -> Relation:
-    """One iteration under a ``fp.iteration`` span with the delta size."""
-    with tracer.span("fp.iteration") as span:
-        after = step(current)
-        span.set(index=index, size=len(after), delta=len(after) - len(current))
-    return after
-
-
-def iterate_ascending(
-    step: StepFunction,
-    start: Relation,
-    stats: EvalStats,
-    tracer: TracerLike = NULL_TRACER,
-    guard: GuardLike = NULL_GUARD,
-    observer: StageLogLike = NULL_STAGE_LOG,
-) -> Relation:
-    """Kleene iteration upward from ``start`` until a fixpoint.
-
-    Ascending iteration only converges for monotone operators; a step
-    that loses tuples is reported as an error rather than looping
-    forever (it can only happen when positivity checking was disabled
-    on a genuinely non-monotone body).  ``observer`` optionally records
-    the stage iterates (see :class:`repro.obs.provenance.StageLog`);
-    stage ``i`` is the ``i``-th Kleene iterate, stage 0 the start.
-    """
-    current = start
-    index = 0
-    if observer.enabled:
-        observer.stage(0, current)
-    while True:
-        stats.fixpoint_iterations += 1
-        if guard.enabled:
-            guard.charge_iteration(index=index, size=len(current))
-        if tracer.enabled:
-            after = _traced_step(step, current, index, tracer)
-        else:
-            after = step(current)
-        index += 1
-        if after == current:
-            return current
-        if not current.issubset(after):
-            raise EvaluationError(
-                "ascending fixpoint iteration regressed: the operator is "
-                "not monotone (a lfp/gfp body must bind its recursion "
-                "variable positively)"
-            )
-        if observer.enabled:
-            observer.stage(index, after, delta=after.difference(current))
-        current = after
-
-
-def iterate_descending(
-    step: StepFunction,
-    start: Relation,
-    stats: EvalStats,
-    tracer: TracerLike = NULL_TRACER,
-    guard: GuardLike = NULL_GUARD,
-    observer: StageLogLike = NULL_STAGE_LOG,
-) -> Relation:
-    """Kleene iteration downward from ``start`` until a fixpoint.
-
-    The descending dual of :func:`iterate_ascending`, with the same
-    non-monotonicity guard.  An observer's recorded ``delta`` is the
-    set of tuples *removed* in the round.
-    """
-    current = start
-    index = 0
-    if observer.enabled:
-        observer.stage(0, current)
-    while True:
-        stats.fixpoint_iterations += 1
-        if guard.enabled:
-            guard.charge_iteration(index=index, size=len(current))
-        if tracer.enabled:
-            after = _traced_step(step, current, index, tracer)
-        else:
-            after = step(current)
-        index += 1
-        if after == current:
-            return current
-        if not after.issubset(current):
-            raise EvaluationError(
-                "descending fixpoint iteration grew: the operator is "
-                "not monotone (a lfp/gfp body must bind its recursion "
-                "variable positively)"
-            )
-        if observer.enabled:
-            observer.stage(index, after, delta=current.difference(after))
-        current = after
-
-
-def iterate_inflationary(
-    step: StepFunction,
-    arity: int,
-    stats: EvalStats,
-    tracer: TracerLike = NULL_TRACER,
-    guard: GuardLike = NULL_GUARD,
-    empty: Optional[Relation] = None,
-    observer: StageLogLike = NULL_STAGE_LOG,
-) -> Relation:
-    """IFP iteration ``S ← S ∪ φ(S)`` from empty; always converges.
-
-    The converging round exits on ``derived ⊆ current`` *before* taking
-    the union: re-materializing the full relation just to discover the
-    delta was empty would do ``O(|S|)`` extra work on every solve (the
-    ``empty_delta_exits`` note counts these exits for the regression
-    test).  ``empty`` optionally supplies the backend's empty relation
-    so packed iterates stay packed end-to-end.
-    """
-    current = empty if empty is not None else Relation.empty(arity)
-    index = 0
-    if observer.enabled:
-        observer.stage(0, current)
-    while True:
-        stats.fixpoint_iterations += 1
-        if guard.enabled:
-            guard.charge_iteration(index=index, size=len(current))
-        if tracer.enabled:
-            derived = _traced_step(step, current, index, tracer)
-        else:
-            derived = step(current)
-        index += 1
-        if derived.issubset(current):
-            stats.bump("empty_delta_exits")
-            return current
-        if observer.enabled:
-            observer.stage(
-                index,
-                current.union(derived),
-                delta=derived.difference(current),
-            )
-        current = current.union(derived)
-
-
-def iterate_partial(
-    step: StepFunction,
-    arity: int,
-    stats: EvalStats,
-    iteration_limit: Optional[int] = None,
-    tracer: TracerLike = NULL_TRACER,
-    guard: GuardLike = NULL_GUARD,
-    empty: Optional[Relation] = None,
-    observer: StageLogLike = NULL_STAGE_LOG,
-) -> Relation:
-    """PFP iteration from empty (Section 2.2's convention).
-
-    Returns the limit when the sequence converges; the empty relation when
-    it enters a cycle without converging.  ``iteration_limit`` optionally
-    bounds the work for space-restricted experiments (Theorem 3.8 allows
-    counting to ``2^{n^k}`` instead of remembering states; we remember
-    hashes for speed but the live state is still one relation).  The
-    seen-set stores :meth:`~repro.database.relation.Relation.state_key`
-    tokens, so packed iterates are remembered by mask without ever
-    materializing their tuple sets.
-    """
-    current = empty if empty is not None else Relation.empty(arity)
-    seen = {current.state_key()}
-    steps = 0
-    if observer.enabled:
-        observer.stage(0, current)
-    while True:
-        stats.fixpoint_iterations += 1
-        if guard.enabled:
-            guard.charge_iteration(index=steps, size=len(current))
-        if tracer.enabled:
-            after = _traced_step(step, current, steps, tracer)
-        else:
-            after = step(current)
-        if observer.enabled and after != current:
-            observer.stage(steps + 1, after)
-        if after == current:
-            return current
-        if after.state_key() in seen:
-            return empty if empty is not None else Relation.empty(arity)
-        if guard.enabled:
-            guard.charge_state(index=steps, states=len(seen))
-        seen.add(after.state_key())
-        current = after
-        steps += 1
-        if iteration_limit is not None and steps > iteration_limit:
-            raise EvaluationError(
-                f"partial fixpoint exceeded the iteration limit "
-                f"{iteration_limit}"
-            )
-
-
-def _full_relation(arity: int, domain: Domain) -> Relation:
-    return Relation(arity, domain.tuples(arity))
-
-
-def _step_function(
+def apply_operator(
     evaluator: BoundedEvaluator,
-    node: _FixpointBase,
+    body: Formula,
     env: Dict[str, Relation],
-    stats: EvalStats,
-) -> StepFunction:
-    """One application of the operator φ for a *closed* fixpoint node."""
-    order = [v.name for v in node.bound_vars]
+    columns: Sequence[str],
+    rel: str,
+) -> Relation:
+    """One application of a fixpoint operator.
 
-    def step(current: Relation) -> Relation:
-        stats.body_evaluations += 1
-        inner_env = dict(env)
-        inner_env[node.rel] = current
-        table = evaluator._eval(node.body, inner_env)
-        extra = set(table.variables) - set(order)
-        if extra:
-            raise EvaluationError(
-                f"fixpoint body has unexpected free variables {sorted(extra)}"
-            )
-        table = table.cylindrify(order, evaluator.domain)
-        return table.to_relation(order)
-
-    return step
-
-
-class NaiveSolver:
-    """Restart-everything nested evaluation — the ``n^{k·l}`` baseline."""
-
-    def __init__(
-        self,
-        stats: EvalStats,
-        pfp_iteration_limit: Optional[int] = None,
-        tracer: TracerLike = NULL_TRACER,
-        guard: GuardLike = NULL_GUARD,
-        observer: StageLogLike = NULL_STAGE_LOG,
-    ):
-        self._stats = stats
-        self._pfp_limit = pfp_iteration_limit
-        self._tracer = tracer
-        self._guard = guard
-        self._observer = observer
-
-    def __call__(
-        self,
-        evaluator: BoundedEvaluator,
-        node: _FixpointBase,
-        env: Dict[str, Relation],
-    ) -> Relation:
-        observer = self._observer
-        if observer.enabled:
-            observer.begin(node.rel, type(node).__name__.lower())
-        limit = None
-        try:
-            if self._tracer.enabled:
-                with self._tracer.span(
-                    "fp.solve",
-                    rel=node.rel,
-                    kind=type(node).__name__.lower(),
-                    arity=node.arity,
-                ) as span:
-                    limit = self._solve(evaluator, node, env)
-                    span.set(limit_size=len(limit))
-            else:
-                limit = self._solve(evaluator, node, env)
-        finally:
-            if observer.enabled:
-                observer.end(limit)
-        return limit
-
-    def _solve(
-        self,
-        evaluator: BoundedEvaluator,
-        node: _FixpointBase,
-        env: Dict[str, Relation],
-    ) -> Relation:
-        step = _step_function(evaluator, node, env, self._stats)
-        tracer = self._tracer
-        guard = self._guard
-        observer = self._observer
-        backend = evaluator.backend
-        if isinstance(node, LFP):
-            return iterate_ascending(
-                step,
-                backend.empty_relation(node.arity),
-                self._stats,
-                tracer,
-                guard,
-                observer,
-            )
-        if isinstance(node, GFP):
-            return iterate_descending(
-                step,
-                backend.full_relation(node.arity),
-                self._stats,
-                tracer,
-                guard,
-                observer,
-            )
-        if isinstance(node, IFP):
-            return iterate_inflationary(
-                step,
-                node.arity,
-                self._stats,
-                tracer,
-                guard,
-                empty=backend.empty_relation(node.arity),
-                observer=observer,
-            )
-        if isinstance(node, PFP):
-            return iterate_partial(
-                step,
-                node.arity,
-                self._stats,
-                self._pfp_limit,
-                tracer,
-                guard,
-                empty=backend.empty_relation(node.arity),
-                observer=observer,
-            )
-        raise EvaluationError(f"unknown fixpoint node {node!r}")
+    Evaluates ``body`` under ``env`` (which binds the recursion variable
+    ``rel`` and whatever else the body reads) and returns the result as
+    a relation over ``columns``, the bound variables in order; a column
+    the body leaves free ranges over the domain.  A free variable
+    outside ``columns`` is an error.
+    """
+    table = evaluator._eval(body, env)
+    extra = set(table.variables) - set(columns)
+    if extra:
+        raise EvaluationError(
+            f"fixpoint body of {rel} has unexpected free variables "
+            f"{sorted(extra)}"
+        )
+    table = table.cylindrify(columns, evaluator.domain)
+    return table.to_relation(columns)
 
 
-class MonotoneSolver:
-    """Warm-started nested evaluation.
+class KleeneSolver:
+    """The fixpoint solver: one Kleene iteration for every schedule.
 
-    Remembers, per closed fixpoint subformula, the last computed limit and
-    the relation environment it was computed under.  A new solve reuses the
-    old limit as its starting point whenever the environment moved in the
-    direction that keeps the old limit on the sound side of the new one:
+    Called by :class:`~repro.core.fo_eval.BoundedEvaluator` once per
+    *closed* fixpoint node.  Every kind runs the same round loop
+    (:meth:`_iterate`); the ``strategy`` chooses only two things:
 
-    * LFP: old limit stays a pre-fixpoint when every environment relation
-      moved in the direction of its polarity in the body (positively
-      occurring relations grew, negatively occurring ones shrank);
-    * GFP: old limit stays a post-fixpoint start when the environment moved
-      the opposite way.
+    * the LFP/GFP start: cold (``∅`` / the full relation), or, under
+      ``MONOTONE``, warm.  The solver then remembers, per node, the
+      last limit and the relation environment it was computed under,
+      and restarts from that limit whenever the environment moved in
+      the direction that keeps it on the sound side of the new one —
+      for an LFP every relation moved with its polarity in the body
+      (positive ones grew, negative ones shrank); for a GFP the
+      opposite way.  Starts are counted as ``warm_starts`` /
+      ``cold_starts``;
+    * the LFP round rule: the full body, or, under ``SEMINAIVE``, its
+      :func:`~repro.perf.seminaive.differential` against the tuples
+      derived last round.  Round 0 evaluates ``φ(∅)`` in full; the
+      ascent stops the first time the delta comes up empty.  Delta
+      rounds are counted as ``seminaive_delta_rounds`` /
+      ``seminaive_delta_tuples``; an LFP whose recursion variable is
+      not bound positively keeps the full body and bumps
+      ``seminaive_fallbacks``.
 
-    PFP/IFP nodes are never warm-started (their bodies need not be
-    monotone) and always recompute.
+    IFP always starts at ``∅`` and iterates ``S ∪ φ(S)``.  PFP starts
+    at ``∅`` and returns ``∅`` when the stage sequence cycles
+    (Section 2.2).  Cycles are found with a seen-set of
+    :meth:`~repro.database.relation.Relation.state_key` tokens, each
+    charged to the guard's state budget.  With ``strict_space`` there
+    is no seen-set: the solver counts to ``2^{n^k}`` (the number of
+    distinct k-ary relations) like Theorem 3.8's PSPACE algorithm.
+    When the state budget runs out, ``degrade`` drops the seen-set and
+    continues in the strict mode — sound, because the stage sequence
+    is deterministic — and bumps ``pfp_strict_fallbacks``; without
+    ``degrade`` the exhaustion raises.
+
+    ``meter`` (a :class:`~repro.core.pfp_eval.SpaceMeter`) keeps, for
+    every open fixpoint, the size of the relation its last round
+    produced — under the NAIVE schedule that the PFP entry points use,
+    its live state, Theorem 3.8's polynomial quantity — and, when
+    tracing, emits a ``pfp.space`` event per round.
     """
 
     def __init__(
         self,
+        strategy: FixpointStrategy,
         stats: EvalStats,
-        pfp_iteration_limit: Optional[int] = None,
         tracer: TracerLike = NULL_TRACER,
         guard: GuardLike = NULL_GUARD,
         observer: StageLogLike = NULL_STAGE_LOG,
+        meter: Optional[SpaceMeter] = None,
+        strict_space: bool = False,
+        degrade: bool = False,
     ):
+        if strategy == FixpointStrategy.ALTERNATION:
+            raise EvaluationError(
+                "the ALTERNATION strategy evaluates whole queries; use "
+                "repro.core.alternation.alternation_answer (the engine does "
+                "this automatically)"
+            )
+        if not isinstance(strategy, FixpointStrategy):
+            raise EvaluationError(f"unknown strategy {strategy!r}")
+        self._warm = strategy == FixpointStrategy.MONOTONE
+        self._seminaive = strategy == FixpointStrategy.SEMINAIVE
         self._stats = stats
-        self._pfp_limit = pfp_iteration_limit
         self._tracer = tracer
         self._guard = guard
         self._observer = observer
+        self._meter = meter
+        self._strict = strict_space
+        self._degrade = degrade
+        self._next_key = 0
+        # per-node memory, keyed by the node itself (structural): id()
+        # keys would alias recycled transient closed-node objects.
+        # MONOTONE: node → (relevant environment, last limit)
         self._memory: Dict[_FixpointBase, Tuple[Dict[str, Relation], Relation]] = {}
-        # keyed by the node itself (structural): id()-keys would alias
-        # recycled transient closed-node objects
         self._polarity_cache: Dict[Tuple[_FixpointBase, str], Optional[str]] = {}
+        # SEMINAIVE: node → (delta name, differential body), or None when
+        # the node must keep the full body
+        self._prepared: Dict[_FixpointBase, Optional[Tuple[str, Formula]]] = {}
 
     def __call__(
         self,
@@ -433,17 +192,15 @@ class MonotoneSolver:
         node: _FixpointBase,
         env: Dict[str, Relation],
     ) -> Relation:
+        kind = type(node).__name__.lower()
         observer = self._observer
         if observer.enabled:
-            observer.begin(node.rel, type(node).__name__.lower())
+            observer.begin(node.rel, kind)
         limit = None
         try:
             if self._tracer.enabled:
                 with self._tracer.span(
-                    "fp.solve",
-                    rel=node.rel,
-                    kind=type(node).__name__.lower(),
-                    arity=node.arity,
+                    "fp.solve", rel=node.rel, kind=kind, arity=node.arity
                 ) as span:
                     limit = self._solve(evaluator, node, env)
                     span.set(limit_size=len(limit))
@@ -460,65 +217,203 @@ class MonotoneSolver:
         node: _FixpointBase,
         env: Dict[str, Relation],
     ) -> Relation:
-        step = _step_function(evaluator, node, env, self._stats)
-        tracer = self._tracer
-        guard = self._guard
-        observer = self._observer
+        """Choose the start and round rule of ``node``, then iterate."""
+        if not isinstance(node, (LFP, GFP, IFP, PFP)):
+            raise EvaluationError(f"unknown fixpoint node {node!r}")
         backend = evaluator.backend
-        if isinstance(node, IFP):
-            return iterate_inflationary(
-                step,
-                node.arity,
-                self._stats,
-                tracer,
-                guard,
-                empty=backend.empty_relation(node.arity),
-                observer=observer,
-            )
-        if isinstance(node, PFP):
-            return iterate_partial(
-                step,
-                node.arity,
-                self._stats,
-                self._pfp_limit,
-                tracer,
-                guard,
-                empty=backend.empty_relation(node.arity),
-                observer=observer,
-            )
+        ascending = not isinstance(node, GFP)
+        cold = backend.empty_relation if ascending else backend.full_relation
+        if isinstance(node, (IFP, PFP)):
+            return self._iterate(evaluator, node, env, cold(node.arity))
+        if self._seminaive and ascending:
+            prepared = self._prepare(node, evaluator, env)
+            if prepared is not None:
+                return self._iterate(
+                    evaluator, node, env, cold(node.arity), prepared
+                )
+            self._stats.bump("seminaive_fallbacks")
+        if not self._warm:
+            return self._iterate(evaluator, node, env, cold(node.arity))
         relevant = {
             name: env[name]
             for name in free_relation_variables(node.body)
             if name in env and name != node.rel
         }
-        ascending = isinstance(node, LFP)
-        start = self._warm_start(node, relevant, ascending, evaluator.domain)
+        start = self._warm_start(node, relevant, ascending)
         if start is None:
             self._stats.bump("cold_starts")
-            start = (
-                backend.empty_relation(node.arity)
-                if ascending
-                else backend.full_relation(node.arity)
-            )
+            start = cold(node.arity)
         else:
             self._stats.bump("warm_starts")
-        if ascending:
-            limit = iterate_ascending(
-                step, start, self._stats, tracer, guard, observer
-            )
-        else:
-            limit = iterate_descending(
-                step, start, self._stats, tracer, guard, observer
-            )
+        limit = self._iterate(evaluator, node, env, start)
         self._memory[node] = (relevant, limit)
         return limit
+
+    def _iterate(
+        self,
+        evaluator: BoundedEvaluator,
+        node: _FixpointBase,
+        env: Dict[str, Relation],
+        start: Relation,
+        prepared: Optional[Tuple[str, Formula]] = None,
+    ) -> Relation:
+        """The one round loop, from ``start`` to the limit.
+
+        Each round counts one ``fixpoint_iterations``, charges the guard,
+        runs under an ``fp.iteration`` span and reports its stage
+        (stage ``i`` is the ``i``-th iterate, stage 0 the start); only
+        the rule that turns a round's operator output into the next
+        iterate varies with the kind.  ``prepared`` (delta name,
+        differential body) selects the semi-naive LFP rule.
+        """
+        stats, tracer, guard = self._stats, self._tracer, self._guard
+        observer, meter = self._observer, self._meter
+        columns = [v.name for v in node.bound_vars]
+        rule = "delta" if prepared is not None else type(node).__name__
+        delta_rel, dbody = prepared if prepared is not None else (None, None)
+        delta = seen = None
+        if rule == "PFP":
+            # there are 2^cells distinct relations of this arity: past
+            # that many rounds the deterministic stage sequence must
+            # have revisited a state, so it cycles and the limit is ∅
+            cells = len(evaluator.domain) ** node.arity
+            if not self._strict:
+                seen = {start.state_key()}
+
+        def step(current: Relation) -> Relation:
+            # the round's operator output; a delta round (semi-naive,
+            # after round 0) returns only the tuples it derived that
+            # are not in ``current`` yet
+            stats.body_evaluations += 1
+            inner = dict(env)
+            inner[node.rel] = current
+            if delta is None:
+                return apply_operator(
+                    evaluator, node.body, inner, columns, node.rel
+                )
+            inner[delta_rel] = delta
+            derived = apply_operator(
+                evaluator, dbody, inner, columns, node.rel
+            )
+            return derived.difference(current)
+
+        current = start
+        index = 0
+        if observer.enabled:
+            observer.stage(0, current)
+        if meter is not None:
+            key = self._next_key
+            self._next_key += 1
+            meter.enter(key, 0)
+        try:
+            while True:
+                stats.fixpoint_iterations += 1
+                if guard.enabled:
+                    guard.charge_iteration(index=index, size=len(current))
+                if tracer.enabled:
+                    with tracer.span("fp.iteration") as span:
+                        after = step(current)
+                        if meter is not None:
+                            meter.update(key, len(after))
+                            tracer.event(
+                                "pfp.space",
+                                live_tuples=meter.live_tuples,
+                                live_relations=meter.live_relations,
+                            )
+                        if rule == "delta":
+                            size, moved = len(current) + len(after), len(after)
+                        else:
+                            size = len(after)
+                            moved = size - len(current)
+                        span.set(index=index, size=size, delta=moved)
+                else:
+                    after = step(current)
+                    if meter is not None:
+                        meter.update(key, len(after))
+                index += 1
+                if rule == "delta":
+                    if not after:
+                        return current
+                    current = after if index == 1 else current.union(after)
+                    if observer.enabled:
+                        observer.stage(index, current, delta=after)
+                    delta = after
+                    stats.bump("seminaive_delta_rounds")
+                    stats.bump("seminaive_delta_tuples", len(after))
+                    continue
+                if rule == "IFP":
+                    # exit on the empty delta *before* the union: the
+                    # converging round re-materializes nothing
+                    if after.issubset(current):
+                        stats.bump("empty_delta_exits")
+                        return current
+                    grown = current.union(after)
+                    if observer.enabled:
+                        observer.stage(
+                            index, grown, delta=after.difference(current)
+                        )
+                    current = grown
+                    continue
+                if after == current:
+                    return current
+                if rule == "PFP":
+                    if observer.enabled:
+                        observer.stage(index, after)
+                    if seen is not None:
+                        if after.state_key() in seen:
+                            return start
+                        if guard.try_charge_state():
+                            seen.add(after.state_key())
+                        elif self._degrade:
+                            seen = None
+                            stats.bump("pfp_strict_fallbacks")
+                            if tracer.enabled:
+                                tracer.event(
+                                    "pfp.strict_fallback", index=index
+                                )
+                        else:
+                            guard.charge_state(0, index=index, states=len(seen))
+                    if seen is None and index.bit_length() > cells:
+                        return start
+                    current = after
+                    continue
+                # LFP/GFP: a monotone operator never moves backwards; a
+                # round that does can only come from a non-positive body
+                # run with positivity checking disabled
+                if rule == "LFP" and not current.issubset(after):
+                    raise EvaluationError(
+                        "ascending fixpoint iteration regressed: the operator "
+                        "is not monotone (a lfp/gfp body must bind its "
+                        "recursion variable positively)"
+                    )
+                if rule == "GFP" and not after.issubset(current):
+                    raise EvaluationError(
+                        "descending fixpoint iteration grew: the operator is "
+                        "not monotone (a lfp/gfp body must bind its "
+                        "recursion variable positively)"
+                    )
+                if observer.enabled:
+                    observer.stage(
+                        index,
+                        after,
+                        delta=(
+                            after.difference(current)
+                            if rule == "LFP"
+                            else current.difference(after)
+                        ),
+                    )
+                current = after
+        finally:
+            if meter is not None:
+                meter.leave(key)
+
+    # -- MONOTONE: warm starts -----------------------------------------
 
     def _warm_start(
         self,
         node: _FixpointBase,
         env: Dict[str, Relation],
         ascending: bool,
-        domain: Domain,
     ) -> Optional[Relation]:
         cached = self._memory.get(node)
         if cached is None:
@@ -541,9 +436,7 @@ class MonotoneSolver:
             moved_up = (grew and polarity == "positive") or (
                 shrank and polarity == "negative"
             )
-            if ascending and not moved_up:
-                return None
-            if not ascending and moved_up:
+            if ascending != moved_up:
                 return None
         return old_limit
 
@@ -553,36 +446,41 @@ class MonotoneSolver:
             self._polarity_cache[key] = polarity_of(node.body, rel)
         return self._polarity_cache[key]
 
+    # -- SEMINAIVE: the differential body ------------------------------
 
-def make_solver(
-    strategy: FixpointStrategy,
-    stats: EvalStats,
-    pfp_iteration_limit: Optional[int] = None,
-    tracer: TracerLike = NULL_TRACER,
-    guard: GuardLike = NULL_GUARD,
-    observer: StageLogLike = NULL_STAGE_LOG,
-):
-    """Build the fixpoint-solver callback for the bounded evaluator."""
-    if strategy == FixpointStrategy.NAIVE:
-        return NaiveSolver(stats, pfp_iteration_limit, tracer, guard, observer)
-    if strategy == FixpointStrategy.MONOTONE:
-        return MonotoneSolver(
-            stats, pfp_iteration_limit, tracer, guard, observer
+    def _prepare(
+        self,
+        node: LFP,
+        evaluator: BoundedEvaluator,
+        env: Dict[str, Relation],
+    ) -> Optional[Tuple[str, Formula]]:
+        """The (delta name, differential body) for ``node``, or ``None``
+        when semi-naive ascent would be unsound (non-positive body)."""
+        if node in self._prepared:
+            prepared = self._prepared[node]
+            # the cached delta name must still be fresh for this call's
+            # environment; a collision (pathological naming) re-prepares
+            if prepared is None or (
+                prepared[0] not in env
+                and prepared[0] not in evaluator.db.relation_names()
+            ):
+                return prepared
+        if polarity_of(node.body, node.rel) != "positive":
+            # covers both genuinely non-monotone bindings ("negative" /
+            # "both") and bodies that never mention the variable (None)
+            # when the differential would be degenerate anyway
+            self._prepared[node] = None
+            return None
+        avoid = (
+            set(free_relation_variables(node.body))
+            | {node.rel}
+            | set(env)
+            | set(evaluator.db.relation_names())
         )
-    if strategy == FixpointStrategy.SEMINAIVE:
-        # imported lazily: repro.perf.seminaive imports this module
-        from repro.perf.seminaive import SemiNaiveSolver
-
-        return SemiNaiveSolver(
-            stats, pfp_iteration_limit, tracer, guard, observer
-        )
-    if strategy == FixpointStrategy.ALTERNATION:
-        raise EvaluationError(
-            "the ALTERNATION strategy evaluates whole queries; use "
-            "repro.core.alternation.alternation_answer (the engine does "
-            "this automatically)"
-        )
-    raise EvaluationError(f"unknown strategy {strategy!r}")
+        delta_rel = delta_relation_name(node.rel, avoid)
+        prepared = (delta_rel, differential(node.body, node.rel, delta_rel))
+        self._prepared[node] = prepared
+        return prepared
 
 
 def solve_query(
@@ -592,13 +490,15 @@ def solve_query(
     strategy: FixpointStrategy = FixpointStrategy.MONOTONE,
     k_limit: Optional[int] = None,
     stats: Optional[EvalStats] = None,
-    pfp_iteration_limit: Optional[int] = None,
     require_positive: bool = True,
     tracer: TracerLike = NULL_TRACER,
     guard: GuardLike = NULL_GUARD,
     subquery_cache=None,
     backend=None,
     observer: StageLogLike = NULL_STAGE_LOG,
+    meter: Optional[SpaceMeter] = None,
+    strict_space: bool = False,
+    degrade: bool = False,
 ) -> Relation:
     """Evaluate an FO/FP/PFP query under the chosen strategy.
 
@@ -610,6 +510,10 @@ def solve_query(
     optionally records every fixpoint solve's Kleene stages (see
     :class:`repro.obs.provenance.StageLog` — ignored by the
     ALTERNATION strategy, which does not iterate per-node stages).
+    ``meter``, ``strict_space`` and ``degrade`` configure PFP
+    iteration and its space accounting (see :class:`KleeneSolver`;
+    :func:`repro.core.pfp_eval.pfp_answer` is the Theorem 3.8 entry
+    point that sets them).
     """
     stats = stats if stats is not None else EvalStats()
     if require_positive:
@@ -620,13 +524,25 @@ def solve_query(
         if tracer.enabled:
             with tracer.span("fp.alternation"):
                 return alternation_answer(
-                    formula, db, output_vars, k_limit=k_limit, stats=stats
+                    formula,
+                    db,
+                    output_vars,
+                    k_limit=k_limit,
+                    stats=stats,
+                    guard=guard,
                 )
         return alternation_answer(
-            formula, db, output_vars, k_limit=k_limit, stats=stats
+            formula, db, output_vars, k_limit=k_limit, stats=stats, guard=guard
         )
-    solver = make_solver(
-        strategy, stats, pfp_iteration_limit, tracer, guard, observer
+    solver = KleeneSolver(
+        strategy,
+        stats,
+        tracer=tracer,
+        guard=guard,
+        observer=observer,
+        meter=meter,
+        strict_space=strict_space,
+        degrade=degrade,
     )
     evaluator = BoundedEvaluator(
         db,

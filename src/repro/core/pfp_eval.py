@@ -9,10 +9,11 @@ of iterations may be as large as ``2^{n^k}``.
 number of *live* tuples (the polynomial quantity) separately from the
 iteration count (the possibly-exponential quantity).  The library's
 default PFP iteration additionally remembers state hashes to detect cycles
-early; that is a time optimization outside the PSPACE budget, so the
-metered evaluator here offers a ``strict_space`` mode that instead counts
+early; that is a time optimization outside the PSPACE budget, so
+:func:`pfp_answer` offers a ``strict_space`` mode that instead counts
 iterations up to the ``2^{n^k}`` bound with O(1) extra memory, exactly as
-the theorem's proof does.
+the theorem's proof does.  The iteration itself is
+:class:`repro.core.fp_eval.KleeneSolver`'s, with the meter attached.
 """
 
 from __future__ import annotations
@@ -21,21 +22,13 @@ from typing import Dict, Optional, Sequence
 
 from repro.database.database import Database
 from repro.database.relation import Relation
-from repro.errors import EvaluationError
-from repro.core.fo_eval import BoundedEvaluator
-from repro.core.fp_eval import (
-    NaiveSolver,
-    _step_function,
-    iterate_ascending,
-    iterate_descending,
-    iterate_inflationary,
-)
+from repro.core.fp_eval import FixpointStrategy, solve_query
 from repro.core.interp import EvalStats
 from repro.guard.budget import GuardLike, NULL_GUARD
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import NULL_STAGE_LOG, StageLogLike
 from repro.obs.tracer import NULL_TRACER, TracerLike
-from repro.logic.syntax import Formula, GFP, IFP, LFP, PFP, _FixpointBase
+from repro.logic.syntax import Formula
 
 
 class SpaceMeter:
@@ -102,158 +95,6 @@ class SpaceMeter:
         )
 
 
-class MeteredPFPSolver(NaiveSolver):
-    """Naive nested solving with per-fixpoint live-state metering.
-
-    ``strict_space``: when true, partial fixpoints never store a "seen
-    states" set; they count iterations up to ``2^{n^k}`` (the number of
-    distinct k-ary relations) and declare divergence when the bound is
-    exceeded without convergence — the textbook PSPACE algorithm.  When
-    false (the default), cycles are detected by hashing previous states,
-    trading space for time.
-
-    The guard's state budget caps the non-strict mode's ``seen`` set
-    (worst case ``2^{n^k}`` stored relations): exhausting it does not
-    fail the query — the evaluator discards the set and *degrades* to
-    the strict counting mode mid-iteration, which is sound because the
-    stage sequence from ``∅`` is deterministic (no convergence within
-    ``2^{n^k}`` total steps implies a cycle).  Fallbacks are counted in
-    ``stats`` under ``pfp_strict_fallbacks``.
-    """
-
-    def __init__(
-        self,
-        stats: EvalStats,
-        meter: SpaceMeter,
-        strict_space: bool = False,
-        tracer: TracerLike = NULL_TRACER,
-        guard: GuardLike = NULL_GUARD,
-        degrade: bool = True,
-        observer: StageLogLike = NULL_STAGE_LOG,
-    ):
-        super().__init__(stats, tracer=tracer, guard=guard, observer=observer)
-        self._meter = meter
-        self._strict = strict_space
-        self._degrade = degrade
-        self._next_key = 0
-
-    def _solve(
-        self,
-        evaluator: BoundedEvaluator,
-        node: _FixpointBase,
-        env: Dict[str, Relation],
-    ) -> Relation:
-        key = self._next_key
-        self._next_key += 1
-        step = _step_function(evaluator, node, env, self._stats)
-        meter = self._meter
-        tracer = self._tracer
-
-        def metered_step(current: Relation) -> Relation:
-            after = step(current)
-            meter.update(key, len(after))
-            if tracer.enabled:
-                # snapshot of the *live* state — the Theorem 3.8 quantity
-                tracer.event(
-                    "pfp.space",
-                    live_tuples=meter.live_tuples,
-                    live_relations=meter.live_relations,
-                )
-            return after
-
-        backend = evaluator.backend
-        observer = self._observer
-        meter.enter(key, 0)
-        try:
-            if isinstance(node, LFP):
-                return iterate_ascending(
-                    metered_step,
-                    backend.empty_relation(node.arity),
-                    self._stats,
-                    tracer,
-                    observer=observer,
-                )
-            if isinstance(node, GFP):
-                return iterate_descending(
-                    metered_step,
-                    backend.full_relation(node.arity),
-                    self._stats,
-                    tracer,
-                    observer=observer,
-                )
-            if isinstance(node, IFP):
-                return iterate_inflationary(
-                    metered_step,
-                    node.arity,
-                    self._stats,
-                    tracer,
-                    empty=backend.empty_relation(node.arity),
-                    observer=observer,
-                )
-            if isinstance(node, PFP):
-                return self._partial(metered_step, node, evaluator)
-            raise EvaluationError(f"unknown fixpoint node {node!r}")
-        finally:
-            meter.leave(key)
-
-    def _partial(
-        self,
-        step,
-        node: _FixpointBase,
-        evaluator: BoundedEvaluator,
-    ) -> Relation:
-        arity = node.arity
-        empty = evaluator.backend.empty_relation(arity)
-        current = empty
-        tracer = self._tracer
-        guard = self._guard
-        observer = self._observer
-        if observer.enabled:
-            observer.stage(0, current)
-        # 2^{n^k} distinct k-ary relations: past this many steps the
-        # deterministic stage sequence must have revisited a state, so it
-        # cycles and the partial fixpoint is empty by convention
-        n = len(evaluator.domain)
-        distinct_relations = 2 ** (n**arity)
-        seen: Optional[set] = None if self._strict else {current.state_key()}
-        index = 0
-        while index < distinct_relations:
-            self._stats.fixpoint_iterations += 1
-            if guard.enabled:
-                guard.charge_iteration(index=index, live_rows=len(current))
-            if tracer.enabled:
-                with tracer.span("fp.iteration") as span:
-                    after = step(current)
-                    span.set(
-                        index=index,
-                        size=len(after),
-                        delta=len(after) - len(current),
-                    )
-            else:
-                after = step(current)
-            index += 1
-            if after == current:
-                return current
-            if observer.enabled:
-                observer.stage(index, after)
-            if seen is not None:
-                if after.state_key() in seen:
-                    return empty
-                if guard.try_charge_state():
-                    seen.add(after.state_key())
-                elif self._degrade:
-                    # state budget exhausted: degrade to the strict
-                    # O(1)-memory counting mode (sound — see class doc)
-                    seen = None
-                    self._stats.bump("pfp_strict_fallbacks")
-                    if tracer.enabled:
-                        tracer.event("pfp.strict_fallback", index=index)
-                else:
-                    guard.charge_state(0, index=index, states=len(seen))
-            current = after
-        return empty
-
-
 def pfp_answer(
     formula: Formula,
     db: Database,
@@ -270,31 +111,33 @@ def pfp_answer(
 ) -> Relation:
     """Evaluate a PFP^k query with live-space accounting.
 
-    Returns the answer relation; peak-space/iteration numbers accumulate in
-    ``meter`` (pass one in to read them back).  ``guard`` bounds the work:
-    iterations/deadline exhaustion raises, while the state budget only
-    degrades cycle detection to strict counting (see
-    :class:`MeteredPFPSolver`).  The meter is released on the way out even
-    when a budget trips mid-fixpoint.
+    Naive nested iteration (:class:`~repro.core.fp_eval.KleeneSolver`
+    under ``FixpointStrategy.NAIVE``) with every open fixpoint's live
+    size metered.  Returns the answer relation; peak-space/iteration
+    numbers accumulate in ``meter`` (pass one in to read them back).
+    ``strict_space`` drops cycle detection's seen-set and counts to
+    ``2^{n^k}`` instead — the textbook PSPACE algorithm.  ``guard``
+    bounds the work: iterations/deadline exhaustion raises, while the
+    state budget only degrades cycle detection to strict counting
+    (unless ``degrade`` is off).  The meter is released on the way out
+    even when a budget trips mid-fixpoint.  Positivity is not checked:
+    PFP bodies need not be monotone.
     """
     stats = stats if stats is not None else EvalStats()
     meter = meter if meter is not None else SpaceMeter(registry=stats.registry)
-    solver = MeteredPFPSolver(
-        stats,
-        meter,
-        strict_space=strict_space,
-        tracer=tracer,
-        guard=guard,
-        degrade=degrade,
-        observer=observer,
-    )
-    evaluator = BoundedEvaluator(
+    return solve_query(
+        formula,
         db,
-        fixpoint_solver=solver,
+        output_vars,
+        strategy=FixpointStrategy.NAIVE,
         k_limit=k_limit,
         stats=stats,
+        require_positive=False,
         tracer=tracer,
         guard=guard,
         backend=backend,
+        observer=observer,
+        meter=meter,
+        strict_space=strict_space,
+        degrade=degrade,
     )
-    return evaluator.answer(formula, output_vars)

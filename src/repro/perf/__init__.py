@@ -8,6 +8,10 @@ semantics stay untouched and the differential test harness
 (``tests/test_differential.py``) can pit optimized evaluation against
 it.  See ``docs/performance.md``.
 
+:mod:`repro.perf.seminaive` holds only the differential formula
+transform; the semi-naive ascent is a round rule of the one fixpoint
+solver, :class:`repro.core.fp_eval.KleeneSolver`.
+
 :mod:`repro.perf.experiments` keeps the speedups honest over time: it
 registers deterministic, runnable perf experiments for the
 ``repro perf`` observatory (run records, committed baselines, the
@@ -23,17 +27,12 @@ from repro.perf.experiments import (
     get_experiment,
     run_experiment,
 )
-from repro.perf.seminaive import (
-    SemiNaiveSolver,
-    delta_relation_name,
-    differential,
-)
+from repro.perf.seminaive import delta_relation_name, differential
 
 __all__ = [
     "EXPERIMENTS",
     "ExperimentError",
     "PerfExperiment",
-    "SemiNaiveSolver",
     "SubqueryCache",
     "delta_relation_name",
     "differential",

@@ -40,37 +40,20 @@ False disjuncts are simplified away as the transform builds them:
 ``false ∧ ψ`` disjunct would re-materialize ``ψ``'s full table every
 round, defeating the point.
 
-Only least fixpoints with a *positively* bound recursion variable get
-the differential treatment (the sandwich needs monotonicity).  GFP,
-IFP, PFP, and non-positive LFP bodies (possible when positivity
-checking is disabled) fall back to the naive ``iterate_*`` loops, so
-:class:`SemiNaiveSolver` is safe as a drop-in strategy for any query.
+This module is a pure formula transform; the ascent itself is the
+delta round rule of :class:`repro.core.fp_eval.KleeneSolver`, used
+under ``FixpointStrategy.SEMINAIVE``.  Only least fixpoints with a
+*positively* bound recursion variable get the differential treatment
+(the sandwich needs monotonicity).  GFP, IFP, PFP, and non-positive
+LFP bodies (possible when positivity checking is disabled) keep the
+full body, so the strategy is safe as a drop-in for any query.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Set
 
-from repro.database.relation import Relation
-from repro.errors import EvaluationError
-from repro.core.interp import EvalStats
-from repro.guard.budget import GuardLike, NULL_GUARD
-from repro.obs.provenance import NULL_STAGE_LOG, StageLogLike
-from repro.obs.tracer import NULL_TRACER, TracerLike
-from repro.logic.analysis import polarity_of
-from repro.logic.syntax import (
-    And,
-    Exists,
-    Formula,
-    GFP,
-    IFP,
-    LFP,
-    Or,
-    PFP,
-    RelAtom,
-    Truth,
-    _FixpointBase,
-)
+from repro.logic.syntax import And, Exists, Formula, Or, RelAtom, Truth
 from repro.logic.variables import free_relation_variables
 
 _FALSE = Truth(False)
@@ -137,259 +120,4 @@ def differential(formula: Formula, rel: str, delta_rel: str) -> Formula:
     return formula
 
 
-class SemiNaiveSolver:
-    """Delta-driven LFP ascent, naive fallback everywhere else.
-
-    Signature-compatible with :class:`repro.core.fp_eval.NaiveSolver`;
-    registered in :func:`repro.core.fp_eval.make_solver` under
-    ``FixpointStrategy.SEMINAIVE``.
-
-    Per LFP solve: round 0 evaluates the full body at ``S = ∅`` (naive —
-    everything is new), then each later round evaluates only the
-    differential with ``ΔS`` bound to the tuples derived last round, and
-    stops the first time the delta comes up empty.  The delta rounds are
-    counted in ``stats.notes`` as ``seminaive_delta_rounds`` /
-    ``seminaive_delta_tuples``; fallbacks bump ``seminaive_fallbacks``.
-    """
-
-    def __init__(
-        self,
-        stats: EvalStats,
-        pfp_iteration_limit: Optional[int] = None,
-        tracer: TracerLike = NULL_TRACER,
-        guard: GuardLike = NULL_GUARD,
-        observer: StageLogLike = NULL_STAGE_LOG,
-    ):
-        self._stats = stats
-        self._pfp_limit = pfp_iteration_limit
-        self._tracer = tracer
-        self._guard = guard
-        self._observer = observer
-        # node → (delta name, differential body), or None when the node
-        # must use the naive fallback; structural keys, like MonotoneSolver
-        self._prepared: Dict[
-            _FixpointBase, Optional[Tuple[str, Formula]]
-        ] = {}
-
-    def __call__(
-        self,
-        evaluator,
-        node: _FixpointBase,
-        env: Dict[str, Relation],
-    ) -> Relation:
-        observer = self._observer
-        if observer.enabled:
-            observer.begin(node.rel, type(node).__name__.lower())
-        limit = None
-        try:
-            if self._tracer.enabled:
-                with self._tracer.span(
-                    "fp.solve",
-                    rel=node.rel,
-                    kind=type(node).__name__.lower(),
-                    arity=node.arity,
-                ) as span:
-                    limit = self._solve(evaluator, node, env)
-                    span.set(limit_size=len(limit))
-            else:
-                limit = self._solve(evaluator, node, env)
-        finally:
-            if observer.enabled:
-                observer.end(limit)
-        return limit
-
-    def _solve(
-        self,
-        evaluator,
-        node: _FixpointBase,
-        env: Dict[str, Relation],
-    ) -> Relation:
-        from repro.core.fp_eval import (
-            _step_function,
-            iterate_ascending,
-            iterate_descending,
-            iterate_inflationary,
-            iterate_partial,
-        )
-
-        if isinstance(node, LFP):
-            prepared = self._prepare(node, evaluator, env)
-            if prepared is not None:
-                return self._ascend(evaluator, node, env, prepared)
-            self._stats.bump("seminaive_fallbacks")
-
-        step = _step_function(evaluator, node, env, self._stats)
-        tracer, guard = self._tracer, self._guard
-        observer = self._observer
-        backend = evaluator.backend
-        if isinstance(node, LFP):
-            return iterate_ascending(
-                step,
-                backend.empty_relation(node.arity),
-                self._stats,
-                tracer,
-                guard,
-                observer,
-            )
-        # GFP/IFP/PFP: delegate to the naive loops unchanged
-        if isinstance(node, GFP):
-            return iterate_descending(
-                step,
-                backend.full_relation(node.arity),
-                self._stats,
-                tracer,
-                guard,
-                observer,
-            )
-        if isinstance(node, IFP):
-            return iterate_inflationary(
-                step,
-                node.arity,
-                self._stats,
-                tracer,
-                guard,
-                empty=backend.empty_relation(node.arity),
-                observer=observer,
-            )
-        if isinstance(node, PFP):
-            return iterate_partial(
-                step,
-                node.arity,
-                self._stats,
-                self._pfp_limit,
-                tracer,
-                guard,
-                empty=backend.empty_relation(node.arity),
-                observer=observer,
-            )
-        raise EvaluationError(f"unknown fixpoint node {node!r}")
-
-    # -- preparation ---------------------------------------------------
-
-    def _prepare(
-        self,
-        node: LFP,
-        evaluator,
-        env: Dict[str, Relation],
-    ) -> Optional[Tuple[str, Formula]]:
-        """The (delta name, differential body) for ``node``, or ``None``
-        when semi-naive ascent would be unsound (non-positive body)."""
-        if node in self._prepared:
-            prepared = self._prepared[node]
-            # the cached delta name must still be fresh for this call's
-            # environment; a collision (pathological naming) re-prepares
-            if prepared is None or (
-                prepared[0] not in env
-                and prepared[0] not in evaluator.db.relation_names()
-            ):
-                return prepared
-        if polarity_of(node.body, node.rel) != "positive":
-            # covers both genuinely non-monotone bindings ("negative" /
-            # "both") and bodies that never mention the variable (None)
-            # when the differential would be degenerate anyway
-            self._prepared[node] = None
-            return None
-        avoid = (
-            set(free_relation_variables(node.body))
-            | {node.rel}
-            | set(env)
-            | set(evaluator.db.relation_names())
-        )
-        delta_rel = delta_relation_name(node.rel, avoid)
-        prepared = (delta_rel, differential(node.body, node.rel, delta_rel))
-        self._prepared[node] = prepared
-        return prepared
-
-    # -- the ascent ----------------------------------------------------
-
-    def _eval_round(
-        self,
-        evaluator,
-        body: Formula,
-        env: Dict[str, Relation],
-        bindings: Dict[str, Relation],
-        order,
-    ) -> Relation:
-        """One body (or differential-body) evaluation as a relation."""
-        self._stats.body_evaluations += 1
-        inner_env = dict(env)
-        inner_env.update(bindings)
-        table = evaluator._eval(body, inner_env)
-        extra = set(table.variables) - set(order)
-        if extra:
-            raise EvaluationError(
-                f"fixpoint body has unexpected free variables {sorted(extra)}"
-            )
-        table = table.cylindrify(order, evaluator.domain)
-        return table.to_relation(order)
-
-    def _ascend(
-        self,
-        evaluator,
-        node: LFP,
-        env: Dict[str, Relation],
-        prepared: Tuple[str, Formula],
-    ) -> Relation:
-        delta_rel, dbody = prepared
-        order = [v.name for v in node.bound_vars]
-        stats, tracer, guard = self._stats, self._tracer, self._guard
-        observer = self._observer
-
-        # round 0: φ(∅) in full — every tuple is new
-        empty = evaluator.backend.empty_relation(node.arity)
-        stats.fixpoint_iterations += 1
-        if guard.enabled:
-            guard.charge_iteration(index=0, size=0)
-        if tracer.enabled:
-            with tracer.span("fp.iteration") as span:
-                current = self._eval_round(
-                    evaluator, node.body, env, {node.rel: empty}, order
-                )
-                span.set(index=0, size=len(current), delta=len(current))
-        else:
-            current = self._eval_round(
-                evaluator, node.body, env, {node.rel: empty}, order
-            )
-        if observer.enabled:
-            # stage numbering matches the naive Kleene chain: S_0 = ∅,
-            # S_1 = φ(∅), so the full round 0 lands at stage index 1
-            observer.stage(0, empty)
-            if current:
-                observer.stage(1, current, delta=current)
-        delta = current
-
-        index = 1
-        while delta:
-            stats.fixpoint_iterations += 1
-            stats.bump("seminaive_delta_rounds")
-            stats.bump("seminaive_delta_tuples", len(delta))
-            if guard.enabled:
-                guard.charge_iteration(index=index, size=len(current))
-            bindings = {node.rel: current, delta_rel: delta}
-            if tracer.enabled:
-                with tracer.span("fp.iteration") as span:
-                    candidate = self._eval_round(
-                        evaluator, dbody, env, bindings, order
-                    )
-                    new = candidate.difference(current)
-                    span.set(
-                        index=index,
-                        size=len(current) + len(new),
-                        delta=len(new),
-                    )
-            else:
-                candidate = self._eval_round(
-                    evaluator, dbody, env, bindings, order
-                )
-                new = candidate.difference(current)
-            if not new:
-                return current
-            current = current.union(new)
-            if observer.enabled:
-                observer.stage(index + 1, current, delta=new)
-            delta = new
-            index += 1
-        return current
-
-
-__all__ = ["SemiNaiveSolver", "delta_relation_name", "differential"]
+__all__ = ["delta_relation_name", "differential"]

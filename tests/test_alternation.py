@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 
 from repro.core.abstraction import abstract_query
+from repro.core.engine import EvalOptions, evaluate
+from repro.core.fp_eval import FixpointStrategy
 from repro.core.alternation import (
     AlternationEvaluator,
     alternation_answer,
@@ -12,9 +14,15 @@ from repro.core.alternation import (
 from repro.core.interp import EvalStats
 from repro.core.naive_eval import naive_answer
 from repro.database import Relation
-from repro.errors import PositivityError
+from repro.errors import (
+    IterationBudgetExceeded,
+    PositivityError,
+    VariableBoundError,
+)
+from repro.guard import Budget
 from repro.logic.parser import parse_formula
 from repro.logic.variables import free_variables
+from repro.workloads.graphs import labeled_graph, path_graph
 
 from tests.conftest import databases, fp_formulas
 
@@ -121,3 +129,56 @@ class TestEvaluatorInternals:
         second = evaluator.solve_value(node, {})
         assert first == second
         assert evaluator.stats.fixpoint_iterations == iterations
+
+
+class TestEngineContract:
+    """ALTERNATION honours the same k bound, iteration budget and
+    iteration counter as the iterating strategies."""
+
+    REACH = "[lfp S(x). P(x) | exists y. (E(y, x) & S(y))](u)"
+
+    @staticmethod
+    def _path():
+        return labeled_graph(path_graph(12), {"P": [0]})
+
+    def test_k_limit_is_enforced(self, tiny_graph):
+        phi = parse_formula(
+            "[lfp S(x). x = y | exists z. (E(z, x) & S(z))](x)"
+        )
+        messages = set()
+        for strategy in FixpointStrategy:
+            with pytest.raises(VariableBoundError) as info:
+                evaluate(
+                    phi,
+                    tiny_graph,
+                    ("x", "y"),
+                    EvalOptions(strategy=strategy, k_limit=1),
+                )
+            messages.add(str(info.value))
+        assert messages == {"query uses 3 variables, engine bound is k=1"}
+
+    def test_iteration_budget_is_charged(self):
+        options = EvalOptions(
+            strategy=FixpointStrategy.ALTERNATION,
+            budget=Budget(max_iterations=3),
+        )
+        with pytest.raises(IterationBudgetExceeded):
+            evaluate(parse_formula(self.REACH), self._path(), ("u",), options)
+
+    def test_chain_steps_are_counted(self):
+        # ∅ → {0} → ... → {0..11}, plus the converging step: the same
+        # 13 Kleene steps the naive ascent takes
+        phi, db = parse_formula(self.REACH), self._path()
+        counts = {
+            strategy: evaluate(
+                phi, db, ("u",), EvalOptions(strategy=strategy)
+            ).stats.fixpoint_iterations
+            for strategy in (
+                FixpointStrategy.NAIVE,
+                FixpointStrategy.ALTERNATION,
+            )
+        }
+        assert counts == {
+            FixpointStrategy.NAIVE: 13,
+            FixpointStrategy.ALTERNATION: 13,
+        }

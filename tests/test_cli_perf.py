@@ -135,6 +135,51 @@ class TestPerfReport:
         assert "baseline:" in out
 
 
+class TestBenchOnlyIds:
+    """Ids that benches archive but no registered experiment runs: the
+    stored-record commands accept them once a baseline is committed."""
+
+    def _seed(self, store):
+        from repro.obs.runstore import RunStore, build_record
+
+        record = build_record(
+            "BENCH-ONLY",
+            "a bench-archived sweep",
+            parameters=[2.0, 4.0],
+            seconds=[0.001, 0.002],
+            counters=[{"iterations": 3.0}, {"iterations": 5.0}],
+        )
+        runs = RunStore(store)
+        runs.save(record)
+        runs.save_baseline(record)
+
+    def test_report_and_latest_compare(self, store, capsys):
+        self._seed(store)
+        assert main(["perf", "report", "BENCH-ONLY", "--store", store]) == 0
+        assert "[BENCH-ONLY] 1 record(s)" in capsys.readouterr().out
+        code = main(
+            ["perf", "compare", "BENCH-ONLY", "--store", store,
+             "--use-latest", "--counters-only"]
+        )
+        assert code == 0
+        assert "PASS" in capsys.readouterr().out
+
+    def test_fresh_run_still_needs_a_registered_experiment(
+        self, store, capsys
+    ):
+        self._seed(store)
+        code = main(
+            ["perf", "compare", "BENCH-ONLY", "--store", store,
+             "--counters-only"]
+        )
+        assert code == 1
+        assert "unknown perf experiment" in capsys.readouterr().err
+
+    def test_unknown_id_without_baseline_is_an_error(self, store, capsys):
+        assert main(["perf", "report", "NOPE", "--store", store]) == 1
+        assert "unknown perf experiment" in capsys.readouterr().err
+
+
 class TestPerfProfile:
     def test_profile_from_jsonl(self, store, tmp_path, capsys):
         from repro.obs.tracer import Tracer

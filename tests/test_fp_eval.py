@@ -3,14 +3,7 @@
 import pytest
 from hypothesis import given
 
-from repro.core.fp_eval import (
-    FixpointStrategy,
-    MonotoneSolver,
-    NaiveSolver,
-    iterate_partial,
-    make_solver,
-    solve_query,
-)
+from repro.core.fp_eval import FixpointStrategy, KleeneSolver, solve_query
 from repro.core.interp import EvalStats
 from repro.core.naive_eval import naive_answer
 from repro.database import Relation
@@ -115,49 +108,30 @@ class TestPositivity:
 
 
 class TestPartialIteration:
-    def test_iteration_limit(self):
-        flip = [Relation(1, [(0,)]), Relation.empty(1)]
-
-        def step(current):
-            return flip[0] if current == flip[1] else flip[1]
-
-        with pytest.raises(EvaluationError):
-            # disable cycle detection by using a fresh relation each time
-            counter = [0]
-
-            def growing(current):
-                counter[0] += 1
-                return Relation(1, [(counter[0],)])
-
-            iterate_partial(growing, 1, EvalStats(), iteration_limit=5)
-
     def test_cycle_detected_as_empty(self):
-        a, b = Relation(1, [(0,)]), Relation(1, [(1,)])
-
-        def step(current):
-            if current == a:
-                return b
-            if current == b:
-                return a
-            return a
-
-        assert iterate_partial(step, 1, EvalStats()) == Relation.empty(1)
+        # ∅ → full → ∅: the second round revisits the start state, so
+        # the stage sequence cycles and the partial fixpoint is empty
+        phi = parse_formula("[pfp X(x). ~X(x)](u)")
+        db = path_graph(3)
+        stats = EvalStats()
+        got = solve_query(
+            phi, db, ("u",), strategy=FixpointStrategy.NAIVE, stats=stats
+        )
+        assert got == Relation.empty(1)
+        assert stats.fixpoint_iterations == 2
 
 
 class TestSolverFactory:
-    def test_make_solver_kinds(self):
-        from repro.perf.seminaive import SemiNaiveSolver
-
+    def test_one_solver_serves_every_iterating_strategy(self):
         stats = EvalStats()
-        assert isinstance(make_solver(FixpointStrategy.NAIVE, stats), NaiveSolver)
-        assert isinstance(
-            make_solver(FixpointStrategy.MONOTONE, stats), MonotoneSolver
-        )
-        assert isinstance(
-            make_solver(FixpointStrategy.SEMINAIVE, stats), SemiNaiveSolver
-        )
+        for strategy in (
+            FixpointStrategy.NAIVE,
+            FixpointStrategy.MONOTONE,
+            FixpointStrategy.SEMINAIVE,
+        ):
+            assert isinstance(KleeneSolver(strategy, stats), KleeneSolver)
         with pytest.raises(EvaluationError):
-            make_solver(FixpointStrategy.ALTERNATION, stats)
+            KleeneSolver(FixpointStrategy.ALTERNATION, stats)
 
 
 class TestInflationaryEarlyExit:

@@ -33,7 +33,7 @@ from repro.mucalculus.kripke import KripkeStructure
 from repro.mucalculus.syntax import Diamond, Mu, MuOr, Prop, RecVar
 from repro.sat.cnf import CNF
 from repro.sat.dpll import solve
-from repro.workloads.graphs import path_graph
+from repro.workloads.graphs import labeled_graph, path_graph
 
 REACH = parse_formula("[lfp S(x). P(x) | exists y. (E(y, x) & S(y))](u)")
 
@@ -134,6 +134,23 @@ class TestPFPGuard:
                 guard=resolve_guard(Budget(max_states=3)),
                 degrade=False,
             )
+
+    def test_nested_rounds_reach_the_guard(self):
+        # the pfp takes two rounds, but its first one solves a
+        # 13-round reachability lfp: every nested round is charged
+        phi = parse_formula(
+            "[pfp X(x). [lfp S(x). P(x) | exists y. "
+            "(E(y, x) & S(y))](x)](u)"
+        )
+        db = labeled_graph(path_graph(12), {"P": [0]})
+        with pytest.raises(IterationBudgetExceeded):
+            evaluate(
+                phi, db, ("u",), EvalOptions(budget=Budget(max_iterations=3))
+            )
+        ample = evaluate(
+            phi, db, ("u",), EvalOptions(budget=Budget(max_iterations=100))
+        )
+        assert ample.guard.iterations == ample.stats.fixpoint_iterations
 
     def test_chaos_unwind_releases_meter(self, tiny_graph):
         phi = parse_formula("[pfp X(x). Q(x) | exists y. (E(x, y) & ~X(y))](u)")

@@ -1,11 +1,11 @@
-"""Targeted tests for the MonotoneSolver's warm-start soundness rules.
+"""Targeted tests for the MONOTONE strategy's warm-start soundness rules.
 
 The warm-start decision depends on the *direction* the environment moved
 and the *polarity* of each environment relation in the fixpoint body;
 these tests pin each branch of that decision table.
 """
 
-from repro.core.fp_eval import FixpointStrategy, MonotoneSolver, solve_query
+from repro.core.fp_eval import FixpointStrategy, KleeneSolver, solve_query
 from repro.core.interp import EvalStats
 from repro.core.naive_eval import naive_answer
 from repro.database import Database
@@ -70,7 +70,7 @@ class TestWarmStartDirections:
         assert monotone.fixpoint_iterations >= 1
 
     def test_memory_is_per_closed_node(self):
-        solver = MonotoneSolver(EvalStats())
+        solver = KleeneSolver(FixpointStrategy.MONOTONE, EvalStats())
         assert solver._memory == {}
 
     def test_pfp_inside_lfp_never_warm_starts(self):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.naive_eval import naive_answer
-from repro.core.pfp_eval import MeteredPFPSolver, SpaceMeter, pfp_answer
+from repro.core.pfp_eval import SpaceMeter, pfp_answer
 from repro.core.interp import EvalStats
 from repro.database import Database
 from repro.logic.parser import parse_formula
