@@ -12,7 +12,7 @@ EMP(Emp,Dept), MGR(Dept,Mgr), SCY(Mgr,Scy), SAL(Emp,Sal):
 Run:  python examples/company_queries.py
 """
 
-from repro import Query, evaluate
+from repro import EvalOptions, Query, evaluate
 from repro.algebra import dynamic_cost
 from repro.optimize import minimize_variables
 from repro.workloads.company import (
@@ -34,7 +34,12 @@ def main() -> None:
     print(f"bounded query ({bounded_q.width} variables): {bounded_q.text()}\n")
 
     # --- logic-level evaluation ---------------------------------------
-    r_naive = evaluate(naive_q.formula, db, ("e",))
+    # The naive form's six-column tables would take n^6 mask bits on the
+    # packed backend, past its cap, so it runs on the sparse backend,
+    # which stores only the rows present.
+    r_naive = evaluate(
+        naive_q.formula, db, ("e",), EvalOptions(backend="sparse")
+    )
     r_bounded = evaluate(bounded_q.formula, db, ("e",))
     assert r_naive.relation == r_bounded.relation
     print(f"underpaid employees: {sorted(t[0] for t in r_naive.relation)}")

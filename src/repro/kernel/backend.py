@@ -38,7 +38,12 @@ from repro.database.domain import Domain, Value
 from repro.database.relation import Relation
 from repro.errors import EvaluationError, SchemaError
 from repro.kernel.lru import LRU
-from repro.kernel.packed import DomainCodec, PackedRelation, PackedTable
+from repro.kernel.packed import (
+    DEFAULT_MAX_BITS,
+    DomainCodec,
+    PackedRelation,
+    PackedTable,
+)
 from repro.logic.syntax import Const, Term, Var
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, TracerLike
@@ -49,27 +54,28 @@ BACKEND_ENV = "REPRO_BENCH_BACKEND"
 #: The reference representation.
 DEFAULT_BACKEND = "sparse"
 
-#: Refuse packed masks wider than this many bits (≈16 MiB of mask): a
-#: query that needs them has left the regime where one dense bit-table
-#: per subformula is sane, and the sparse backend handles it gracefully.
-DEFAULT_MAX_BITS = 1 << 27
-
-#: Shared codecs, keyed by (value-equal) domain, so selector-mask caches
-#: survive across evaluations.  Codecs are small, but long property-test
-#: sessions create thousands of throwaway domains.
+#: Shared codecs, keyed by (value-equal) domain and mask-bit cap, so
+#: selector-mask caches survive across evaluations.  Codecs are small, but
+#: long property-test sessions create thousands of throwaway domains.
 _CODECS = LRU(256)
 
 
-def codec_for(domain: Domain, registry: Optional[MetricsRegistry] = None) -> DomainCodec:
-    """The shared :class:`DomainCodec` for a domain (created on miss)."""
-    codec = _CODECS.get(domain)
+def codec_for(
+    domain: Domain,
+    registry: Optional[MetricsRegistry] = None,
+    max_bits: int = DEFAULT_MAX_BITS,
+) -> DomainCodec:
+    """The shared :class:`DomainCodec` for a domain and cap (created on
+    miss)."""
+    key = (domain, max_bits)
+    codec = _CODECS.get(key)
     if registry is not None:
         registry.counter(
             "kernel.codec_hits" if codec is not None else "kernel.codec_misses"
         ).inc()
     if codec is None:
-        codec = DomainCodec(domain)
-        _CODECS.put(domain, codec)
+        codec = DomainCodec(domain, max_bits)
+        _CODECS.put(key, codec)
     return codec
 
 
@@ -156,7 +162,14 @@ class SparseBackend:
 
 
 class PackedBackend:
-    """The ``n^k``-bit kernel of :mod:`repro.kernel.packed`."""
+    """The ``n^k``-bit kernel of :mod:`repro.kernel.packed`.
+
+    Every table wider than ``max_bits`` mask bits is refused with an
+    :class:`EvaluationError` before its mask is built: here for tables
+    made from rows, atoms and ``full``; for the wider schema of a join,
+    union or cylindrification by the table itself, through the codec,
+    which carries the cap.
+    """
 
     name = "packed"
 
@@ -168,9 +181,8 @@ class PackedBackend:
         tracer: TracerLike = NULL_TRACER,
     ):
         self.domain = domain
-        self.max_bits = max_bits
         registry = registry if registry is not None else MetricsRegistry()
-        self.codec = codec_for(domain, registry)
+        self.codec = codec_for(domain, registry, max_bits)
         self.tracer = tracer
         self._tables = registry.counter("kernel.tables")
         self._mask_bits = registry.gauge("kernel.mask_bits")
@@ -191,18 +203,8 @@ class PackedBackend:
                 counter.inc(tally.value - seen[i])
                 seen[i] = tally.value
 
-    def _guard_width(self, k: int) -> None:
-        bits = self.codec.size(k)
-        if bits > self.max_bits:
-            raise EvaluationError(
-                f"packed backend refuses a {k}-column table over "
-                f"n={self.codec.n}: {bits} mask bits exceed the "
-                f"{self.max_bits}-bit cap — use backend='sparse' for "
-                f"this query"
-            )
-
     def table(self, variables: Sequence[str], rows: Iterable) -> PackedTable:
-        self._guard_width(len(set(variables)))
+        self.codec.check_width(len(set(variables)))
         return PackedTable.from_rows(
             self.codec, variables, rows, tracer=self.tracer
         )
@@ -214,14 +216,14 @@ class PackedBackend:
         return PackedTable.contradiction(self.codec, tracer=self.tracer)
 
     def full(self, variables: Sequence[str]) -> PackedTable:
-        self._guard_width(len(set(variables)))
+        self.codec.check_width(len(set(variables)))
         return PackedTable.full(self.codec, variables, tracer=self.tracer)
 
     def empty_relation(self, arity: int) -> PackedRelation:
         return PackedRelation(arity, 0, self.codec, tracer=self.tracer)
 
     def full_relation(self, arity: int) -> PackedRelation:
-        self._guard_width(arity)
+        self.codec.check_width(arity)
         return PackedRelation(
             arity, self.codec.full_mask(arity), self.codec, tracer=self.tracer
         )
@@ -256,7 +258,7 @@ class PackedBackend:
         """
         pattern = select_atom(relation, terms)
         columns, var_positions, const_positions = pattern
-        self._guard_width(len(columns))
+        self.codec.check_width(len(columns))
         if isinstance(relation, PackedRelation) and relation.codec is self.codec:
             return self._atom_from_mask(
                 relation, var_positions, const_positions, columns

@@ -21,12 +21,12 @@ variables maps to index ``Σ_i index(a_i) · n^{k-1-i}`` (column 0 most
 significant, matching :meth:`repro.database.domain.Domain.tuples`
 lexicographic order), so the column at sorted position ``i`` is the
 base-``n`` digit at weight position ``d = k-1-i``.  Inserting a digit
-(cylindrification) is a stretch-and-replicate; removing one
-(∃/∀-projection) is an OR/AND shift-fold followed by a compress;
-equality selection and digit transposition are precomputed selector
-masks.  All selector masks are cached per ``(k, digit)`` on the
-:class:`DomainCodec`, which is itself shared per domain (see
-:func:`repro.kernel.backend.codec_for`).
+(cylindrification) is a stretch and an OR-doubling; removing one
+(∃/∀-projection) is an OR/AND-doubling and a compress — each doubling
+``⌈log₂ n⌉`` whole-integer shifts.  Equality selection and digit
+transposition are precomputed selector masks.  All selector masks are
+cached per ``(k, digit)`` on the :class:`DomainCodec`, which is itself
+shared per domain (see :func:`repro.kernel.backend.codec_for`).
 
 :class:`PackedTable` mirrors the full operation surface of
 :class:`repro.core.interp.VarTable`; :class:`PackedRelation` is a
@@ -96,6 +96,11 @@ def _rep_factor(width: int, count: int) -> int:
     return result
 
 
+#: Refuse packed masks wider than this many bits (≈16 MiB of mask): a
+#: query that needs them has left the regime where one dense bit-table
+#: per subformula is sane, and the sparse backend handles it gracefully.
+DEFAULT_MAX_BITS = 1 << 27
+
 #: Per-codec cap on cached sparse-relation atom encodings.
 ATOM_CACHE_LIMIT = 128
 
@@ -109,18 +114,19 @@ ALIGN_CACHE_LIMIT = 64
 class DomainCodec:
     """Mixed-radix row↔bit-index codec and mask kernels for one domain.
 
-    One codec is shared per domain (all tables over that domain reuse its
-    selector-mask caches); all kernels take the digit count ``k``
-    explicitly so one codec serves every arity.
+    One codec is shared per domain and mask-bit cap (all tables over
+    that domain reuse its selector-mask caches); all kernels take the
+    digit count ``k`` explicitly so one codec serves every arity.
     """
 
     __slots__ = (
         "domain",
         "n",
+        "max_bits",
         "_full",
         "_sel0",
         "_eq",
-        "_rep",
+        "_steps",
         "_plans",
         "_diffs",
         "atom_tallies",
@@ -128,13 +134,21 @@ class DomainCodec:
         "atom_masks",
     )
 
-    def __init__(self, domain: Domain):
+    def __init__(self, domain: Domain, max_bits: int = DEFAULT_MAX_BITS):
         self.domain = domain
         self.n = len(domain)
+        self.max_bits = max_bits
         self._full: Dict[int, int] = {}
         self._sel0: Dict[Tuple[int, int], int] = {}
         self._eq: Dict[Tuple[int, int, int], int] = {}
-        self._rep: Dict[int, int] = {}
+        # expand's and project's doubling shifts, in digit values: with 0,
+        # their running sums are exactly 0, 1, ..., n - 1
+        self._steps: List[int] = []
+        covered = 1
+        while covered < self.n:
+            step = min(covered, self.n - covered)
+            self._steps.append(step)
+            covered += step
         self._plans: Dict[Tuple[int, int, int], list] = {}
         self._diffs: Dict[Tuple[int, int, int], list] = {}
         # tallies of the caches that hang off this codec, one triple shared
@@ -152,6 +166,17 @@ class DomainCodec:
     def size(self, k: int) -> int:
         """``n^k`` — the number of bit positions of a ``k``-digit mask."""
         return self.n**k
+
+    def check_width(self, k: int) -> None:
+        """Refuse a ``k``-column table whose mask exceeds ``max_bits``."""
+        bits = self.n**k
+        if bits > self.max_bits:
+            raise EvaluationError(
+                f"packed backend refuses a {k}-column table over "
+                f"n={self.n}: {bits} mask bits exceed the "
+                f"{self.max_bits}-bit cap — use backend='sparse' for "
+                f"this query"
+            )
 
     def full_mask(self, k: int) -> int:
         """The mask of ``D^k`` itself (``n^0 = 1`` even when ``n = 0``)."""
@@ -192,14 +217,6 @@ class DomainCodec:
             mask ^= low
 
     # -- selector masks (cached per (k, digit)) ------------------------
-
-    def _rep_n(self, width: int) -> int:
-        """Replication multiplier for ``n`` copies of a ``width``-bit block."""
-        rep = self._rep.get(width)
-        if rep is None:
-            rep = _rep_factor(width, self.n)
-            self._rep[width] = rep
-        return rep
 
     def sel0(self, k: int, d: int) -> int:
         """Selector of every index whose digit ``d`` equals 0."""
@@ -275,34 +292,40 @@ class DomainCodec:
 
     def expand(self, mask: int, k: int, d: int) -> int:
         """Insert a fresh, unconstrained digit at weight position ``d``
-        (cylindrification): each index splits into ``n`` copies."""
-        if mask == 0 or self.n == 0:
+        (cylindrification): each index splits into ``n`` copies.  The
+        stretch puts every row at digit value 0; once values ``[0, c)``
+        hold copies, a doubling step ORs them in shifted up by
+        ``min(c, n - c)`` values."""
+        n = self.n
+        if mask == 0 or n == 0:
             return 0
-        width = self.n**d
-        stretched = self._stretch_fast(
-            mask, self.n ** (k - d), width, width * self.n
-        )
-        return stretched * self._rep_n(width)
+        width = n**d
+        mask = self._stretch_fast(mask, n ** (k - d), width, width * n)
+        for step in self._steps:
+            mask |= mask << (step * width)
+        return mask
 
     def project(self, mask: int, k: int, d: int, universal: bool = False) -> int:
         """Remove digit ``d``: OR-fold (∃) or AND-fold (∀) its ``n`` values.
 
-        Callers handle the empty-domain ∀ convention themselves; here an
-        empty domain simply yields the empty mask.
+        Doubling: once digit value 0 holds the fold of values ``[0, c)``,
+        a shift down by ``min(c, n - c)`` values and an OR/AND extend it
+        to ``[0, c + min(c, n - c))``, never past value ``n - 1`` into the
+        next digit group.  Callers handle the empty-domain ∀ convention
+        themselves; here an empty domain simply yields the empty mask.
         """
         n = self.n
         if n == 0:
             return 0
         width = n**d
-        acc = mask
         if universal:
-            for v in range(1, n):
-                acc &= mask >> (v * width)
+            for step in self._steps:
+                mask &= mask >> (step * width)
         else:
-            for v in range(1, n):
-                acc |= mask >> (v * width)
-        acc &= self.sel0(k, d)
-        return self._compress_fast(acc, n ** (k - 1 - d), width, width * n)
+            for step in self._steps:
+                mask |= mask >> (step * width)
+        mask &= self.sel0(k, d)
+        return self._compress_fast(mask, n ** (k - 1 - d), width, width * n)
 
     def select_value(self, mask: int, k: int, d: int, v: int) -> int:
         """Keep indices whose digit ``d`` equals value index ``v``."""
@@ -534,6 +557,7 @@ class PackedTable:
         if target == self._vars:
             return self._mask
         codec = self._codec
+        codec.check_width(len(target))
         cache = self._align_lru()
         mask = cache.get(target)
         if mask is not None:
@@ -871,6 +895,7 @@ class PackedRelation(Relation):
 __all__ = [
     "ALIGN_CACHE_LIMIT",
     "ATOM_CACHE_LIMIT",
+    "DEFAULT_MAX_BITS",
     "DomainCodec",
     "PackedRelation",
     "PackedTable",

@@ -3,17 +3,20 @@
 Three layers:
 
 * brute-force checks of the bigint digit kernels (stretch/compress,
-  selectors, expand/project/swap/permute) against explicit row sets;
+  selectors, expand/project/swap/permute) against explicit row sets,
+  and bit-equality of the doubling expand/project with the linear
+  folds they replaced on random masks;
 * a hypothesis differential — every :class:`PackedTable` operation must
   agree with the corresponding :class:`VarTable` operation on random
   tables over random small domains (including ``n = 0`` and ``n = 1``);
 * :class:`PackedRelation` against plain :class:`Relation`, including the
   cross-representation equality/hash contract the engines rely on;
 * the bounded atom/align mask caches and their ``kernel.cache.*``
-  counters.
+  counters, and the mask-bit cap on tables a join or union widens.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,7 +105,8 @@ class TestPrimitives:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+# 5, 6, 7 and 9 run three or four doubling steps, the last one clipped
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 9])
 class TestCodecBruteForce:
     def codec(self, n):
         return DomainCodec(Domain.range(n))
@@ -217,6 +221,84 @@ def test_empty_domain_codec():
     assert codec.expand(1, 0, 0) == 0
     assert codec.project(0, 1, 0) == 0
     assert codec.sel0(2, 0) == 0
+
+
+# ---------------------------------------------------------------------------
+# doubling folds vs the linear folds they replaced
+# ---------------------------------------------------------------------------
+
+
+def linear_project(codec, mask, k, d, universal=False):
+    """∃/∀-projection as an OR/AND of ``n − 1`` shifted copies."""
+    n = codec.n
+    if n == 0:
+        return 0
+    width = n**d
+    acc = mask
+    if universal:
+        for v in range(1, n):
+            acc &= mask >> (v * width)
+    else:
+        for v in range(1, n):
+            acc |= mask >> (v * width)
+    acc &= codec.sel0(k, d)
+    return codec._compress_fast(acc, n ** (k - 1 - d), width, width * n)
+
+
+def multiply_expand(codec, mask, k, d):
+    """Cylindrification as a stretch times an ``n``-copy multiplier."""
+    if mask == 0 or codec.n == 0:
+        return 0
+    width = codec.n**d
+    stretched = codec._stretch_fast(
+        mask, codec.n ** (k - d), width, width * codec.n
+    )
+    return stretched * _rep_factor(width, codec.n)
+
+
+def random_masks(rng, codec, k):
+    """``k``-digit masks from empty through sparse, half and dense to
+    full, plus cylinders with holes punched in them, on which ∀ keeps
+    some rows but not all."""
+    size = codec.size(k)
+
+    def bits():
+        return rng.getrandbits(size) if size else 0
+
+    masks = [0, codec.full_mask(k), bits() & bits() & bits(), bits()]
+    masks.append(bits() | bits() | bits())
+    if size:
+        masks.append(1 << rng.randrange(size))
+        masks.append(codec.full_mask(k) ^ (1 << rng.randrange(size)))
+    if k and codec.n:
+        narrow = codec.size(k - 1)
+        for d in range(k):
+            cylinder = multiply_expand(
+                codec, rng.getrandbits(narrow) | 1, k - 1, d
+            )
+            for _ in range(2):
+                cylinder &= ~(1 << rng.randrange(size))
+            masks.append(cylinder)
+    return masks
+
+
+@pytest.mark.parametrize("n", range(18))
+def test_doubling_folds_match_linear_folds(n):
+    """Bit-equal outputs for every n up to 17 (powers of two and their
+    neighbours among them), every k ≤ 3 and every digit."""
+    rng = random.Random(n)
+    codec = DomainCodec(Domain.range(n))
+    for k in range(4):
+        for mask in random_masks(rng, codec, k):
+            for d in range(k + 1):
+                assert codec.expand(mask, k, d) == multiply_expand(
+                    codec, mask, k, d
+                )
+            for d in range(k):
+                for universal in (False, True):
+                    assert codec.project(
+                        mask, k, d, universal
+                    ) == linear_project(codec, mask, k, d, universal)
 
 
 # ---------------------------------------------------------------------------
@@ -613,3 +695,38 @@ def test_kernel_cache_counters_reach_registry():
     # the closure joins E against S every round, so both caches see use
     assert snap["kernel.cache.atom_hits"] + snap["kernel.cache.atom_misses"] >= 1
     assert snap["kernel.cache.align_hits"] + snap["kernel.cache.align_misses"] >= 1
+
+
+# ---------------------------------------------------------------------------
+# the mask-bit cap on widened tables
+# ---------------------------------------------------------------------------
+
+
+def _capped_path(max_bits):
+    """E = {(0, 1), (1, 2)} over n = 3 and a packed backend whose cap
+    admits masks of ``max_bits`` bits."""
+    db = Database.from_tuples(range(3), {"E": (2, [(0, 1), (1, 2)])})
+    return db, PackedBackend(db.domain, max_bits=max_bits)
+
+
+@pytest.mark.parametrize(
+    "query, out, rows",
+    [
+        # every atom has two columns; the join widens to three
+        ("exists z. (E(x, z) & E(z, y))", ("x", "y"), 1),
+        # and so does the union
+        ("E(x, y) | E(y, z)", ("x", "y", "z"), 11),
+    ],
+    ids=["join", "union"],
+)
+def test_width_cap_refuses_widened_tables(query, out, rows):
+    """A cap of n² bits refuses the n³-bit table before building it;
+    a cap of n³ bits admits it."""
+    formula = parse_formula(query)
+    db, backend = _capped_path(9)
+    with pytest.raises(EvaluationError, match="3-column table.*sparse"):
+        evaluate(formula, db, out, EvalOptions(backend=backend))
+    db, backend = _capped_path(27)
+    answer = evaluate(formula, db, out, EvalOptions(backend=backend)).relation
+    sparse = evaluate(formula, db, out, EvalOptions(backend="sparse")).relation
+    assert answer == sparse and len(answer) == rows
