@@ -1,21 +1,14 @@
 """SERVE — the query-service load drill: robustness counters under fire.
 
-Two halves:
-
-1. **Deterministic drill** (the gated half): the ``SERVE`` perf
-   experiment drives a full :class:`repro.serve.service.QueryService`
-   through a scripted request mix — transient faults (retried),
-   persistent faults (retries exhausted, breaker trips), an
-   impossible row budget (degradation ladder), and a shed burst that
-   arrives while every concurrency slot is held.  Every counter is
-   exact-reproducible, so the run is recorded as ``SERVE`` and gated
-   against ``BENCH_SERVE.json`` by ``repro perf compare``.
-
-2. **Concurrent load generator** (reported, not gated): a burst of
-   concurrent requests against an inline service, reporting latency
-   quantiles and queue-wait from the service's own histograms.
-   Wall-clock numbers are environment noise by definition — they go in
-   the text block only, never into gated counters.
+The ``SERVE`` perf experiment drives a full
+:class:`repro.serve.service.QueryService` through a scripted request
+mix — transient faults (retried), persistent faults (retries
+exhausted, breaker trips), an impossible row budget (degradation
+ladder), and a shed burst that arrives while every concurrency slot is
+held.  Every counter is exact-reproducible, so the run is recorded as
+``SERVE`` and gated against ``BENCH_SERVE.json`` by
+``repro perf compare``.  Service latency under load is measured by the
+repository benchmark (``BENCHMARK.json``, ``perfbench/``), not here.
 
 The drill's asserted claims are the acceptance criteria of the serve
 layer: every request resolves to a correct answer or a structured
@@ -23,9 +16,6 @@ error (no lost requests), injected faults are retried, the breaker
 trips, the ladder degrades, and the shed count is exactly the burst
 overflow.
 """
-
-import asyncio
-import functools
 
 from repro.complexity.measure import run_sweep
 from repro.perf.experiments import serve_workload
@@ -38,103 +28,11 @@ SIZES = [6, 8, 10]
 #: registered options — the baseline is recorded under these).
 REQUESTS, MAX_QUEUE, BURST = 18, 4, 8
 
-#: Concurrent-load half: requests fired at once at the largest size.
-LOAD_REQUESTS = 32
-
 
 def _drill_workload(parameter: float) -> dict:
     return serve_workload(
         parameter, requests=REQUESTS, max_queue=MAX_QUEUE, burst=BURST
     )
-
-
-def _concurrent_load(n: int, requests: int) -> dict:
-    """Fire ``requests`` concurrent calls; return latency/wait readings."""
-    from repro.perf.experiments import TC_QUERY
-    from repro.serve.service import QueryService
-    from repro.workloads.graphs import random_graph
-
-    service = QueryService(max_concurrency=2, max_queue=requests)
-    service.register_database("g", random_graph(n, 0.3, seed=n))
-    service.prepare("tc", TC_QUERY, ("u", "v"))
-
-    async def drive():
-        await asyncio.gather(
-            *[
-                service.call(f"t{i % 4}", "tc", "g", request_seed=i)
-                for i in range(requests)
-            ]
-        )
-
-    asyncio.run(drive())
-    snap = service.registry.snapshot()
-    service.close()
-    return {
-        "latency": snap["serve.latency_seconds"],
-        "queue_wait": snap["serve.queue_wait_seconds"],
-        "ok": snap["serve.ok"],
-    }
-
-
-def _obs_overhead(n: int, requests: int) -> dict:
-    """Measure the observability tax: traced vs untraced drive time,
-    /metrics render cost, and the recorder/trace-store footprint.
-
-    Wall-clock readings by definition — they go in the text block only.
-    The one asserted claim is structural: the exposition parses and is
-    non-empty, so a scrape of a loaded service always yields samples.
-    """
-    import time
-
-    from repro.obs.expo import parse_exposition
-    from repro.perf.experiments import TC_QUERY
-    from repro.serve.service import QueryService
-    from repro.workloads.graphs import random_graph
-
-    def build() -> QueryService:
-        service = QueryService(max_concurrency=2, max_queue=requests)
-        service.register_database("g", random_graph(n, 0.3, seed=n))
-        service.prepare("tc", TC_QUERY, ("u", "v"))
-        return service
-
-    def drive(service: QueryService, trace: bool) -> float:
-        async def go():
-            await asyncio.gather(
-                *[
-                    service.call(
-                        f"t{i % 4}", "tc", "g", request_seed=i, trace=trace
-                    )
-                    for i in range(requests)
-                ]
-            )
-
-        start = time.perf_counter()
-        asyncio.run(go())
-        return time.perf_counter() - start
-
-    plain_service = build()
-    plain = drive(plain_service, False)
-    plain_service.close()
-
-    service = build()
-    traced = drive(service, True)
-    renders = 50
-    start = time.perf_counter()
-    for _ in range(renders):
-        text = service.metrics_text()
-    render = (time.perf_counter() - start) / renders
-    samples = parse_exposition(text)
-    assert samples, "a loaded service must expose at least one sample"
-    result = {
-        "plain": plain,
-        "traced": traced,
-        "render": render,
-        "samples": len(samples),
-        "flight": service.flight.recorded,
-        "traces": len(service.traces),
-    }
-    service.close()
-    return result
 
 
 def bench_serve_drill(benchmark):
@@ -180,10 +78,6 @@ def bench_serve_drill(benchmark):
     )
     benchmark(_drill_workload, SIZES[-1])
 
-    load = _concurrent_load(SIZES[-1], LOAD_REQUESTS)
-    latency, wait = load["latency"], load["queue_wait"]
-    obs = _obs_overhead(SIZES[-1], LOAD_REQUESTS)
-    tax = obs["traced"] / max(obs["plain"], 1e-9)
     body = (
         series_table(
             (
@@ -196,22 +90,9 @@ def bench_serve_drill(benchmark):
         "Overloaded/ResourceExhausted — none lost, none wrong"
         + f"\nshed per point is exactly the burst overflow ({BURST}); "
         "counters are exact-reproducible (re-run checked)"
-        + f"\n\nconcurrent load (n={SIZES[-1]}, {LOAD_REQUESTS} requests "
-        f"at once, {int(load['ok'])} ok; wall-clock, not gated):"
-        + f"\n  latency  p50={latency['p50']:.4f}s "
-        f"p95={latency['p95']:.4f}s p99={latency['p99']:.4f}s"
-        + f"\n  queue wait  p50={wait['p50']:.4f}s p95={wait['p95']:.4f}s"
-        + f"\n\nobservability tax (n={SIZES[-1]}, {LOAD_REQUESTS} requests; "
-        "wall-clock, not gated):"
-        + f"\n  drive untraced={obs['plain']:.4f}s "
-        f"traced={obs['traced']:.4f}s (x{tax:.2f} with full span shipping)"
-        + f"\n  /metrics render {obs['render'] * 1000:.3f} ms/scrape, "
-        f"{obs['samples']} samples parsed back"
-        + f"\n  flight events recorded={obs['flight']}, "
-        f"traces retained={obs['traces']}"
         + ("" if jobs == 1 else f"\nsweep ran with {jobs} worker processes")
     )
-    emit("SERVE", "query service robustness drill + concurrent load", body)
+    emit("SERVE", "query service robustness drill", body)
     emit_record(
         "SERVE",
         "Query service robustness drill: deterministic serve counters",
@@ -221,6 +102,5 @@ def bench_serve_drill(benchmark):
             "requests": REQUESTS,
             "max_queue": MAX_QUEUE,
             "burst": BURST,
-            "load_requests": LOAD_REQUESTS,
         },
     )

@@ -39,7 +39,7 @@ Usage (also via ``python -m repro``)::
     # perf observatory: record a run, gate it against its baseline,
     # inspect the trajectory, profile where the time goes as n grows
     python -m repro perf record bench_table2_fp
-    python -m repro perf compare T2-FP --counters-only
+    python -m repro perf compare T2-FP
     python -m repro perf report T2-FP
     python -m repro perf profile T2-FP --top 8
 
@@ -591,7 +591,6 @@ def _perf_fresh_record(args: argparse.Namespace, trace: bool = False):
         overrides=overrides,
         sizes=getattr(args, "sizes", None),
         deadline=getattr(args, "deadline", None),
-        repetitions=getattr(args, "repetitions", None),
         trace=trace or getattr(args, "spans", False),
         jobs=getattr(args, "jobs", 1),
     )
@@ -631,17 +630,6 @@ def _cmd_perf_record(args: argparse.Namespace) -> int:
     if any(p.outcome == "timeout" for p in failures):
         return EXIT_RESOURCE_EXHAUSTED
     return 1 if failures else 0
-
-
-def _perf_policy(args: argparse.Namespace):
-    from repro.obs.regress import RegressionPolicy
-
-    if args.counters_only:
-        return RegressionPolicy.counters_only()
-    return RegressionPolicy(
-        seconds_ratio=args.seconds_ratio,
-        degree_band=args.degree_band,
-    )
 
 
 def _stored_experiment_id(name: str, store) -> str:
@@ -692,7 +680,7 @@ def _cmd_perf_compare(args: argparse.Namespace) -> int:
         if args.save:
             digest, path = store.save(fresh)
             print(f"# record {digest} -> {path}", file=sys.stderr)
-    report = compare_records(baseline, fresh, _perf_policy(args))
+    report = compare_records(baseline, fresh)
     if args.json:
         print(_json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
@@ -1036,13 +1024,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override an experiment option (repeatable)",
         )
-        p.add_argument(
-            "--repetitions",
-            type=int,
-            default=None,
-            metavar="R",
-            help="timed runs per point (minimum time is recorded)",
-        )
         if with_jobs:
             p.add_argument(
                 "--jobs",
@@ -1079,7 +1060,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compare = perf_sub.add_parser(
         "compare",
-        help="gate a fresh (or the latest archived) run against the baseline",
+        help="gate a fresh (or the latest archived) run's counters "
+        "against the baseline",
     )
     p_compare.add_argument("experiment", help="experiment id or bench module")
     _add_run_arguments(p_compare)
@@ -1087,25 +1069,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--use-latest",
         action="store_true",
         help="compare the latest archived record instead of running fresh",
-    )
-    p_compare.add_argument(
-        "--counters-only",
-        action="store_true",
-        help="tier-1 policy: deterministic counters only (the CI gate)",
-    )
-    p_compare.add_argument(
-        "--seconds-ratio",
-        type=float,
-        default=2.0,
-        metavar="X",
-        help="tier-2 wall-clock band: fresh <= X * baseline per point",
-    )
-    p_compare.add_argument(
-        "--degree-band",
-        type=float,
-        default=0.5,
-        metavar="D",
-        help="tier-2 band on fitted growth coefficients",
     )
     p_compare.add_argument(
         "--save",

@@ -21,7 +21,7 @@ Backends are resolved per evaluation by :func:`resolve_backend`:
 without touching call sites.
 
 The packed backend reports ``kernel.*`` metrics (tables built, mask
-width, popcount distribution, codec cache reuse) into the evaluation's
+width, codec cache reuse) into the evaluation's
 :class:`~repro.obs.metrics.MetricsRegistry`.  They are deliberately
 *not* part of :meth:`EvalStats.as_dict`: the stats counters stay
 representation-independent, which is what lets the differential suites
@@ -186,7 +186,6 @@ class PackedBackend:
         self.tracer = tracer
         self._tables = registry.counter("kernel.tables")
         self._mask_bits = registry.gauge("kernel.mask_bits")
-        self._popcounts = registry.histogram("kernel.popcount")
         # cache tallies live on the shared codec; this backend publishes
         # the deltas it witnesses as kernel.cache.* counters
         tallies = self.codec.atom_tallies + self.codec.align_tallies
@@ -232,7 +231,6 @@ class PackedBackend:
         self._tables.inc()
         if isinstance(table, PackedTable):
             self._mask_bits.set_max(self.codec.size(len(table.variables)))
-            self._popcounts.observe(len(table))
         self._sync_cache_tallies()
 
     def bind(self, table: PackedTable, tracer: TracerLike) -> PackedTable:

@@ -13,8 +13,9 @@ intermediate relation sizes (Prop 3.1), fixpoint iteration counts
   rendering (the ``repro trace`` CLI output).
 * :mod:`repro.obs.runstore` — machine-readable run records and the
   content-addressed archive under ``benchmarks/out/records/``.
-* :mod:`repro.obs.regress` — the two-tier regression gate comparing a
-  fresh record against its committed ``BENCH_<id>.json`` baseline.
+* :mod:`repro.obs.regress` — the regression gate: a fresh record's
+  deterministic counters against its committed ``BENCH_<id>.json``
+  baseline, exactly.
 * :mod:`repro.obs.profile` — cross-run span profiles: self-time by span
   name, keyed by sweep parameter.
 * :mod:`repro.obs.provenance` — answer witnesses ("why is t an
@@ -104,8 +105,6 @@ from repro.obs.provenance import (
     explain_membership,
 )
 from repro.obs.regress import (
-    Band,
-    RegressionPolicy,
     RegressionReport,
     Violation,
     compare_records,
@@ -193,9 +192,7 @@ __all__ = [
     "render_metrics",
     "render_report",
     "render_span_tree",
-    "Band",
     "PointRecord",
-    "RegressionPolicy",
     "RegressionReport",
     "RunRecord",
     "RunStore",

@@ -36,6 +36,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.errors import ReproError
 from repro.logic.printer import formula_label
 from repro.logic.syntax import FIXPOINT_NODES, Formula
+from repro.obs.report import format_seconds
 from repro.obs.tracer import Span, Tracer
 
 
@@ -299,14 +300,6 @@ def annotate_evaluation(
     )
 
 
-def _format_seconds(seconds: float) -> str:
-    if seconds >= 1.0:
-        return f"{seconds:.3f}s"
-    if seconds >= 1e-3:
-        return f"{seconds * 1e3:.2f}ms"
-    return f"{seconds * 1e6:.0f}us"
-
-
 def render_explain_report(report: ExplainReport, max_label: int = 60) -> str:
     """Plain-text rendering: header, annotated tree, deviation list."""
     lines: List[str] = []
@@ -314,7 +307,7 @@ def render_explain_report(report: ExplainReport, max_label: int = 60) -> str:
         lines.append(f"{key}: {value}")
     lines.append(
         f"domain size: {report.domain_size}; attributed self time: "
-        f"{_format_seconds(report.total_self_seconds)}; predicted total "
+        f"{format_seconds(report.total_self_seconds)}; predicted total "
         f"cost: {report.predicted_total_cost} (n^k units)"
     )
     lines.append("")
@@ -330,7 +323,7 @@ def render_explain_report(report: ExplainReport, max_label: int = 60) -> str:
         parts.append(f"rows<=n^k={node.predicted_rows}")
         if node.iterations is not None:
             parts.append(f"iterations={node.iterations}")
-        parts.append(f"self={_format_seconds(node.self_seconds)}")
+        parts.append(f"self={format_seconds(node.self_seconds)}")
         parts.append(
             f"share={node.actual_share:.1%} (predicted "
             f"{node.predicted_share:.1%})"
@@ -513,9 +506,9 @@ def render_trace_diff(
                 path,
                 str(diff.count_a),
                 str(diff.count_b),
-                _format_seconds(diff.self_a),
-                _format_seconds(diff.self_b),
-                f"{sign}{_format_seconds(abs(diff.self_delta))}",
+                format_seconds(diff.self_a),
+                format_seconds(diff.self_b),
+                f"{sign}{format_seconds(abs(diff.self_delta))}",
                 note,
             )
         )
@@ -534,9 +527,9 @@ def render_trace_diff(
     total_a = sum(d.self_a for d in diffs)
     total_b = sum(d.self_b for d in diffs)
     lines.append(
-        f"total self: {label_a}={_format_seconds(total_a)}  "
-        f"{label_b}={_format_seconds(total_b)}  "
-        f"delta={_format_seconds(total_b - total_a)}"
+        f"total self: {label_a}={format_seconds(total_a)}  "
+        f"{label_b}={format_seconds(total_b)}  "
+        f"delta={format_seconds(total_b - total_a)}"
     )
     return "\n".join(lines)
 
@@ -655,15 +648,15 @@ class ProgressReporter(Tracer):
         delta = span.attrs.get("delta")
         if delta is not None:
             parts.append(f"delta={delta}")
-        parts.append(f"elapsed={_format_seconds(elapsed)}")
+        parts.append(f"elapsed={format_seconds(elapsed)}")
         eta = self._estimate_eta(history, elapsed, self._solve_bound(solve))
         remaining = self._guard_remaining()
         if eta is not None and remaining is not None:
             eta = min(eta, remaining)
         if eta is not None:
-            parts.append(f"eta~{_format_seconds(eta)}")
+            parts.append(f"eta~{format_seconds(eta)}")
         elif remaining is not None:
-            parts.append(f"deadline in {_format_seconds(remaining)}")
+            parts.append(f"deadline in {format_seconds(remaining)}")
         line = " ".join(parts)
         self.heartbeats.append(line)
         print(line, file=self._stream, flush=True)

@@ -12,9 +12,11 @@ is one table:
     fo.Exists        1.2ms      9.8ms      41.3ms    52.3ms
     fp.iteration     0.8ms      2.1ms      4.0ms     6.9ms
 
-Self-time is computed exactly as :meth:`repro.obs.tracer.Span.self_duration`
-does — a span's duration minus its direct children's — reconstructed
-from ``parent_id`` linkage when the input is serialized spans.
+Self-time is :meth:`repro.obs.tracer.Span.self_duration` — a span's
+duration minus its direct children's.  Serialized spans are rebuilt
+into trees first by :func:`repro.obs.explain.spans_from_dicts`, the
+same reader ``repro trace diff`` uses, so duplicate span ids are
+refused rather than merged.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ import warnings
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
+from repro.obs.explain import spans_from_dicts
+from repro.obs.report import format_seconds
+from repro.obs.tracer import Span
 
 #: One aggregation cell: span count, total duration, self duration.
 Cell = Dict[str, float]
@@ -90,34 +95,6 @@ def parse_trace_jsonl(
     return spans
 
 
-def self_durations(
-    spans: Sequence[Mapping[str, object]],
-) -> List[Tuple[str, float, float]]:
-    """``(name, total, self)`` per span, from serialized span dicts.
-
-    Self-time is reconstructed from the ``parent_id`` links: each span's
-    duration is subtracted from its parent's self bucket, mirroring
-    ``Span.self_duration()`` on the live objects.
-    """
-    selfs: Dict[object, float] = {}
-    names: Dict[object, str] = {}
-    totals: Dict[object, float] = {}
-    for span in spans:
-        span_id = span.get("span_id")
-        duration = float(span.get("duration", 0.0))  # type: ignore[arg-type]
-        selfs[span_id] = selfs.get(span_id, 0.0) + duration
-        names[span_id] = str(span.get("name", "?"))
-        totals[span_id] = duration
-    for span in spans:
-        parent = span.get("parent_id")
-        if parent is not None and parent in selfs:
-            selfs[parent] -= float(span.get("duration", 0.0))  # type: ignore[arg-type]
-    return [
-        (names[span_id], totals[span_id], selfs[span_id])
-        for span_id in names
-    ]
-
-
 class SpanProfile:
     """Per-span-name, per-parameter aggregation of self/total time."""
 
@@ -137,25 +114,33 @@ class SpanProfile:
             parameter, {"count": 0.0, "total": 0.0, "self": 0.0}
         )
 
+    def _add(self, parameter: float, spans: Iterable[Span]) -> "SpanProfile":
+        for span in spans:
+            cell = self._cell(span.name, float(parameter))
+            cell["count"] += 1
+            cell["total"] += span.duration
+            cell["self"] += span.self_duration()
+        return self
+
     def add_tracer(self, parameter: float, tracer) -> "SpanProfile":
         """Fold one live :class:`repro.obs.tracer.Tracer` in."""
-        for name, agg in tracer.aggregate().items():
-            cell = self._cell(name, float(parameter))
-            cell["count"] += agg["count"]
-            cell["total"] += agg["total"]
-            cell["self"] += agg["self"]
-        return self
+        return self._add(parameter, tracer.spans)
 
     def add_spans(
         self, parameter: float, spans: Sequence[Mapping[str, object]]
     ) -> "SpanProfile":
-        """Fold serialized span dicts (JSONL lines / record points) in."""
-        for name, total, self_time in self_durations(spans):
-            cell = self._cell(name, float(parameter))
-            cell["count"] += 1
-            cell["total"] += total
-            cell["self"] += self_time
-        return self
+        """Fold serialized span dicts (JSONL lines / record points) in.
+
+        Raises :class:`~repro.obs.explain.ExplainError` on a duplicate
+        ``span_id``, as when two tracers' exports are concatenated.
+        """
+        pending = spans_from_dicts(spans)
+        rebuilt: List[Span] = []
+        while pending:
+            span = pending.pop()
+            rebuilt.append(span)
+            pending.extend(span.children)
+        return self._add(parameter, rebuilt)
 
     def merge(self, other: "SpanProfile") -> "SpanProfile":
         for name, by_param in other._cells.items():
@@ -230,14 +215,6 @@ def profile_record(record) -> SpanProfile:
     return profile
 
 
-def _format_seconds(seconds: float) -> str:
-    if seconds >= 1.0:
-        return f"{seconds:.3f}s"
-    if seconds >= 1e-3:
-        return f"{seconds * 1e3:.2f}ms"
-    return f"{seconds * 1e6:.0f}us"
-
-
 def render_profile(profile: SpanProfile, top: int = 10) -> str:
     """The hot-span matrix: rows = span names, columns = parameters.
 
@@ -256,8 +233,8 @@ def render_profile(profile: SpanProfile, top: int = 10) -> str:
         row = [name]
         for parameter in profile.parameters:
             cell = profile.cell(name, parameter)
-            row.append("-" if cell is None else _format_seconds(cell["self"]))
-        row.append(_format_seconds(profile.total_self(name)))
+            row.append("-" if cell is None else format_seconds(cell["self"]))
+        row.append(format_seconds(profile.total_self(name)))
         rows.append(row)
     widths = [
         max(len(header[i]), max(len(r[i]) for r in rows))

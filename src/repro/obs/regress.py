@@ -1,20 +1,13 @@
 """The regression gate: compare a fresh run record against its baseline.
 
-Two-tier policy, matching what is actually reproducible on shared
-hardware:
-
-* **Tier 1 — deterministic counters** (iterations, rows high-water,
-  clauses, decisions, answer sizes).  Seeded workloads make these exact,
-  so the default band is *exact match*; an experiment that legitimately
-  varies a counter declares a per-counter tolerance instead.  Any drift
-  here means the computation itself changed — a solver taking different
-  steps, a cache no longer engaging — and is flagged no matter how fast
-  the run was.
-* **Tier 2 — noisy measurements**: wall-clock seconds and the fitted
-  polynomial degree.  These get noise-tolerant bands (a per-point ratio
-  for seconds, an absolute band for the degree) and can be disabled
-  entirely (``RegressionPolicy.counters_only()``) for CI boxes whose
-  timings mean nothing.
+One policy: the experiment, the swept parameters, every point's
+outcome and every deterministic counter (iterations, rows high-water,
+clauses, decisions, answer sizes) must match the baseline exactly.
+Seeded workloads make these exact, so any drift means the computation
+itself changed — a solver taking different steps, a cache no longer
+engaging.  Wall-clock is never compared here: a point's ``seconds`` is
+a plain reading, and timing claims are measured by the repository
+benchmark (``BENCHMARK.json``, ``perfbench/``) in paired runs.
 
 The output is a structured :class:`RegressionReport` — machine-readable
 violations naming the drifted counter, the parameter it drifted at, and
@@ -23,77 +16,10 @@ both values — rendered as a plain-text diff for humans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.obs.runstore import RunRecord
-
-#: Seconds below this are treated as this for ratio purposes: at
-#: sub-millisecond scales the scheduler, not the code, sets the number.
-SECONDS_FLOOR = 1e-3
-
-
-@dataclass(frozen=True)
-class Band:
-    """An allowed deviation: ``|fresh - base| <= abs_tol + rel_tol*|base|``.
-
-    The default (both zero) is exact match — the tier-1 contract.
-    """
-
-    abs_tol: float = 0.0
-    rel_tol: float = 0.0
-
-    def allows(self, baseline: float, fresh: float) -> bool:
-        return abs(fresh - baseline) <= (
-            self.abs_tol + self.rel_tol * abs(baseline)
-        )
-
-    def describe(self) -> str:
-        if self.abs_tol == 0.0 and self.rel_tol == 0.0:
-            return "exact"
-        parts = []
-        if self.abs_tol:
-            parts.append(f"±{self.abs_tol:g}")
-        if self.rel_tol:
-            parts.append(f"±{self.rel_tol:.0%}")
-        return " and ".join(parts)
-
-
-#: The tier-1 default: deterministic counters must match exactly.
-EXACT = Band()
-
-
-@dataclass(frozen=True)
-class RegressionPolicy:
-    """What the gate enforces and how tightly.
-
-    ``counter_bands`` declares per-counter tolerances (by exact counter
-    name); every undeclared counter uses ``default_counter_band``
-    (exact, unless an experiment loosens it).  ``seconds_ratio`` is the
-    tier-2 wall-clock band — a fresh point may take at most that
-    multiple of its baseline point (``None`` disables the check).
-    ``degree_band`` is the allowed absolute drift of any fitted model
-    coefficient (poly degree / exp rate; ``None`` disables).
-    """
-
-    counter_bands: Mapping[str, Band] = field(default_factory=dict)
-    default_counter_band: Band = EXACT
-    seconds_ratio: Optional[float] = 2.0
-    degree_band: Optional[float] = 0.5
-
-    def band_for(self, counter: str) -> Band:
-        return self.counter_bands.get(counter, self.default_counter_band)
-
-    @classmethod
-    def counters_only(
-        cls, counter_bands: Optional[Mapping[str, Band]] = None
-    ) -> "RegressionPolicy":
-        """The CI policy: tier 1 only — timings carry no signal there."""
-        return cls(
-            counter_bands=counter_bands or {},
-            seconds_ratio=None,
-            degree_band=None,
-        )
 
 
 @dataclass(frozen=True)
@@ -101,8 +27,7 @@ class Violation:
     """One gate failure, precise enough to act on without rerunning."""
 
     kind: str  # 'experiment' | 'parameters' | 'outcome' | 'counter'
-    #          | 'seconds' | 'fit'
-    name: str  # counter/series name, or '' for structural kinds
+    name: str  # counter name, or '' for structural kinds
     parameter: Optional[float]
     baseline: object
     fresh: object
@@ -171,7 +96,6 @@ def _compare_counters(
     parameter: float,
     base_counters: Mapping[str, float],
     fresh_counters: Mapping[str, float],
-    policy: RegressionPolicy,
     violations: List[Violation],
     notes: List[str],
 ) -> int:
@@ -196,8 +120,7 @@ def _compare_counters(
             continue
         checked += 1
         fresh_value = fresh_counters[name]
-        band = policy.band_for(name)
-        if not band.allows(base_value, fresh_value):
+        if fresh_value != base_value:
             violations.append(
                 Violation(
                     kind="counter",
@@ -205,7 +128,7 @@ def _compare_counters(
                     parameter=parameter,
                     baseline=base_value,
                     fresh=fresh_value,
-                    allowed=band.describe(),
+                    allowed="exact",
                     message=(
                         f"deterministic counter {name!r} drifted at "
                         f"param={parameter:g}: {base_value:g} -> "
@@ -222,20 +145,14 @@ def _compare_counters(
     return checked
 
 
-def compare_records(
-    baseline: RunRecord,
-    fresh: RunRecord,
-    policy: Optional[RegressionPolicy] = None,
-) -> RegressionReport:
-    """Gate ``fresh`` against ``baseline`` under ``policy``.
+def compare_records(baseline: RunRecord, fresh: RunRecord) -> RegressionReport:
+    """Gate ``fresh`` against ``baseline``.
 
     Structural drift (different experiment, missing/extra sweep points,
-    flipped outcomes) is always a violation; counters follow tier 1,
-    seconds and fitted shapes tier 2.  Environment-fingerprint drift is
-    reported as a note so a reader knows when tier-2 numbers cross
-    machines.
+    flipped outcomes) and any counter that differs from its baseline
+    value, or is missing, are violations.  Counters only the fresh run
+    has are reported as a note.
     """
-    policy = policy if policy is not None else RegressionPolicy()
     violations: List[Violation] = []
     notes: List[str] = []
     counters_checked = 0
@@ -259,20 +176,6 @@ def compare_records(
             notes=tuple(notes),
             counters_checked=0,
             points_checked=0,
-        )
-
-    env_drift = sorted(
-        key
-        for key in set(baseline.env) | set(fresh.env)
-        if baseline.env.get(key) != fresh.env.get(key)
-    )
-    if env_drift:
-        notes.append(
-            "environment drift (tier-2 bands may not be meaningful): "
-            + ", ".join(
-                f"{key}={baseline.env.get(key)!r}->{fresh.env.get(key)!r}"
-                for key in env_drift
-            )
         )
 
     base_params = baseline.parameters()
@@ -320,76 +223,9 @@ def compare_records(
             base_point.parameter,
             base_point.counter_dict(),
             fresh_point.counter_dict(),
-            policy,
             violations,
             notes,
         )
-        if (
-            policy.seconds_ratio is not None
-            and base_point.outcome == "ok"
-        ):
-            allowed_seconds = policy.seconds_ratio * max(
-                base_point.seconds, SECONDS_FLOOR
-            )
-            if fresh_point.seconds > allowed_seconds:
-                violations.append(
-                    Violation(
-                        kind="seconds",
-                        name="seconds",
-                        parameter=base_point.parameter,
-                        baseline=base_point.seconds,
-                        fresh=fresh_point.seconds,
-                        allowed=f"<= {policy.seconds_ratio:g}x baseline",
-                        message=(
-                            f"wall-clock at param="
-                            f"{base_point.parameter:g} exceeded the "
-                            f"noise band: {base_point.seconds:.6f}s -> "
-                            f"{fresh_point.seconds:.6f}s"
-                        ),
-                    )
-                )
-
-    if policy.degree_band is not None:
-        for series, base_fit in sorted(baseline.fits.items()):
-            fresh_fit = fresh.fits.get(series)
-            if fresh_fit is None or base_fit.get("model") == "none":
-                continue
-            if base_fit.get("model") != fresh_fit.get("model"):
-                violations.append(
-                    Violation(
-                        kind="fit",
-                        name=series,
-                        parameter=None,
-                        baseline=base_fit.get("model"),
-                        fresh=fresh_fit.get("model"),
-                        allowed="same model",
-                        message=(
-                            f"growth model for {series!r} flipped: "
-                            f"{base_fit.get('model')} -> "
-                            f"{fresh_fit.get('model')} — a shape "
-                            f"assertion is about to follow"
-                        ),
-                    )
-                )
-                continue
-            base_coef = float(base_fit.get("coefficient", 0.0))  # type: ignore[arg-type]
-            fresh_coef = float(fresh_fit.get("coefficient", 0.0))  # type: ignore[arg-type]
-            if abs(fresh_coef - base_coef) > policy.degree_band:
-                violations.append(
-                    Violation(
-                        kind="fit",
-                        name=series,
-                        parameter=None,
-                        baseline=base_coef,
-                        fresh=fresh_coef,
-                        allowed=f"±{policy.degree_band:g}",
-                        message=(
-                            f"fitted {base_fit.get('model')} coefficient "
-                            f"for {series!r} drifted: {base_coef:.3f} -> "
-                            f"{fresh_coef:.3f}"
-                        ),
-                    )
-                )
 
     return RegressionReport(
         experiment_id=baseline.experiment_id,

@@ -15,7 +15,8 @@ from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.tracer import Span, Tracer
 
 
-def _format_seconds(seconds: float) -> str:
+def format_seconds(seconds: float) -> str:
+    """A duration in the unit that keeps it readable: s, ms or us."""
     if seconds >= 1.0:
         return f"{seconds:.3f}s"
     if seconds >= 1e-3:
@@ -46,7 +47,7 @@ def render_span_tree(
     def visit(span: Span, depth: int) -> None:
         indent = "  " * depth
         lines.append(
-            f"{indent}{span.name}  {_format_seconds(span.duration)}"
+            f"{indent}{span.name}  {format_seconds(span.duration)}"
             f"{_format_attrs(span)}"
         )
         if max_depth is not None and depth + 1 > max_depth:
@@ -89,8 +90,8 @@ def render_hot_spans(tracer: Tracer, k: int = 10) -> str:
         (
             str(row["name"]),
             str(int(row["count"])),
-            _format_seconds(float(row["self"])),
-            _format_seconds(float(row["total"])),
+            format_seconds(float(row["self"])),
+            format_seconds(float(row["total"])),
         )
         for row in rows
     ]

@@ -9,11 +9,13 @@ span trace — and a :class:`RunStore` archives records content-addressed
 under ``benchmarks/out/records/`` so the perf *trajectory* of the repo
 is queryable across runs.
 
-Why fitted shapes and counters, not raw milliseconds: the paper's claims
-are scaling shapes (PTIME vs NP vs PSPACE as ``n`` and ``|Q|`` sweep),
-and the reproducible quantity on real hardware is the fitted growth
-degree plus the deterministic work counters — wall-clock only gets a
-noise-tolerant band (see :mod:`repro.obs.regress`).
+Why counters, not raw milliseconds: the paper's claims bound counted
+resources (intermediate rows, certificate tuples, live fixpoint tuples)
+as ``n`` and ``|Q|`` sweep, and the reproducible quantity on real
+hardware is the deterministic work counter.  The regression gate
+(:mod:`repro.obs.regress`) compares counters exactly; growth shapes are
+fitted to the counters an experiment declares.  Each point's wall-clock
+``seconds`` is kept as a plain reading and is neither fitted nor gated.
 
 Store layout (``root`` is normally ``benchmarks/out/records``)::
 
@@ -70,9 +72,9 @@ def env_fingerprint(cwd: Optional[str] = None) -> Dict[str, object]:
     """The environment a record was measured in.
 
     Deliberately small: just enough to tell "same machine, same
-    interpreter" from "numbers not comparable".  Fingerprint drift is
-    reported by the regression gate as a note, never as a violation —
-    deterministic counters are env-independent by construction.
+    interpreter" from "numbers not comparable".  The regression gate
+    ignores it: deterministic counters are env-independent by
+    construction.
     """
     return {
         "python": platform.python_version(),
@@ -98,8 +100,9 @@ class PointRecord:
     """One sweep point of a run: parameter, outcome, counters.
 
     ``counters`` holds the *deterministic* work counters (iterations,
-    rows high-water, clauses, decisions, ...) — the tier-1 quantities of
-    the regression gate.  ``seconds`` is wall-clock, tier-2 only.
+    rows high-water, clauses, decisions, ...) — the quantities the
+    regression gate compares.  ``seconds`` is the wall-clock reading,
+    which nothing gates.
     ``spans`` optionally carries the point's raw span dicts (the JSONL
     schema of :meth:`repro.obs.tracer.Tracer.export_jsonl`) for the
     cross-run profiler.
@@ -248,8 +251,8 @@ def fit_series(
     """Classify one series' growth; the record-side view of a GrowthFit.
 
     Returns ``{model, coefficient, intercept, residual, degree|base}``;
-    ``degree`` is present for the polynomial winner (the quantity the
-    regression gate bands), ``base`` for the exponential winner.
+    ``degree`` is present for the polynomial winner, ``base`` for the
+    exponential winner.
     Series too short or degenerate to fit return ``{"model": "none"}``.
     """
     # imported lazily: repro.complexity.measure imports repro.obs.tracer,
@@ -296,9 +299,8 @@ def build_record(
     """Assemble a :class:`RunRecord` from parallel per-point series.
 
     ``fit_counters`` names the counters whose growth shape should be
-    fitted alongside wall-clock (only points with ``outcome == "ok"``
-    enter a fit).  Benches that build rows by hand use this; sweeps use
-    :func:`record_from_sweep`.
+    fitted (only points with ``outcome == "ok"`` enter a fit).  Benches
+    that build rows by hand use this; sweeps use :func:`record_from_sweep`.
     """
     n = len(parameters)
     counters = counters if counters is not None else [{}] * n
@@ -324,21 +326,16 @@ def build_record(
     )
     ok = [p for p in points if p.outcome == "ok"]
     fits: Dict[str, Mapping[str, object]] = {}
-    if len(ok) >= 2:
-        fits["seconds"] = fit_series(
-            [p.parameter for p in ok], [p.seconds for p in ok]
-        )
-        for name in fit_counters:
-            series = [
-                (p.parameter, p.counter_dict().get(name))
-                for p in ok
-                if name in p.counter_dict()
-            ]
-            if len(series) >= 2:
-                fits[name] = fit_series(
-                    [s[0] for s in series],
-                    [s[1] for s in series],  # type: ignore[list-item]
-                )
+    for name in fit_counters:
+        series = [
+            (p.parameter, p.counter_dict()[name])
+            for p in ok
+            if name in p.counter_dict()
+        ]
+        if len(series) >= 2:
+            fits[name] = fit_series(
+                [s[0] for s in series], [s[1] for s in series]
+            )
     return RunRecord(
         experiment_id=experiment_id,
         title=title,

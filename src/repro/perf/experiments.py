@@ -5,7 +5,8 @@ a plain picklable workload, so the CLI can run it, record it into the
 run store, and gate it against its committed ``BENCH_<id>.json``
 baseline without going through pytest.  The seeds are fixed and every
 counter the workloads report is deterministic — that is what makes the
-tier-1 exact-match policy of :mod:`repro.obs.regress` possible.
+exact-match gate of :mod:`repro.obs.regress` possible.  Every point
+runs once, with no warm-up: no gate reads its wall-clock.
 
 Workloads follow the :func:`repro.complexity.run_sweep` convention:
 ``workload(parameter)`` or ``workload(parameter, tracer)``, returning a
@@ -69,7 +70,7 @@ def _options(
 def _parsed(text: str):
     """Parse a workload query once per process.
 
-    The sweeps measure *evaluation*, and every repetition would otherwise
+    The sweeps measure *evaluation*, and every point would otherwise
     re-tokenize the same fixed query string — pure constant overhead that
     dilutes the per-point timings at small n.
     """
@@ -181,10 +182,10 @@ def serve_workload(
     concurrency slot is deliberately held, so queue-full shedding is
     decided by counts, never by wall-clock.  Evaluation is inline and
     serial and all chaos is seeded, which makes every reported counter
-    exact-reproducible — the property the tier-1 ``counters_only``
-    regression gate needs.  ``deadline`` is accepted because the perf
-    harness always binds one, but deliberately unused: coupling these
-    counters to wall-clock would break the exact-match gate.
+    exact-reproducible — the property the exact-match regression gate
+    needs.  ``deadline`` is accepted because the perf harness always
+    binds one, but deliberately unused: coupling these counters to
+    wall-clock would break the exact-match gate.
     """
     import asyncio
 
@@ -279,7 +280,6 @@ class PerfExperiment:
     workload: Callable[..., Dict[str, float]]
     options: Mapping[str, object] = field(default_factory=dict)
     fit_counters: Tuple[str, ...] = ()
-    repetitions: int = 1
 
     def bind(
         self,
@@ -326,7 +326,6 @@ EXPERIMENTS: Dict[str, PerfExperiment] = {
         workload=tc_workload,
         options={"strategy": "seminaive", "backend": "sparse"},
         fit_counters=("table_ops", "answer_rows"),
-        repetitions=1,
     ),
     "T2-FP-PACKED": PerfExperiment(
         experiment_id="T2-FP-PACKED",
@@ -335,9 +334,6 @@ EXPERIMENTS: Dict[str, PerfExperiment] = {
         workload=tc_workload,
         options={"strategy": "seminaive", "backend": "packed"},
         fit_counters=("table_ops", "answer_rows"),
-        # min-of-5 with warmup: the recorded packed-kernel timings then
-        # measure steady state, not first-run import and mask-cache fills
-        repetitions=5,
     ),
     "T2-FO": PerfExperiment(
         experiment_id="T2-FO",
@@ -346,7 +342,6 @@ EXPERIMENTS: Dict[str, PerfExperiment] = {
         workload=fo_path_workload,
         options={"path_len": 4, "edge_prob": 0.3},
         fit_counters=("table_ops", "max_intermediate_rows"),
-        repetitions=1,
     ),
     "T2-ESO": PerfExperiment(
         experiment_id="T2-ESO",
@@ -355,7 +350,6 @@ EXPERIMENTS: Dict[str, PerfExperiment] = {
         workload=eso_two_color_workload,
         options={"edge_prob": 0.25},
         fit_counters=("sat_variables", "sat_clauses"),
-        repetitions=1,
     ),
     "SERVE": PerfExperiment(
         experiment_id="SERVE",
@@ -364,7 +358,6 @@ EXPERIMENTS: Dict[str, PerfExperiment] = {
         workload=serve_workload,
         options={"requests": 18, "max_queue": 4, "burst": 8},
         fit_counters=("ok", "answer_rows"),
-        repetitions=1,
     ),
 }
 
@@ -437,7 +430,6 @@ def run_experiment(
     overrides: Optional[Mapping[str, object]] = None,
     sizes: Optional[Sequence[float]] = None,
     deadline: Optional[float] = None,
-    repetitions: Optional[int] = None,
     trace: bool = False,
     jobs: int = 1,
 ):
@@ -445,13 +437,11 @@ def run_experiment(
     from repro.complexity.measure import run_sweep
     from repro.obs.tracer import Tracer
 
-    reps = repetitions if repetitions is not None else experiment.repetitions
     return run_sweep(
         experiment.experiment_id,
         list(sizes) if sizes else list(experiment.parameters),
         experiment.bind(overrides, deadline),
-        repetitions=reps,
-        warmup=reps > 1,
+        warmup=False,
         tracer_factory=Tracer if trace else None,
         parallel=max(1, jobs),
     )

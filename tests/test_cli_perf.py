@@ -65,8 +65,7 @@ class TestPerfCompare:
         _record(store)
         capsys.readouterr()
         code = main(
-            ["perf", "compare", "T2-FP", "--store", store, *SIZES,
-             "--counters-only"]
+            ["perf", "compare", "T2-FP", "--store", store, *SIZES]
         )
         assert code == 0
         assert "PASS" in capsys.readouterr().out
@@ -78,7 +77,7 @@ class TestPerfCompare:
         capsys.readouterr()
         code = main(
             ["perf", "compare", "T2-FP", "--store", store, *SIZES,
-             "--counters-only", "--set", "strategy=naive"]
+             "--set", "strategy=naive"]
         )
         assert code == 1
         out = capsys.readouterr().out
@@ -91,7 +90,7 @@ class TestPerfCompare:
         capsys.readouterr()
         code = main(
             ["perf", "compare", "T2-FP", "--store", store, *SIZES,
-             "--counters-only", "--json", "--set", "strategy=naive"]
+             "--json", "--set", "strategy=naive"]
         )
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
@@ -106,7 +105,7 @@ class TestPerfCompare:
         capsys.readouterr()
         code = main(
             ["perf", "compare", "T2-FP", "--store", store,
-             "--use-latest", "--counters-only"]
+             "--use-latest"]
         )
         assert code == 0
         assert "PASS" in capsys.readouterr().out
@@ -117,6 +116,37 @@ class TestPerfCompare:
         )
         assert code == 1
         assert "no baseline" in capsys.readouterr().err
+
+
+class TestOneGate:
+    """``perf compare`` has one policy, so the timing-tier knobs and the
+    per-point repetition count are gone; ``sweep`` keeps its own."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["perf", "compare", "T2-FP", "--counters-only"],
+            ["perf", "compare", "T2-FP", "--seconds-ratio", "2"],
+            ["perf", "compare", "T2-FP", "--degree-band", "0.5"],
+            ["perf", "record", "T2-FP", "--repetitions", "3"],
+            ["perf", "compare", "T2-FP", "--repetitions", "3"],
+            ["perf", "profile", "T2-FP", "--repetitions", "3"],
+        ],
+    )
+    def test_removed_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_sweep_keeps_repetitions(self, capsys):
+        code = main(
+            ["sweep", "--query", "E(x, y)", "--sizes", "4", "6",
+             "--repetitions", "2"]
+        )
+        assert code == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert [row.split()[0] for row in rows] == ["4", "6"]
 
 
 class TestPerfReport:
@@ -159,7 +189,7 @@ class TestBenchOnlyIds:
         assert "[BENCH-ONLY] 1 record(s)" in capsys.readouterr().out
         code = main(
             ["perf", "compare", "BENCH-ONLY", "--store", store,
-             "--use-latest", "--counters-only"]
+             "--use-latest"]
         )
         assert code == 0
         assert "PASS" in capsys.readouterr().out
@@ -169,8 +199,7 @@ class TestBenchOnlyIds:
     ):
         self._seed(store)
         code = main(
-            ["perf", "compare", "BENCH-ONLY", "--store", store,
-             "--counters-only"]
+            ["perf", "compare", "BENCH-ONLY", "--store", store]
         )
         assert code == 1
         assert "unknown perf experiment" in capsys.readouterr().err
@@ -197,6 +226,30 @@ class TestPerfProfile:
         out = capsys.readouterr().out
         assert "n=7" in out
         assert "outer" in out and "inner" in out
+
+    def test_profile_refuses_concatenated_traces(self, tmp_path, capsys):
+        """Two tracers' exports both number their spans from 1; merging
+        them by id would misattribute self time, so the profile fails
+        like ``repro trace diff`` does."""
+        from repro.obs.tracer import Tracer
+
+        def ticks():
+            return iter(range(100)).__next__
+
+        first = Tracer(clock=ticks())
+        with first.span("outer"):  # 3 ticks, 1 of them in inner
+            with first.span("inner"):
+                pass
+        second = Tracer(clock=ticks())
+        with second.span("solo"):
+            pass
+        path = tmp_path / "both.jsonl"
+        path.write_text(
+            first.export_jsonl() + "\n" + second.export_jsonl() + "\n"
+        )
+        code = main(["perf", "profile", "--jsonl", str(path)])
+        assert code == 1
+        assert "duplicate span_id 1" in capsys.readouterr().err
 
     def test_profile_runs_a_traced_sweep(self, store, capsys):
         code = main(

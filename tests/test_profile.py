@@ -10,7 +10,6 @@ from repro.obs.profile import (
     profile_record,
     profile_sweep,
     render_profile,
-    self_durations,
 )
 from repro.obs.tracer import Tracer
 
@@ -86,19 +85,29 @@ class TestParseTraceJsonl:
 class TestSelfDurations:
     def test_parent_minus_children(self):
         spans = parse_trace_jsonl(_traced().export_jsonl())
-        by_name = {}
-        for name, total, self_time in self_durations(spans):
-            by_name.setdefault(name, []).append((total, self_time))
+        profile = SpanProfile().add_spans(4.0, spans)
         # outer lasted 5 ticks, children 1 tick each -> self = 3
-        (outer,) = by_name["outer"]
-        assert outer == (5.0, 3.0)
-        assert by_name["child"] == [(1.0, 1.0), (1.0, 1.0)]
+        assert profile.cell("outer", 4.0) == {
+            "count": 1.0,
+            "total": 5.0,
+            "self": 3.0,
+        }
+        assert profile.cell("child", 4.0) == {
+            "count": 2.0,
+            "total": 2.0,
+            "self": 2.0,
+        }
 
     def test_orphan_parent_ignored(self):
-        rows = self_durations(
-            [{"span_id": 1, "parent_id": 99, "name": "a", "duration": 2.0}]
+        profile = SpanProfile().add_spans(
+            4.0,
+            [{"span_id": 1, "parent_id": 99, "name": "a", "duration": 2.0}],
         )
-        assert rows == [("a", 2.0, 2.0)]
+        assert profile.cell("a", 4.0) == {
+            "count": 1.0,
+            "total": 2.0,
+            "self": 2.0,
+        }
 
 
 class TestSpanProfile:

@@ -1,6 +1,8 @@
 """Unit tests for the run store: records, digests, baselines, index."""
 
+import glob
 import json
+import os
 
 import pytest
 
@@ -108,6 +110,28 @@ class TestRunRecord:
             build_record(
                 "EXP", "t", parameters=[1.0, 2.0], seconds=[0.1]
             )
+
+
+class TestFits:
+    def test_wall_clock_is_not_fitted(self):
+        record = _record()
+        assert sorted(record.fits) == ["rows"]
+        assert record.point(6.0).seconds == 0.04
+
+    def test_committed_baselines_carry_no_seconds_fit(self):
+        root = os.path.join(
+            os.path.dirname(__file__), os.pardir, "benchmarks", "out",
+            "records",
+        )
+        paths = sorted(glob.glob(os.path.join(root, "BENCH_*.json")))
+        assert paths
+        for path in paths:
+            with open(path) as handle:
+                text = handle.read()
+            record = RunRecord.from_json(text)
+            assert "seconds" not in record.fits, path
+            # baselines are written by RunStore.save_baseline, unedited
+            assert record.to_json() + "\n" == text, path
 
 
 class TestFitSeries:
