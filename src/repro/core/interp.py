@@ -26,6 +26,7 @@ intermediate results.  :class:`EvalStats` audits that bound at runtime.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import (
     Dict,
     FrozenSet,
@@ -421,7 +422,8 @@ class VarTable:
         """Read the table out as a plain relation in the given column order.
 
         Columns must be exactly the table's variables (this is the final
-        projection/permutation step of Prop 3.1's proof).
+        projection/permutation step of Prop 3.1's proof).  In the table's
+        own column order the relation shares the table's frozenset.
         """
         if set(output_vars) != set(self._vars) or len(output_vars) != len(
             self._vars
@@ -430,11 +432,13 @@ class VarTable:
                 f"output variables {tuple(output_vars)} must be a permutation "
                 f"of table columns {self._vars}"
             )
-        positions = [self._vars.index(v) for v in output_vars]
-        return Relation(
-            len(positions),
-            (tuple(row[p] for p in positions) for row in self._rows),
-        )
+        width = len(self._vars)
+        if tuple(output_vars) == self._vars:
+            return Relation._trusted(width, self._rows)
+        # a permutation moves at least two columns, so itemgetter
+        # returns tuples
+        pick = operator.itemgetter(*(self._vars.index(v) for v in output_vars))
+        return Relation._trusted(width, frozenset(map(pick, self._rows)))
 
     # -- dunder ---------------------------------------------------------
 

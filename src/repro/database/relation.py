@@ -44,6 +44,19 @@ class Relation:
         self._tuples: FrozenSet[TupleOfValues] = frozen
 
     @classmethod
+    def _trusted(cls, arity: int, tuples: FrozenSet[TupleOfValues]) -> "Relation":
+        """Internal constructor for answers the engines build.
+
+        Skips all validation: ``tuples`` must already be a frozenset of
+        tuples of length ``arity``.  It is shared, not copied — frozensets
+        are immutable.  Every public path still goes through ``__init__``.
+        """
+        relation = cls.__new__(cls)
+        relation._arity = arity
+        relation._tuples = tuples
+        return relation
+
+    @classmethod
     def empty(cls, arity: int) -> "Relation":
         """The empty relation of the given arity."""
         return cls(arity, ())

@@ -188,7 +188,7 @@ class PackedBackend:
         self._mask_bits = registry.gauge("kernel.mask_bits")
         # cache tallies live on the shared codec; this backend publishes
         # the deltas it witnesses as kernel.cache.* counters
-        tallies = self.codec.atom_tallies + self.codec.align_tallies
+        tallies = self.codec.align_tallies
         self._cache_tallies = [
             (tally, registry.counter("kernel.cache." + tally.name))
             for tally in tallies
@@ -262,18 +262,12 @@ class PackedBackend:
                 relation, var_positions, const_positions, columns
             )
         # Encoding a sparse relation walks it row by row — the only
-        # per-row loop left in the packed pipeline.  Base relations are
-        # immutable and hit with the same terms on every solve, so cache
-        # the finished mask on the (shared) codec's LRU.
-        cache = self.codec.atom_masks
-        key = (relation, tuple(terms))
-        mask = cache.get(key)
-        if mask is None:
-            encode = self.codec.encode_row
-            mask = 0
-            for row in selected_rows(relation, pattern):
-                mask |= 1 << encode(row)
-            cache.put(key, mask)
+        # per-row loop left in the packed pipeline.  Within one
+        # evaluation the evaluator's memo serves a repeated atom.
+        encode = self.codec.encode_row
+        mask = 0
+        for row in selected_rows(relation, pattern):
+            mask |= 1 << encode(row)
         return PackedTable(self.codec, tuple(columns), mask, self.tracer)
 
     def _atom_from_mask(

@@ -1,11 +1,13 @@
 """The one bounded least-recently-used map behind every cross-evaluation cache.
 
-:class:`~repro.perf.cache.SubqueryCache`, the packed kernel's atom-mask
-and per-table alignment caches (:mod:`repro.kernel.packed`) and the
-shared codec table (:func:`repro.kernel.backend.codec_for`) each hold
-an :class:`LRU`.  None of them is ever invalidated: each key is built
-from everything its value was computed from, so changed inputs key to
-a new entry and the old one ages out under the bound.
+:class:`~repro.perf.cache.SubqueryCache`, the packed kernel's
+per-table alignment caches (:mod:`repro.kernel.packed`), the shared
+codec table (:func:`repro.kernel.backend.codec_for`) and the serve
+layer's per-process answer-encoding memo
+(:func:`repro.serve.workers.encode_rows`) each hold an :class:`LRU`.
+None of them is ever invalidated: each key is built from everything its
+value was computed from, so changed inputs key to a new entry and the
+old one ages out under the bound.
 """
 
 from __future__ import annotations

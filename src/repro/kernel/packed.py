@@ -101,9 +101,6 @@ def _rep_factor(width: int, count: int) -> int:
 #: per subformula is sane, and the sparse backend handles it gracefully.
 DEFAULT_MAX_BITS = 1 << 27
 
-#: Per-codec cap on cached sparse-relation atom encodings.
-ATOM_CACHE_LIMIT = 128
-
 #: Per-table cap on cached alignment (cylindrification) masks.  A table
 #: is only ever re-aligned against the join schemas it actually meets —
 #: normally a handful — but adversarial property-test formulas can meet
@@ -129,9 +126,7 @@ class DomainCodec:
         "_steps",
         "_plans",
         "_diffs",
-        "atom_tallies",
         "align_tallies",
-        "atom_masks",
     )
 
     def __init__(self, domain: Domain, max_bits: int = DEFAULT_MAX_BITS):
@@ -151,15 +146,10 @@ class DomainCodec:
             covered += step
         self._plans: Dict[Tuple[int, int, int], list] = {}
         self._diffs: Dict[Tuple[int, int, int], list] = {}
-        # tallies of the caches that hang off this codec, one triple shared
-        # by the alignment caches of all its tables; backends publish the
-        # deltas as kernel.cache.* counters
-        self.atom_tallies = new_tallies("atom_")
+        # one tally triple shared by the alignment caches of all this
+        # codec's tables; backends publish the deltas as kernel.cache.*
+        # counters
         self.align_tallies = new_tallies("align_")
-        # sparse-relation atom encodings (see PackedBackend.atom_table):
-        # keyed by (relation, terms) so each base relation is walked
-        # row-by-row once per codec rather than once per evaluation
-        self.atom_masks = LRU(ATOM_CACHE_LIMIT, tallies=self.atom_tallies)
 
     # -- encoding ------------------------------------------------------
 
@@ -894,7 +884,6 @@ class PackedRelation(Relation):
 
 __all__ = [
     "ALIGN_CACHE_LIMIT",
-    "ATOM_CACHE_LIMIT",
     "DEFAULT_MAX_BITS",
     "DomainCodec",
     "PackedRelation",

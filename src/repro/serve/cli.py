@@ -19,9 +19,12 @@ Two modes share one flag surface:
   assert that every response is either a correct answer for its wave
   (differentially checked against a direct in-process evaluation of
   the database before or after the mutation) or a structured 429/503.
-  Exit 0 only if that holds and the injected crash was actually
-  retried.  The second wave is what catches a pool worker answering
-  from a stale resident copy of the database.
+  Exit 0 only if that holds, the injected crash was actually
+  retried, and the answer rows reconcile: the rows in the 200
+  responses, ``serve.answer_rows`` in ``/stats`` and the ``rows`` of
+  the telemetry lines sum to one total.  The second wave is what
+  catches a pool worker answering from a stale resident copy of the
+  database.
 
 The smoke drill auto-provisions a seeded random graph database
 (``smoke``) and the transitive-closure query (``tc``) so it needs no
@@ -199,6 +202,12 @@ def _smoke_mutation(db: Database) -> Tuple[str, Tuple[int, int], Database]:
 
 
 async def _run_smoke(args: argparse.Namespace) -> int:
+    # the telemetry log appends: reconcile only the lines this drill adds
+    telemetry_start = (
+        os.path.getsize(args.telemetry)
+        if args.telemetry and os.path.exists(args.telemetry)
+        else 0
+    )
     service = _build_service(args)
     db = _smoke_db(args.seed)
     op, edge, mutated = _smoke_mutation(db)
@@ -294,6 +303,9 @@ async def _run_smoke(args: argparse.Namespace) -> int:
     if args.crash_at > 0 and args.crash_at <= args.smoke and retries < 1:
         print("smoke: FAIL — injected crash was never retried")
         ok = False
+    ok = _check_answer_rows(
+        args, gathered[1:] + second, metrics, telemetry_start
+    ) and ok
     ok = _check_observability(
         args, scrape_status, scrape_text, trace_status, trace_body, crashes
     ) and ok
@@ -301,6 +313,41 @@ async def _run_smoke(args: argparse.Namespace) -> int:
         print(f"smoke: OK — all {args.smoke} requests answered correctly "
               "or shed with structured errors")
     return 0 if ok else 1
+
+
+def _check_answer_rows(
+    args: argparse.Namespace,
+    results: List[Tuple[int, Dict[str, object]]],
+    metrics: Dict[str, object],
+    telemetry_start: int,
+) -> bool:
+    """Reconcile the answer-row totals the drill can see.
+
+    The rows in the 200 responses, ``serve.answer_rows`` in ``/stats``
+    and, with ``--telemetry``, the ``rows`` of the drill's ``ok`` lines
+    in the log must all be one number.
+    """
+    totals = {
+        "responses": sum(
+            len(body["rows"]) for status, body in results if status == 200
+        ),
+        "/stats": metrics.get("serve.answer_rows", 0),
+    }
+    if args.telemetry:
+        with open(args.telemetry, encoding="utf-8") as handle:
+            handle.seek(telemetry_start)
+            events = [json.loads(line) for line in handle if line.strip()]
+        totals["telemetry"] = sum(
+            event.get("rows", 0)
+            for event in events
+            if event.get("event") == "call" and event.get("outcome") == "ok"
+        )
+    shown = " ".join(f"{name}={total}" for name, total in totals.items())
+    if len(set(totals.values())) != 1:
+        print(f"smoke: FAIL — answer rows do not reconcile: {shown}")
+        return False
+    print(f"smoke: answer rows reconcile: {shown}")
+    return True
 
 
 def _check_observability(

@@ -29,6 +29,10 @@ Error mapping — the structured failure taxonomy over the wire:
   ``{"error": "resource-exhausted", "kind", "limit", "used"}``;
 * other :class:`~repro.errors.ReproError` (bad names, parse errors,
   malformed bodies) → **400**;
+* a declared ``Content-Length`` above 8 MiB → **413** with
+  ``{"error": "body-too-large", "limit", "length"}``, sent before any
+  of the body is read (the body is then read and dropped for a few
+  seconds, so a client still sending it can read the answer);
 * anything else → **500** (and counts as a server bug in the smoke test).
 
 429 and 503 bodies additionally carry a ``flight`` key — the flight
@@ -52,9 +56,46 @@ from repro.errors import (
     ResourceExhausted,
 )
 from repro.guard.chaos import ChaosPolicy
-from repro.serve.service import QueryService
+from repro.serve.service import QueryService, ServeResponse
 
+#: The largest request body read; a longer declared ``Content-Length``
+#: is answered 413 without reading the body.
 _MAX_BODY = 8 << 20
+
+#: How long the body of a refused request is read and dropped after its
+#: 413 went out, so a client still sending it gets to read the answer
+#: instead of a connection reset.
+_DISCARD_SECONDS = 5.0
+
+
+class _BodyTooLarge(Exception):
+    """A request declared a body longer than ``_MAX_BODY``."""
+
+    def __init__(self, length: int):
+        super().__init__(length)
+        self.length = length
+
+
+async def _discard(reader: asyncio.StreamReader, length: int) -> None:
+    """Read and drop up to ``length`` bytes, for at most
+    ``_DISCARD_SECONDS``."""
+
+    async def drop() -> None:
+        left = length
+        while left > 0:
+            chunk = await reader.read(min(left, 1 << 16))
+            if not chunk:
+                return
+            left -= len(chunk)
+
+    try:
+        await asyncio.wait_for(drop(), _DISCARD_SECONDS)
+    except asyncio.TimeoutError:
+        pass
+
+
+def _dumps(body: Dict[str, object]) -> bytes:
+    return json.dumps(body, sort_keys=True, default=repr).encode()
 
 
 def _json_response(
@@ -62,16 +103,25 @@ def _json_response(
     body: Dict[str, object],
     extra_headers: Tuple[Tuple[str, str], ...] = (),
 ) -> bytes:
+    return _response(status, _dumps(body), extra_headers)
+
+
+def _response(
+    status: int,
+    payload: bytes,
+    extra_headers: Tuple[Tuple[str, str], ...] = (),
+) -> bytes:
+    """A JSON response around an already encoded ``payload``."""
     reasons = {
         200: "OK",
         400: "Bad Request",
         404: "Not Found",
         405: "Method Not Allowed",
+        413: "Content Too Large",
         429: "Too Many Requests",
         500: "Internal Server Error",
         503: "Service Unavailable",
     }
-    payload = json.dumps(body, sort_keys=True, default=repr).encode()
     head = [
         f"HTTP/1.1 {status} {reasons.get(status, 'Unknown')}",
         "Content-Type: application/json",
@@ -80,6 +130,23 @@ def _json_response(
     ]
     head.extend(f"{name}: {value}" for name, value in extra_headers)
     return ("\r\n".join(head) + "\r\n\r\n").encode() + payload
+
+
+def _call_payload(response: ServeResponse) -> bytes:
+    """The ``/call`` body: the response document with the worker's
+    encoded rows spliced in as they are.
+
+    Keys sort around ``"rows"``, so the body is the keys before it, the
+    rows, then the keys after it — the same bytes ``_dumps`` would write
+    for the decoded document.
+    """
+    document = response.as_dict(rows=False)
+    parts = [
+        _dumps({k: v for k, v in document.items() if k < "rows"})[1:-1],
+        b'"rows": ' + response.rows_json,
+        _dumps({k: v for k, v in document.items() if k > "rows"})[1:-1],
+    ]
+    return b"{" + b", ".join(part for part in parts if part) + b"}"
 
 
 def _text_response(status: int, text: str, content_type: str) -> bytes:
@@ -151,12 +218,23 @@ class ServeHTTP:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        unread = 0
         try:
             raw = await self._read_request(reader)
             if raw is None:
                 return
             method, path, body = raw
             response = await self._route(method, path, body)
+        except _BodyTooLarge as exc:
+            unread = exc.length
+            response = _json_response(
+                413,
+                {
+                    "error": "body-too-large",
+                    "limit": _MAX_BODY,
+                    "length": exc.length,
+                },
+            )
         except ConnectionError:
             return
         except Exception as exc:  # a handler bug, not a client error
@@ -166,6 +244,8 @@ class ServeHTTP:
         try:
             writer.write(response)
             await writer.drain()
+            if unread:
+                await _discard(reader, unread)
         except ConnectionError:
             pass
         finally:
@@ -188,9 +268,11 @@ class ServeHTTP:
             name, _, value = line.partition(":")
             if name.strip().lower() == "content-length":
                 try:
-                    length = min(int(value.strip()), _MAX_BODY)
+                    length = int(value.strip())
                 except ValueError:
                     length = 0
+        if length > _MAX_BODY:
+            raise _BodyTooLarge(length)
         body: Dict[str, object] = {}
         if length > 0:
             data = await reader.readexactly(length)
@@ -245,7 +327,7 @@ class ServeHTTP:
                     chaos=_chaos_from_body(body.get("chaos")),
                     trace=bool(body.get("trace", False)),
                 )
-                return _json_response(200, response.as_dict())
+                return _response(200, _call_payload(response))
             if path == "/mutate":
                 outcome = self.service.mutate(
                     str(body["db"]),

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import json
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -108,12 +109,19 @@ def _chaos_for_attempt(chaos: ChaosSpec, attempt: int) -> Optional[ChaosPolicy]:
 
 @dataclass
 class ServeResponse:
-    """One successfully served request, with its full robustness trail."""
+    """One successfully served request, with its full robustness trail.
+
+    The answer travels as ``rows_json``, the JSON array the worker
+    encoded (:func:`~repro.serve.workers.encode_rows`), and
+    ``row_count``; the HTTP layer splices the bytes into the ``/call``
+    body unopened.  :attr:`rows` decodes them on first access.
+    """
 
     tenant: str
     query: str
     db: str
-    rows: Tuple[Tuple[object, ...], ...]
+    rows_json: bytes
+    row_count: int
     arity: int
     language: str
     served_by: str  #: ``"pool"`` | ``"inline"`` | ``"breaker"``
@@ -126,14 +134,33 @@ class ServeResponse:
     stats: Dict[str, float] = field(default_factory=dict)
     request_id: str = ""
     trace: Optional[List[Dict[str, object]]] = None
+    _rows: Optional[Tuple[Tuple[object, ...], ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
-    def as_dict(self) -> Dict[str, object]:
-        """A JSON-friendly rendering (rows become lists)."""
+    @property
+    def rows(self) -> Tuple[Tuple[object, ...], ...]:
+        """The answer rows as an HTTP client receives them.
+
+        JSON scalars come back as they were; a value JSON cannot
+        represent comes back as its ``repr``, exactly as over HTTP.
+        """
+        if self._rows is None:
+            self._rows = tuple(
+                tuple(row) for row in json.loads(self.rows_json)
+            )
+        return self._rows
+
+    def as_dict(self, rows: bool = True) -> Dict[str, object]:
+        """A JSON-friendly rendering (rows become lists).
+
+        ``rows=False`` leaves the ``rows`` key out, for a caller that
+        writes :attr:`rows_json` in its place.
+        """
         document: Dict[str, object] = {
             "tenant": self.tenant,
             "query": self.query,
             "db": self.db,
-            "rows": [list(row) for row in self.rows],
             "arity": self.arity,
             "language": self.language,
             "served_by": self.served_by,
@@ -145,6 +172,8 @@ class ServeResponse:
             "peak_rows": self.peak_rows,
             "request_id": self.request_id,
         }
+        if rows:
+            document["rows"] = json.loads(self.rows_json)
         if self.trace is not None:
             document["trace"] = list(self.trace)
         return document
@@ -444,7 +473,7 @@ class QueryService:
         response.seconds = self._clock() - start
         response.request_id = request_id
         self._ok.inc()
-        self._answer_rows.inc(len(response.rows))
+        self._answer_rows.inc(response.row_count)
         self._latency.observe(response.seconds)
         self.slo.record(tenant, True, response.seconds)
         self.flight.record(
@@ -466,7 +495,7 @@ class QueryService:
                 "degraded": list(response.degraded),
                 "queue_wait": round(queue_wait, 6),
                 "seconds": round(response.seconds, 6),
-                "rows": len(response.rows),
+                "rows": response.row_count,
             }
         )
         return response
@@ -609,7 +638,8 @@ class QueryService:
                     tenant=tenant,
                     query=query_name,
                     db=db_name,
-                    rows=tuple(tuple(row) for row in raw["rows"]),
+                    rows_json=raw["rows_json"],
+                    row_count=int(raw["row_count"]),
                     arity=int(raw["arity"]),
                     language=str(raw["language"]),
                     served_by=served_by,

@@ -28,21 +28,26 @@ payload in the current process; :class:`WorkerPool` ships payloads to a
   to every request, so warm keys hash and compare without re-reading
   the tuples.
 
-Results cross the process boundary as plain dicts (sorted rows + stats),
-never as live ``EvalResult`` objects.
+Results cross the process boundary as plain dicts (the answer's rows
+already encoded as the JSON array an HTTP client receives, a row count,
+stats), never as live ``EvalResult`` objects.  The encoding is memoized
+per process (see :func:`encode_rows`).
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
 import multiprocessing
 import os
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from typing import Dict, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.complexity.measure import shutdown_pool
 from repro.errors import ReproError
 from repro.guard.chaos import InjectedFault
+from repro.kernel.lru import LRU
+from repro.obs.tracer import NULL_TRACER, TracerLike
 from repro.perf.cache import SubqueryCache
 
 
@@ -120,6 +125,48 @@ def build_payload(
     }
 
 
+#: Bounds of the per-process answer-encoding memo: entries, and rows
+#: summed over the retained answers.
+ANSWER_MEMO_ENTRIES = 64
+ANSWER_MEMO_ROWS = 1 << 18
+
+#: The per-process answer-encoding memo: ``id(rows)`` -> ``(rows, JSON
+#: bytes)``; see :func:`encode_rows`.
+_ENCODED: LRU = LRU(ANSWER_MEMO_ENTRIES, ANSWER_MEMO_ROWS)
+
+
+def encode_rows(
+    rows: FrozenSet[Tuple[object, ...]], tracer: TracerLike = NULL_TRACER
+) -> bytes:
+    """``rows`` as the JSON array of arrays an HTTP client receives.
+
+    Rows are sorted by ``repr``; values render as ``json.dumps(...,
+    default=repr)`` renders them, so JSON scalars round-trip and other
+    values arrive as their ``repr``.  ``tracer`` records the work as one
+    ``serve.encode`` span.
+
+    The bytes are memoized by the identity of the row set, and each
+    entry holds its row set, so no other object can take that id while
+    the entry lives.  A changed answer is a new row set and so a new
+    key: an encoding never outlives the answer it encodes.  Equal
+    content is not enough, because equal rows can render differently
+    (``(1,) == (1.0,) == (True,)``).  A warm answer is the very
+    frozenset a cache handed out, so its lookup costs no pass over the
+    rows; an answer rebuilt on every call (a permuted column order, a
+    packed relation's rows) is encoded on every call.
+    """
+    with tracer.span("serve.encode", rows=len(rows)) as span:
+        entry = _ENCODED.get(id(rows))
+        span.set(reused=entry is not None)
+        if entry is None:
+            text = json.dumps(
+                [list(row) for row in sorted(rows, key=repr)], default=repr
+            )
+            entry = (rows, text.encode("ascii"))
+            _ENCODED.put(id(rows), entry, weight=len(rows))
+    return entry[1]
+
+
 def evaluate_payload(
     payload: Dict[str, object], cache: Optional[SubqueryCache] = None
 ) -> Dict[str, object]:
@@ -128,6 +175,9 @@ def evaluate_payload(
     ``cache`` overrides the payload's cache flag with a concrete
     instance — the inline path passes the service's shared cross-request
     cache; pool workers pass their per-process cache.
+
+    The answer's rows come back as ``rows_json``, the bytes of
+    :func:`encode_rows`, with their count as ``row_count``.
 
     When the payload asks for tracing, evaluation runs under a private
     :class:`~repro.obs.tracer.Tracer` and the answer dict carries the
@@ -159,8 +209,12 @@ def evaluate_payload(
         if result.guard is not None and hasattr(result.guard, "peak_rows")
         else result.stats.max_intermediate_rows
     )
+    rows = result.relation.tuples
     answer: Dict[str, object] = {
-        "rows": sorted(result.relation.tuples, key=repr),
+        "rows_json": encode_rows(
+            rows, tracer if tracer is not None else NULL_TRACER
+        ),
+        "row_count": len(rows),
         "arity": result.relation.arity,
         "language": result.language.value,
         "stats": result.stats.as_dict(),
@@ -310,11 +364,14 @@ class WorkerPool:
 
 
 __all__ = [
+    "ANSWER_MEMO_ENTRIES",
+    "ANSWER_MEMO_ROWS",
     "CRASH_EXIT_CODE",
     "NotResident",
     "WorkerCrashed",
     "WorkerPool",
     "build_payload",
+    "encode_rows",
     "evaluate_payload",
     "worker_call",
 ]

@@ -155,3 +155,24 @@ class TestConstructionContract:
         ):
             assert t == VarTable(t.variables, t.rows)
             assert t.variables == tuple(sorted(t.variables))
+
+    @given(tables())
+    def test_to_relation_equals_a_validated_relation(self, t):
+        """The trusted readout equals ``Relation(arity, rows)`` built by
+        hand in every column order, and the table's own order shares
+        its frozenset instead of copying it."""
+        import itertools
+
+        from repro.database.relation import Relation
+
+        for order in itertools.permutations(t.variables):
+            positions = [t.variables.index(v) for v in order]
+            expected = Relation(
+                len(order), [[row[p] for p in positions] for row in t.rows]
+            )
+            relation = t.to_relation(order)
+            assert relation == expected
+            assert type(relation.tuples) is frozenset
+            assert all(type(row) is tuple for row in relation.tuples)
+            if order == t.variables:
+                assert relation.tuples is t.rows

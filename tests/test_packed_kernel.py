@@ -32,7 +32,6 @@ from repro.kernel.backend import PackedBackend, SparseBackend
 from repro.kernel.lru import LRU
 from repro.kernel.packed import (
     ALIGN_CACHE_LIMIT,
-    ATOM_CACHE_LIMIT,
     DomainCodec,
     PackedRelation,
     PackedTable,
@@ -622,7 +621,7 @@ def test_bounded_mask_cache_caps_and_counts():
     assert cache.hits.value == 4
 
 
-def test_align_and_atom_caches_are_bounded():
+def test_align_cache_is_bounded():
     # codecs are shared per domain, so tallies are read as deltas
     table = PackedBackend(Domain.range(2)).full(["a"])
     _, _, evictions = table.codec.align_tallies
@@ -633,18 +632,16 @@ def test_align_and_atom_caches_are_bounded():
     assert len(table._align_cache) <= ALIGN_CACHE_LIMIT
     assert evictions.value - evicted >= 10
 
-    # and one codec with more distinct constant-selection atoms than
-    # the cap: E(c, x) for every c in a successor cycle
-    n = ATOM_CACHE_LIMIT + 10
+
+def test_constant_atoms_over_a_sparse_relation():
+    # E(c, x) for every c in a successor cycle, each encoded from the
+    # sparse relation's rows
+    n = 12
     backend = PackedBackend(Domain.range(n))
-    codec = backend.codec
     edges = Relation(2, [(i, (i + 1) % n) for i in range(n)])
-    evicted = codec.atom_masks.evictions.value
     for c in range(n):
         table = backend.atom_table(edges, (Const(c), Var("x")))
         assert table.rows == frozenset({((c + 1) % n,)})
-        assert len(codec.atom_masks) <= ATOM_CACHE_LIMIT
-    assert codec.atom_masks.evictions.value - evicted >= 10
 
 
 def test_atom_over_a_packed_relation_never_decodes_it():
@@ -692,9 +689,9 @@ def test_kernel_cache_counters_reach_registry():
         EvalOptions(backend="packed", strategy=FixpointStrategy.SEMINAIVE),
     )
     snap = result.stats.registry.snapshot()
-    # the closure joins E against S every round, so both caches see use
-    assert snap["kernel.cache.atom_hits"] + snap["kernel.cache.atom_misses"] >= 1
+    # the closure joins E against S every round, so the align cache sees use
     assert snap["kernel.cache.align_hits"] + snap["kernel.cache.align_misses"] >= 1
+    assert not any(name.startswith("kernel.cache.atom_") for name in snap)
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,32 @@
 """HTTP front-end tests: routes, error mapping, and the CLI smoke drill."""
 
+import argparse
 import asyncio
+import http.client
+import json
 import os
 import re
 import select
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
+from repro.core.engine import EvalOptions, Query, evaluate
+from repro.core.fp_eval import FixpointStrategy
+from repro.core.naive_eval import naive_answer
 from repro.guard.budget import Budget
+from repro.perf.cache import SubqueryCache
 from repro.serve.admission import TenantPolicy
-from repro.serve.cli import TC_QUERY, _http_json
+from repro.serve.cli import TC_QUERY, _check_answer_rows, _http_json
 from repro.serve.http import ServeHTTP
 from repro.serve.retry import RetryPolicy
 from repro.serve.service import QueryService
+from repro.workloads.graphs import random_graph
 
 from repro.cli import main
 
@@ -43,6 +52,44 @@ def serve(test_body, **service_kwargs):
             service.close()
 
     asyncio.run(asyncio.wait_for(main_coro(), timeout=60))
+
+
+async def _http_raw(host, port, path, body):
+    """POST ``body`` as JSON; returns the status and the raw body bytes."""
+    reader, writer = await asyncio.open_connection(host, port)
+    payload = json.dumps(body).encode()
+    writer.write(
+        b"POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n"
+        b"Connection: close\r\n\r\n" % (path.encode(), len(payload))
+        + payload
+    )
+    await writer.drain()
+    head = await reader.readuntil(b"\r\n\r\n")
+    length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+    raw = await reader.readexactly(length)
+    writer.close()
+    return int(head.split()[1]), raw
+
+
+def _database_body(name, db):
+    return {
+        "name": name,
+        "domain": list(db.domain),
+        "relations": {
+            rel: {
+                "arity": db.relation(rel).arity,
+                "tuples": [list(t) for t in sorted(db.relation(rel).tuples)],
+            }
+            for rel in db.relation_names()
+        },
+    }
+
+
+def _wire_rows(db):
+    """The TC answer as a ``/call`` body renders it: sorted by repr."""
+    formula = Query.parse(TC_QUERY, ("u", "v")).formula
+    answer = naive_answer(formula, db, ("u", "v"))
+    return [list(row) for row in sorted(answer.tuples, key=repr)]
 
 
 class TestRoutes:
@@ -189,6 +236,61 @@ class TestErrorMapping:
 
         serve(body)
 
+    def test_413_oversized_body_answered_before_it_is_read(self):
+        limit = 8 << 20
+        length = limit + (1 << 20)
+
+        async def body(host, port, service):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(
+                b"POST /register HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: %d\r\nConnection: close\r\n\r\n" % length
+            )
+            await writer.drain()
+            # not one body byte is sent: the answer must not wait for it
+            head = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), 10)
+            size = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+            raw = await reader.readexactly(size)
+            writer.close()
+            assert head.split()[1] == b"413"
+            assert json.loads(raw) == {
+                "error": "body-too-large", "limit": limit, "length": length,
+            }
+            status, _ = await _http_json(host, port, "GET", "/healthz")
+            assert status == 200
+
+        serve(body)
+
+    def test_413_reaches_a_client_that_sends_the_whole_body(self):
+        # a client that writes all 9 MiB before reading must get the
+        # 413, not a reset connection
+        payload = b'{"name": "x", "pad": "' + b"a" * (9 << 20) + b'"}'
+        answers = []
+
+        def client(port):
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            try:
+                conn.request("POST", "/register", body=payload)
+                response = conn.getresponse()
+                answers.append((response.status, json.loads(response.read())))
+            except OSError as exc:
+                answers.append(exc)
+            finally:
+                conn.close()
+
+        async def body(host, port, service):
+            thread = threading.Thread(target=client, args=(port,))
+            thread.start()
+            while thread.is_alive():
+                await asyncio.sleep(0.01)
+            assert answers == [
+                (413, {"error": "body-too-large", "limit": 8 << 20,
+                       "length": len(payload)})
+            ]
+            assert "x" not in service.stats()["databases"]
+
+        serve(body)
+
     def test_404_and_405(self):
         async def body(host, port, service):
             status, _ = await _http_json(host, port, "POST", "/nope", {})
@@ -197,6 +299,125 @@ class TestErrorMapping:
             assert status == 405
 
         serve(body)
+
+
+class TestAnswerWire:
+    """A ``/call`` body splices the worker's encoded rows into the
+    document; it must still be the bytes one ``json.dumps(document,
+    sort_keys=True)`` of the whole response writes."""
+
+    @pytest.mark.parametrize("backend", ["sparse", "packed"])
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_call_body_is_the_whole_sorted_document(self, workers, backend):
+        # n = 12: repr order ("(10, 2)" < "(2, 10)") is not numeric order
+        db = random_graph(12, 0.2, seed=3)
+        rows = _wire_rows(db)
+        formula = Query.parse(TC_QUERY, ("u", "v")).formula
+        # peak rows of the same evaluations: cold, then on a warm cache
+        cache = SubqueryCache()
+        peaks = [
+            evaluate(
+                formula, db, ("u", "v"),
+                EvalOptions(
+                    strategy=FixpointStrategy.MONOTONE,
+                    backend=backend,
+                    budget=Budget(deadline_seconds=30.0),
+                    subquery_cache=cache,
+                ),
+            ).guard.peak_rows
+            for _ in range(2)
+        ]
+
+        async def body(host, port, service):
+            await _http_json(
+                host, port, "POST", "/register", _database_body("g", db)
+            )
+            await _http_json(
+                host, port, "POST", "/prepare",
+                {"name": "tc", "query": TC_QUERY, "output_vars": ["u", "v"]},
+            )
+            for peak in peaks:
+                status, raw = await _http_raw(
+                    host, port, "/call",
+                    {"tenant": "t0", "query": "tc", "db": "g",
+                     "backend": backend},
+                )
+                assert status == 200
+                document = json.loads(raw)
+                # one json.dumps(sort_keys=True) of the whole document
+                assert raw == json.dumps(
+                    document, sort_keys=True, default=repr
+                ).encode()
+                for volatile in ("queue_wait", "seconds", "request_id"):
+                    del document[volatile]
+                assert document == {
+                    "tenant": "t0",
+                    "query": "tc",
+                    "db": "g",
+                    "rows": rows,
+                    "arity": 2,
+                    "language": "FP",
+                    "served_by": "pool" if workers else "inline",
+                    "attempts": 1,
+                    "retries": 0,
+                    "degraded": [],
+                    "peak_rows": peak,
+                }
+
+        serve(body, workers=workers)
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_mutate_then_call_never_serves_the_old_encoding(self, workers):
+        async def body(host, port, service):
+            await _http_json(host, port, "POST", "/register", PATH_DB)
+            await _http_json(
+                host, port, "POST", "/prepare",
+                {"name": "tc", "query": TC_QUERY, "output_vars": ["u", "v"]},
+            )
+            call = {"tenant": "t0", "query": "tc", "db": "g"}
+            before = json.loads((await _http_raw(host, port, "/call", call))[1])
+            for op in ("add", "remove"):
+                status, _ = await _http_json(
+                    host, port, "POST", "/mutate",
+                    {"db": "g", "op": op, "relation": "E", "values": [4, 0]},
+                )
+                assert status == 200
+                status, raw = await _http_raw(host, port, "/call", call)
+                assert status == 200
+                assert json.loads(raw)["rows"] == _wire_rows(
+                    service.database("g")
+                )
+            # the cycle closed, then opened again: the first answer is back
+            assert json.loads(raw)["rows"] == before["rows"]
+
+        serve(body, workers=workers)
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_traced_call_shows_the_encode_span(self, workers):
+        async def body(host, port, service):
+            await _http_json(host, port, "POST", "/register", PATH_DB)
+            await _http_json(
+                host, port, "POST", "/prepare",
+                {"name": "tc", "query": TC_QUERY, "output_vars": ["u", "v"]},
+            )
+            call = {"tenant": "t0", "query": "tc", "db": "g", "trace": True}
+            for _ in range(2):
+                status, raw = await _http_raw(host, port, "/call", call)
+                assert status == 200
+                document = json.loads(raw)
+                assert raw == json.dumps(
+                    document, sort_keys=True, default=repr
+                ).encode()
+                encodes = [
+                    span for span in document["trace"]
+                    if span["name"] == "serve.encode"
+                ]
+                assert len(encodes) == 1
+                assert encodes[0]["attrs"]["rows"] == len(document["rows"])
+            # the second call's answer is the first one's content
+            assert encodes[0]["attrs"]["reused"] is True
+
+        serve(body, workers=workers)
 
 
 class TestCLISmoke:
@@ -226,6 +447,24 @@ class TestCLISmoke:
         assert retries and float(retries.group(1)) >= 1
         assert telemetry.exists()
         assert len(telemetry.read_text().splitlines()) == 10
+        assert "smoke: answer rows reconcile" in out
+
+    def test_answer_rows_must_reconcile(self, capsys, tmp_path):
+        # an earlier drill's line stays out of the sum
+        telemetry = tmp_path / "serve.jsonl"
+        telemetry.write_text('{"event": "call", "outcome": "ok", "rows": 9}\n')
+        start = telemetry.stat().st_size
+        with telemetry.open("a") as handle:
+            handle.write('{"event": "call", "outcome": "ok", "rows": 3}\n')
+            handle.write('{"event": "call", "outcome": "overloaded"}\n')
+        args = argparse.Namespace(telemetry=str(telemetry))
+        results = [(200, {"rows": [[0], [1], [2]]}), (429, {"error": "x"})]
+        assert _check_answer_rows(args, results, {"serve.answer_rows": 3}, start)
+        assert not _check_answer_rows(
+            args, results, {"serve.answer_rows": 4}, start
+        )
+        assert not _check_answer_rows(args, results, {"serve.answer_rows": 3}, 0)
+        assert "answer rows do not reconcile" in capsys.readouterr().out
 
 
 def _live_session_members(sid):

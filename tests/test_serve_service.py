@@ -11,6 +11,8 @@ from repro.database.database import Database
 from repro.errors import EvaluationError, Overloaded, ResourceExhausted
 from repro.guard.budget import Budget
 from repro.guard.chaos import ChaosPolicy
+from repro.kernel.lru import LRU
+from repro.obs.tracer import Tracer
 from repro.perf.cache import SubqueryCache
 from repro.serve import workers
 from repro.serve.admission import TenantPolicy
@@ -443,8 +445,10 @@ class TestResidentProtocol:
         assert (exc.value.db, exc.value.version) == ("g", 1)
         hydrated = worker_call(dict(payload, db=path_db()))
         resident = worker_call(payload)
-        assert resident["rows"] == hydrated["rows"]
-        assert sorted(map(tuple, resident["rows"])) == expected_tc(path_db())
+        assert resident["rows_json"] == hydrated["rows_json"]
+        rows = json.loads(resident["rows_json"])
+        assert resident["row_count"] == len(rows)
+        assert sorted(map(tuple, rows)) == expected_tc(path_db())
         with pytest.raises(NotResident):
             worker_call(dict(payload, db_version=2))
 
@@ -454,3 +458,77 @@ class TestResidentProtocol:
         )
         assert isinstance(error, NotResident)
         assert (str(error), error.db, error.version) == ("absent", "g", 3)
+
+
+class TestAnswerEncoding:
+    """Answers are encoded once per content, in the evaluating process."""
+
+    def test_encoding_is_the_json_array_sorted_by_repr(self):
+        rows = frozenset({(10, 2), (2, 10), (3, "a")})
+        assert workers.encode_rows(rows) == json.dumps(
+            [[10, 2], [2, 10], [3, "a"]]
+        ).encode()
+
+    def test_memo_is_keyed_by_the_row_set_and_bounded(self, monkeypatch):
+        memo = LRU(2, max_weight=5)
+        monkeypatch.setattr(workers, "_ENCODED", memo)
+        tracer = Tracer()
+        first = frozenset({(1,), (2,)})
+        workers.encode_rows(first, tracer)
+        workers.encode_rows(first, tracer)
+        # equal content in another object is encoded anew: equal rows
+        # can render differently, as (1,) == (1.0,) == (True,) shows
+        assert workers.encode_rows(frozenset({(1.0,), (2,)}), tracer) == (
+            b"[[1.0], [2]]"
+        )
+        assert [span.name for span in tracer.spans] == ["serve.encode"] * 3
+        assert [span.attrs["reused"] for span in tracer.spans] == [
+            False, True, False,
+        ]
+        assert [span.attrs["rows"] for span in tracer.spans] == [2, 2, 2]
+        # heavier than the row bound on its own: encoded, not retained
+        big = frozenset((i,) for i in range(6))
+        assert json.loads(workers.encode_rows(big)) == [[i] for i in range(6)]
+        assert (len(memo), memo.weight) == (2, 4)
+        # a third answer evicts the least recently used one
+        workers.encode_rows(frozenset({(4,)}))
+        assert (len(memo), memo.weight, memo.evictions.value) == (2, 3, 1)
+
+    def test_equal_answers_of_other_types_keep_their_own_rendering(self):
+        # {(0, 1)} == {(False, True)}: a memo keyed by content alone
+        # answered the second database with the first one's [[0, 1]]
+        service = QueryService(retry=FAST_RETRY, cache=False)
+        for name, values in (("ints", [0, 1]), ("bools", [False, True])):
+            service.register_database(
+                name,
+                Database.from_tuples(values, {"E": (2, [tuple(values)])}),
+            )
+        service.prepare("e", "E(x, y)", ("x", "y"))
+        for name in ("ints", "bools", "ints", "bools"):
+            response = run(service.call("t0", "e", name))
+            want = b"[[0, 1]]" if name == "ints" else b"[[false, true]]"
+            assert response.rows_json == want
+        service.close()
+
+    def test_memo_bounds_are_the_module_constants(self):
+        assert workers._ENCODED.max_entries == workers.ANSWER_MEMO_ENTRIES
+        assert workers._ENCODED.max_weight == workers.ANSWER_MEMO_ROWS
+
+    def test_response_rows_hold_what_an_http_client_receives(self):
+        # JSON scalars round-trip; any other value arrives as its repr
+        values = [1, 2.5, "b", None, frozenset({7})]
+        service = QueryService(retry=FAST_RETRY)
+        service.register_database(
+            "v", Database.from_tuples(values, {"P": (1, [(v,) for v in values])})
+        )
+        service.prepare("p", "P(x)", ("x",))
+        response = run(service.call("t0", "p", "v"))
+        expected = [
+            (v if not isinstance(v, frozenset) else repr(v),)
+            for v in sorted(values, key=lambda v: repr((v,)))
+        ]
+        assert list(response.rows) == expected
+        assert response.row_count == len(values)
+        assert response.as_dict()["rows"] == [list(row) for row in expected]
+        assert service.registry.snapshot()["serve.answer_rows"] == len(values)
+        service.close()
