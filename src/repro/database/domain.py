@@ -31,7 +31,7 @@ class Domain:
     [(3, 3), (3, 5), (3, 7)]
     """
 
-    __slots__ = ("_values", "_index", "_value_set")
+    __slots__ = ("_values", "_index", "_value_set", "_exact_key")
 
     def __init__(self, values: Iterable[Value]):
         ordered = _canonical_order(values)
@@ -40,6 +40,7 @@ class Domain:
         if len(self._value_set) != len(ordered):
             raise SchemaError("domain contains duplicate values")
         self._index = {value: i for i, value in enumerate(ordered)}
+        self._exact_key = None
 
     @classmethod
     def range(cls, n: int) -> "Domain":
@@ -52,6 +53,22 @@ class Domain:
     def values(self) -> Tuple[Value, ...]:
         """The domain values in canonical order."""
         return self._values
+
+    @property
+    def exact_key(self) -> Hashable:
+        """A hashable key equal only for domains with the same values of
+        the same types in the same order.
+
+        Domain equality compares value sets, where ``0 == False`` and
+        ``1 == 1.0``; a cache whose entries render or decode values
+        (packed codecs, subquery tables) must not share them between
+        such domains, so it keys on this instead.  Built once per
+        domain object, with its hash, so a lookup rehashes nothing.
+        """
+        key = self._exact_key
+        if key is None:
+            key = self._exact_key = _ExactValues(self._values)
+        return key
 
     def index_of(self, value: Value) -> int:
         """Position of ``value`` in the canonical order (for encodings)."""
@@ -92,6 +109,35 @@ class Domain:
             return f"Domain({list(self._values)!r})"
         head = ", ".join(repr(v) for v in self._values[:6])
         return f"Domain([{head}, ... {len(self._values)} values])"
+
+
+class _ExactValues:
+    """A domain's values and, per position, their types, hashed once;
+    see :attr:`Domain.exact_key`."""
+
+    __slots__ = ("_values", "_types", "_hash")
+
+    def __init__(self, values: Tuple[Value, ...]):
+        self._values = values
+        self._types = tuple(map(type, values))
+        self._hash = hash((values, self._types))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _ExactValues):
+            return NotImplemented
+        return self is other or (
+            self._hash == other._hash
+            and self._types == other._types
+            and self._values == other._values
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # hashes of types (and of strings) differ between processes, so
+        # a pickled key is rebuilt rather than carrying its hash along
+        return (_ExactValues, (self._values,))
 
 
 def _canonical_order(values: Iterable[Value]) -> Tuple[Value, ...]:

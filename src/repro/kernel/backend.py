@@ -54,9 +54,10 @@ BACKEND_ENV = "REPRO_BENCH_BACKEND"
 #: The reference representation.
 DEFAULT_BACKEND = "sparse"
 
-#: Shared codecs, keyed by (value-equal) domain and mask-bit cap, so
-#: selector-mask caches survive across evaluations.  Codecs are small, but
-#: long property-test sessions create thousands of throwaway domains.
+#: Shared codecs, keyed by the domain's type-exact values
+#: (:attr:`Domain.exact_key`) and mask-bit cap, so selector-mask caches
+#: survive across evaluations.  Codecs are small, but long property-test
+#: sessions create thousands of throwaway domains.
 _CODECS = LRU(256)
 
 
@@ -66,8 +67,12 @@ def codec_for(
     max_bits: int = DEFAULT_MAX_BITS,
 ) -> DomainCodec:
     """The shared :class:`DomainCodec` for a domain and cap (created on
-    miss)."""
-    key = (domain, max_bits)
+    miss).
+
+    A codec decodes bits into its own domain's values, so domains that
+    are equal as value sets but not in their values' types (``[0, 1]``
+    and ``[False, True]``) get codecs of their own."""
+    key = (domain.exact_key, max_bits)
     codec = _CODECS.get(key)
     if registry is not None:
         registry.counter(
@@ -230,6 +235,8 @@ class PackedBackend:
     def observe(self, table) -> None:
         self._tables.inc()
         if isinstance(table, PackedTable):
+            # the widest schema observed, n^k bits, whether its mask is
+            # built or not: a factored join reports n³ and builds none
             self._mask_bits.set_max(self.codec.size(len(table.variables)))
         self._sync_cache_tallies()
 
@@ -252,7 +259,9 @@ class PackedBackend:
         recursion variable on every round), the whole atom — constant
         selection, repeated-variable equality, projection to distinct
         variables, permutation to sorted columns — runs as mask kernels
-        with no per-row Python work.
+        with no per-row Python work.  A 2-column atom that lists its
+        columns out of sorted order (``S(z, y)``) comes back as a
+        :meth:`PackedTable.transposed` table.
         """
         pattern = select_atom(relation, terms)
         columns, var_positions, const_positions = pattern
@@ -296,6 +305,12 @@ class PackedBackend:
         # remaining digits follow the kept positions' relative order
         names = sorted(var_positions, key=lambda v: var_positions[v][0])
         if names != columns:
+            if k == 2:
+                # the mask transposes only if something needs it; a
+                # composition cuts the relation's order in place
+                return PackedTable.transposed(
+                    codec, tuple(columns), mask, self.tracer
+                )
             src_for = [0] * k
             for j, name in enumerate(columns):
                 i = names.index(name)

@@ -1,7 +1,8 @@
 """The one bounded least-recently-used map behind every cross-evaluation cache.
 
 :class:`~repro.perf.cache.SubqueryCache`, the packed kernel's
-per-table alignment caches (:mod:`repro.kernel.packed`), the shared
+per-table caches of alignment masks and slices
+(:mod:`repro.kernel.packed`), the shared
 codec table (:func:`repro.kernel.backend.codec_for`) and the serve
 layer's per-process answer-encoding memo
 (:func:`repro.serve.workers.encode_rows`) each hold an :class:`LRU`.

@@ -13,6 +13,7 @@ union / intersect / difference  ``|`` / ``&`` / ``& ~``
 complement                      ``^ full_mask``
 emptiness / equality            ``== 0`` / integer ``==``
 row count                       popcount
+``∃v. A(u, v) ∧ B(v, w)``       one multiply per value of ``v``
 ==============================  ====================================
 
 Quantification and schema manipulation become *stride kernels* over
@@ -28,6 +29,16 @@ transposition are precomputed selector masks.  All selector masks are
 cached per ``(k, digit)`` on the :class:`DomainCodec`, which is itself
 shared per domain (see :func:`repro.kernel.backend.codec_for`).
 
+The composition step of Prop 3.1 — join two binary tables on their one
+shared variable, then project it away, the inner loop of every path
+query and transitive closure — never builds its ``n^3``-bit join.  The
+join stays *factored*: it holds its two operands, counts its rows from
+their per-value slices, and projects the shared variable away as a
+bit-matrix product over ``n^2``-bit masks (:meth:`PackedTable.join`,
+:meth:`DomainCodec.compose`).  Any other use of the join builds its
+mask by aligning and ANDing the operands, so every table, answer and
+counter equals the eager join's.
+
 :class:`PackedTable` mirrors the full operation surface of
 :class:`repro.core.interp.VarTable`; :class:`PackedRelation` is a
 :class:`repro.database.relation.Relation` whose tuple set materializes
@@ -38,6 +49,7 @@ masks end-to-end and convergence checks are integer comparisons.
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import mul
 from typing import (
     Dict,
     FrozenSet,
@@ -59,10 +71,10 @@ from repro.obs.tracer import NULL_TRACER, TracerLike
 Row = Tuple[Value, ...]
 
 if hasattr(int, "bit_count"):  # Python >= 3.10
-
-    def popcount(mask: int) -> int:
-        """Number of set bits — the packed row count."""
-        return mask.bit_count()
+    #: Number of set bits — the packed row count.  The C method itself,
+    #: so ``map(popcount, ...)`` over a table's slices runs no Python
+    #: frame per slice.
+    popcount = int.bit_count
 
 else:  # pragma: no cover - exercised on the 3.9 CI lane
 
@@ -199,12 +211,43 @@ class DomainCodec:
             idx //= n
         return tuple(out)
 
-    def iter_rows(self, mask: int, k: int) -> Iterator[Row]:
-        """Decode every set bit of ``mask`` into its row."""
-        while mask:
-            low = mask & -mask
-            yield self.decode_index(low.bit_length() - 1, k)
-            mask ^= low
+    def iter_rows(self, mask: int, k: int) -> List[Row]:
+        """Decode every set bit of ``mask`` into its row, in ascending
+        index order.
+
+        One pass over the mask's binary string, block by block on the
+        top digit: each of its ``n`` values owns ``n^{k-1}`` characters,
+        decoded only if they hold a ``1``, down to the ``n`` characters
+        of a last-digit block, whose set bits are walked as a small
+        integer.  That is ``O(n^k)`` character work plus a few
+        small-integer steps per row, where clearing the lowest bit of
+        the whole mask once per row was ``O(rows · n^k)``."""
+        values = self.domain.values
+        rows: List[Row] = []
+        append = rows.append
+
+        def decode(text: str, k: int, prefix: Row) -> None:
+            # text: one block's bits, most significant first
+            if k == 1:
+                block = int(text, 2)
+                while block:
+                    low = block & -block
+                    append(prefix + (values[low.bit_length() - 1],))
+                    block ^= low
+                return
+            width = self.n ** (k - 1)
+            end = len(text)
+            for value in values:
+                part = text[end - width : end]
+                end -= width
+                if "1" in part:
+                    decode(part, k - 1, prefix + (value,))
+
+        if k == 0:
+            return [()] if mask else rows
+        if mask:
+            decode(format(mask, f"0{self.n ** k}b"), k, ())
+        return rows
 
     # -- selector masks (cached per (k, digit)) ------------------------
 
@@ -368,6 +411,51 @@ class DomainCodec:
             cur[d], cur[j] = cur[j], cur[d]
         return mask
 
+    # -- composition (∃v. A(u, v) ∧ B(v, w)) --------------------------
+
+    def row_slices(self, mask: int, d: int) -> List[int]:
+        """Cut a 2-digit mask along digit ``d``: entry ``z`` is the
+        ``n``-bit row of the other digit's values where digit ``d`` is
+        ``z`` (bit ``i`` set iff that index is).
+
+        With ``d = 1`` each row is a contiguous block of the mask; with
+        ``d = 0`` it is a column, read in place from the mask's binary
+        string at stride ``n``.  Either way ``O(n^2)`` bit work and no
+        transposition."""
+        n = self.n
+        if d == 1:
+            row = (1 << n) - 1
+            return [(mask >> (z * n)) & row for z in range(n)]
+        # character j of the string is bit n²-1-j, so column z, highest
+        # value first, starts at character n-1-z
+        text = format(mask, f"0{n * n}b")
+        return [int(text[n - 1 - z :: n], 2) for z in range(n)]
+
+    def spread_slices(self, mask: int, d: int) -> List[int]:
+        """Like :meth:`row_slices`, but each entry spreads its row ``n``
+        bits apart: bit ``i·n`` for value ``i``, the high digit of a
+        2-digit index.  With ``d = 0`` that is the column in place,
+        shifted down; with ``d = 1`` the mask is transposed first."""
+        if d == 1:
+            mask = self.swap(mask, 2, 0, 1)
+        column = self.sel0(2, 0)
+        return [(mask >> z) & column for z in range(self.n)]
+
+    @staticmethod
+    def compose(spreads: Sequence[int], rows: Sequence[int]) -> int:
+        """The bit-matrix product ``⋁_z spreads[z] · rows[z]``: the
+        2-digit mask of ``{(i, j) : ∃z. i ∈ spreads[z], j ∈ rows[z]}``.
+
+        One multiply per ``z`` copies row ``z`` into every ``n``-bit
+        slot its spread column marks; the copies cannot carry into each
+        other, since a row is below ``2^n`` and the marks lie ``n`` bits
+        apart."""
+        mask = 0
+        for spread, row in zip(spreads, rows):
+            if spread and row:
+                mask |= spread * row
+        return mask
+
     def __repr__(self) -> str:
         return f"DomainCodec(n={self.n})"
 
@@ -378,6 +466,17 @@ class PackedTable:
 
     The bare constructor is trusted (columns must already be sorted and
     the mask in range); :meth:`from_rows` is the validated public path.
+
+    Two kinds of table hold something else in place of their mask
+    until an operation needs it, which then builds it once:
+
+    * a *factored* table, the join of two 2-column tables that share one
+      column (see :meth:`join`), holds the two operands instead of its
+      ``n^3``-bit mask and answers ``len`` and the ∃-projection of the
+      shared column from their slices;
+    * a *transposed* table (see :meth:`transposed`), a 2-column atom
+      whose relation lists its columns in the other order, holds the
+      relation's mask and is cut into slices from it directly.
     """
 
     __slots__ = (
@@ -386,6 +485,9 @@ class PackedTable:
         "_codec",
         "_row_cache",
         "_align_cache",
+        "_factors",
+        "_count",
+        "_transposed",
         "_tracer",
     )
 
@@ -393,7 +495,7 @@ class PackedTable:
         self,
         codec: DomainCodec,
         variables: Tuple[str, ...],
-        mask: int,
+        mask: Optional[int],
         tracer: TracerLike = NULL_TRACER,
     ):
         self._codec = codec
@@ -402,8 +504,30 @@ class PackedTable:
         self._tracer = tracer
         self._row_cache: Optional[FrozenSet[Row]] = None
         self._align_cache: Optional[LRU] = None
+        # a factored join's (left, right, shared column); its mask is
+        # None until built and its row count None until counted
+        self._factors: Optional[Tuple["PackedTable", "PackedTable", str]] = None
+        self._count: Optional[int] = None
+        # a transposed table's mask with its two digits swapped
+        self._transposed: Optional[int] = None
 
     # -- constructors --------------------------------------------------
+
+    @classmethod
+    def transposed(
+        cls,
+        codec: DomainCodec,
+        variables: Tuple[str, str],
+        swapped: int,
+        tracer: TracerLike = NULL_TRACER,
+    ) -> "PackedTable":
+        """The 2-column table over sorted ``variables`` whose mask is
+        ``swapped`` with its two digits exchanged — an atom ``R(y, x)``
+        over a packed relation.  The transposition runs only if the
+        mask is needed; a composition reads ``swapped`` in place."""
+        table = cls(codec, variables, None, tracer)
+        table._transposed = swapped
+        return table
 
     @classmethod
     def from_rows(
@@ -471,6 +595,15 @@ class PackedTable:
         table = PackedTable(codec, self._vars, self._mask, tracer)
         table._row_cache = self._row_cache
         table._align_cache = self._align_lru()
+        if self._factors is not None:
+            left, right, shared = self._factors
+            table._factors = (
+                left.bound_to(codec, tracer),
+                right.bound_to(codec, tracer),
+                shared,
+            )
+            table._count = self._count
+        table._transposed = self._transposed
         return table
 
     # -- accessors -----------------------------------------------------
@@ -481,7 +614,18 @@ class PackedTable:
 
     @property
     def mask(self) -> int:
-        return self._mask
+        """The ``n^k``-bit mask.  A transposed table builds it here on
+        first use by a digit swap, a factored join through its operands'
+        alignment masks."""
+        mask = self._mask
+        if mask is None:
+            if self._factors is None:
+                mask = self._codec.swap(self._transposed, 2, 0, 1)
+            else:
+                left, right, _ = self._factors
+                mask = left._aligned(self._vars) & right._aligned(self._vars)
+            self._mask = mask
+        return mask
 
     @property
     def codec(self) -> DomainCodec:
@@ -493,7 +637,7 @@ class PackedTable:
         cached = self._row_cache
         if cached is None:
             cached = frozenset(
-                self._codec.iter_rows(self._mask, len(self._vars))
+                self._codec.iter_rows(self.mask, len(self._vars))
             )
             self._row_cache = cached
         return cached
@@ -513,9 +657,11 @@ class PackedTable:
             idx = self._codec.encode_row(row)
         except SchemaError:
             return False
-        return bool((self._mask >> idx) & 1)
+        return bool((self.mask >> idx) & 1)
 
     def is_empty(self) -> bool:
+        if self._mask is None:
+            return len(self) == 0
         return self._mask == 0
 
     # -- alignment helpers ---------------------------------------------
@@ -530,7 +676,9 @@ class PackedTable:
         )
 
     def _align_lru(self) -> LRU:
-        """This table's align cache, created on first use."""
+        """This table's cache of derived masks — alignments, keyed by
+        target schema, and slices, keyed by ``(column, spread)`` —
+        created on first use."""
         cache = self._align_cache
         if cache is None:
             cache = self._align_cache = LRU(
@@ -545,14 +693,14 @@ class PackedTable:
         on every fixpoint round against the same union schema, and the
         expansion is the expensive half of a packed join."""
         if target == self._vars:
-            return self._mask
+            return self.mask
         codec = self._codec
         codec.check_width(len(target))
         cache = self._align_lru()
         mask = cache.get(target)
         if mask is not None:
             return mask
-        mask = self._mask
+        mask = self.mask
         cur = list(self._vars)
         have = set(cur)
         for var in target:
@@ -564,10 +712,53 @@ class PackedTable:
         cache.put(target, mask)
         return mask
 
+    def _slices(self, var: str, spread: bool) -> Tuple[List[int], List[int]]:
+        """This 2-column table cut along column ``var`` — the other
+        column's values per value of ``var``, as rows or spread (see
+        :meth:`DomainCodec.row_slices`) — with each slice's row count.
+
+        Cached with the alignment masks, under ``(var, spread)`` (no
+        schema of variable names equals it): a memoized atom is cut once
+        per evaluation however many fixpoint rounds compose with it."""
+        cache = self._align_lru()
+        key = (var, spread)
+        slices = cache.get(key)
+        if slices is None:
+            codec = self._codec
+            cut = codec.spread_slices if spread else codec.row_slices
+            if self._transposed is None:
+                parts = cut(self.mask, 1 - self._vars.index(var))
+            else:
+                parts = cut(self._transposed, self._vars.index(var))
+            slices = (parts, list(map(popcount, parts)))
+            cache.put(key, slices)
+        return slices
+
+    def _factor_slices(self):
+        """A factored join's ``(spreads, rows)`` slice pairs along its
+        shared column, oriented so their product lands in sorted column
+        order: the operand holding the first remaining column supplies
+        the spread (high) digit."""
+        left, right, shared = self._factors
+        high = self._vars[1] if self._vars[0] == shared else self._vars[0]
+        spread, row = (left, right) if high in left._vars else (right, left)
+        return spread._slices(shared, True), row._slices(shared, False)
+
     # -- relational operations -----------------------------------------
 
     def join(self, other) -> "PackedTable":
-        """Natural join: cylindrify both to the union schema, then AND."""
+        """Natural join: cylindrify both to the union schema, then AND.
+
+        Two 2-column tables over one codec that share exactly one column
+        ``v`` — ``A(u, v) ⋈ B(v, w)``, the inner step of every path query
+        and transitive closure — join *factored* instead: the result
+        holds ``A`` and ``B`` rather than its ``n^3``-bit mask.  Its row
+        count is ``Σ_z |A_{v=z}|·|B_{v=z}|`` over the operands'
+        per-value slices, and ``project_out(v)`` is their bit-matrix
+        product (:meth:`DomainCodec.compose`), so ``∃v. A ∧ B`` never
+        builds the mask; any other use builds it by the align-and-AND
+        path.  The width cap refuses the ``n^3``-bit schema here either
+        way."""
         tracer = self._tracer
         if not tracer.enabled:
             return self._join(other)
@@ -582,9 +773,15 @@ class PackedTable:
         other = self._coerced(other)
         if other._vars == self._vars:
             return PackedTable(
-                self._codec, self._vars, self._mask & other._mask, self._tracer
+                self._codec, self._vars, self.mask & other.mask, self._tracer
             )
         target = tuple(sorted(set(self._vars) | set(other._vars)))
+        if len(self._vars) == len(other._vars) == 2 and len(target) == 3:
+            self._codec.check_width(3)
+            table = PackedTable(self._codec, target, None, self._tracer)
+            shared = (set(self._vars) & set(other._vars)).pop()
+            table._factors = (self, other, shared)
+            return table
         return PackedTable(
             self._codec,
             target,
@@ -609,7 +806,7 @@ class PackedTable:
         other = self._coerced(other)
         if other._vars == self._vars:
             return PackedTable(
-                self._codec, self._vars, self._mask | other._mask, self._tracer
+                self._codec, self._vars, self.mask | other.mask, self._tracer
             )
         target = tuple(sorted(set(self._vars) | set(other._vars)))
         return PackedTable(
@@ -625,11 +822,13 @@ class PackedTable:
     def complement(self, domain: Optional[Domain] = None) -> "PackedTable":
         full = self._codec.full_mask(len(self._vars))
         return PackedTable(
-            self._codec, self._vars, self._mask ^ full, self._tracer
+            self._codec, self._vars, self.mask ^ full, self._tracer
         )
 
     def project_out(self, variable: str) -> "PackedTable":
-        """Existential quantification: OR-fold one digit away."""
+        """Existential quantification: OR-fold one digit away — or, for
+        the shared column of a factored join, the product of its
+        operands' slices, without building the join's mask."""
         if variable not in self._vars:
             return self
         tracer = self._tracer
@@ -645,8 +844,12 @@ class PackedTable:
     def _project_out(self, variable: str) -> "PackedTable":
         k = len(self._vars)
         i = self._vars.index(variable)
-        mask = self._codec.project(self._mask, k, k - 1 - i, universal=False)
         remaining = self._vars[:i] + self._vars[i + 1 :]
+        if self._factors is not None and variable == self._factors[2]:
+            (spreads, _), (rows, _) = self._factor_slices()
+            mask = self._codec.compose(spreads, rows)
+        else:
+            mask = self._codec.project(self.mask, k, k - 1 - i, universal=False)
         return PackedTable(self._codec, remaining, mask, self._tracer)
 
     def forall_out(self, variable: str, domain: Optional[Domain] = None) -> "PackedTable":
@@ -673,7 +876,7 @@ class PackedTable:
             return PackedTable(
                 self._codec, remaining, 0 if remaining else 1, self._tracer
             )
-        mask = self._codec.project(self._mask, k, k - 1 - i, universal=True)
+        mask = self._codec.project(self.mask, k, k - 1 - i, universal=True)
         return PackedTable(self._codec, remaining, mask, self._tracer)
 
     def select_eq(self, var_a: str, var_b: str) -> "PackedTable":
@@ -687,7 +890,7 @@ class PackedTable:
         if ia == ib:
             return self
         eq = self._codec.eq_mask(k, k - 1 - ia, k - 1 - ib)
-        return PackedTable(self._codec, self._vars, self._mask & eq, self._tracer)
+        return PackedTable(self._codec, self._vars, self.mask & eq, self._tracer)
 
     def rename(self, mapping: Mapping[str, str]) -> "PackedTable":
         """Rename columns; digits are permuted back to sorted order."""
@@ -704,7 +907,7 @@ class PackedTable:
         src_for = [0] * k
         for j, i in enumerate(order):
             src_for[k - 1 - j] = k - 1 - i
-        mask = self._codec.permute(self._mask, k, src_for)
+        mask = self._codec.permute(self.mask, k, src_for)
         return PackedTable(self._codec, target_vars, mask, self._tracer)
 
     def to_relation(self, output_vars: Sequence[str]) -> Relation:
@@ -721,7 +924,7 @@ class PackedTable:
         src_for = [0] * k
         for j, v in enumerate(output_vars):
             src_for[k - 1 - j] = k - 1 - pos[v]
-        mask = self._mask
+        mask = self.mask
         if src_for != list(range(k)):
             mask = self._codec.permute(mask, k, src_for)
         return PackedRelation(k, mask, self._codec, tracer=self._tracer)
@@ -731,7 +934,7 @@ class PackedTable:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PackedTable):
             if other._codec is self._codec:
-                return self._vars == other._vars and self._mask == other._mask
+                return self._vars == other._vars and self.mask == other.mask
             return self._vars == other._vars and self.rows == other.rows
         variables = getattr(other, "variables", None)
         rows = getattr(other, "rows", None)
@@ -743,7 +946,16 @@ class PackedTable:
         return hash((self._vars, self.rows))
 
     def __len__(self) -> int:
-        return popcount(self._mask)
+        if self._mask is not None:
+            return popcount(self._mask)
+        if self._factors is None:
+            return popcount(self._transposed)
+        count = self._count
+        if count is None:
+            (_, spread_counts), (_, row_counts) = self._factor_slices()
+            count = sum(map(mul, spread_counts, row_counts))
+            self._count = count
+        return count
 
     def __repr__(self) -> str:
         return f"PackedTable(vars={self._vars}, rows={len(self)})"

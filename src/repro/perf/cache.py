@@ -42,7 +42,7 @@ alongside the engine counters.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Optional, Tuple
 
 from repro.core.interp import VarTable
 from repro.database.database import Database
@@ -61,7 +61,7 @@ DEFAULT_MAX_TOTAL_ROWS = 1 << 20
 DEFAULT_MIN_FORMULA_SIZE = 3
 
 CacheKey = Tuple[
-    Formula, Tuple[object, ...], str, Tuple[Tuple[str, object], ...]
+    Formula, Hashable, str, Tuple[Tuple[str, object], ...]
 ]
 
 
@@ -136,7 +136,9 @@ class SubqueryCache:
         sparse table to a packed evaluation or vice versa, and relations
         enter the fingerprint via :meth:`Relation.state_key`, which packed
         relations answer with their mask instead of hashing a materialized
-        tuple set.
+        tuple set.  The domain enters as :attr:`Domain.exact_key`, so
+        domains whose values are equal but of other types (``0`` and
+        ``False``) never share a table.
         """
         fingerprint = []
         for name in rels:
@@ -147,7 +149,7 @@ class SubqueryCache:
                 except Exception:
                     return None
             fingerprint.append((name, relation.state_key()))
-        return (formula, db.domain.values, backend, tuple(fingerprint))
+        return (formula, db.domain.exact_key, backend, tuple(fingerprint))
 
     # -- lookup / store --------------------------------------------------
 

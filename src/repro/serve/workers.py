@@ -41,12 +41,13 @@ import json
 import multiprocessing
 import os
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple, Union
 
 from repro.complexity.measure import shutdown_pool
 from repro.errors import ReproError
 from repro.guard.chaos import InjectedFault
 from repro.kernel.lru import LRU
+from repro.kernel.packed import PackedRelation
 from repro.obs.tracer import NULL_TRACER, TracerLike
 from repro.perf.cache import SubqueryCache
 
@@ -131,39 +132,53 @@ ANSWER_MEMO_ENTRIES = 64
 ANSWER_MEMO_ROWS = 1 << 18
 
 #: The per-process answer-encoding memo: ``id(rows)`` -> ``(rows, JSON
-#: bytes)``; see :func:`encode_rows`.
+#: bytes)`` for row sets, ``(codec, arity, mask)`` -> ``(codec, JSON
+#: bytes)`` for packed answers; see :func:`encode_rows`.
 _ENCODED: LRU = LRU(ANSWER_MEMO_ENTRIES, ANSWER_MEMO_ROWS)
 
 
 def encode_rows(
-    rows: FrozenSet[Tuple[object, ...]], tracer: TracerLike = NULL_TRACER
+    rows: Union[FrozenSet[Tuple[object, ...]], PackedRelation],
+    tracer: TracerLike = NULL_TRACER,
 ) -> bytes:
-    """``rows`` as the JSON array of arrays an HTTP client receives.
+    """``rows`` — an answer's row set, or a packed answer relation — as
+    the JSON array of arrays an HTTP client receives.
 
     Rows are sorted by ``repr``; values render as ``json.dumps(...,
     default=repr)`` renders them, so JSON scalars round-trip and other
     values arrive as their ``repr``.  ``tracer`` records the work as one
     ``serve.encode`` span.
 
-    The bytes are memoized by the identity of the row set, and each
-    entry holds its row set, so no other object can take that id while
-    the entry lives.  A changed answer is a new row set and so a new
-    key: an encoding never outlives the answer it encodes.  Equal
-    content is not enough, because equal rows can render differently
-    (``(1,) == (1.0,) == (True,)``).  A warm answer is the very
-    frozenset a cache handed out, so its lookup costs no pass over the
-    rows; an answer rebuilt on every call (a permuted column order, a
-    packed relation's rows) is encoded on every call.
+    A row set's bytes are memoized by its identity, and each entry holds
+    its row set, so no other object can take that id while the entry
+    lives.  A changed answer is a new row set and so a new key: an
+    encoding never outlives the answer it encodes.  Equal content is
+    not enough, because equal rows can render differently (``(1,) ==
+    (1.0,) == (True,)``).  A warm answer is the very frozenset a cache
+    handed out, so its lookup costs no pass over the rows; a row set
+    rebuilt on every call (a permuted column order) is encoded on every
+    call.
+
+    A packed answer is a fresh relation on every call, but its codec,
+    arity and mask fix its rows exactly, the types of their values
+    included: codecs are shared only between domains whose values agree
+    in type (:func:`repro.kernel.backend.codec_for`).  Its bytes are
+    memoized under those three, the key holding the codec, and its row
+    count is the mask's popcount, so a warm packed answer decodes
+    nothing.
     """
+    packed = isinstance(rows, PackedRelation)
     with tracer.span("serve.encode", rows=len(rows)) as span:
-        entry = _ENCODED.get(id(rows))
+        key = (rows.codec, rows.arity, rows.mask) if packed else id(rows)
+        entry = _ENCODED.get(key)
         span.set(reused=entry is not None)
         if entry is None:
+            tuples = rows.tuples if packed else rows
             text = json.dumps(
-                [list(row) for row in sorted(rows, key=repr)], default=repr
+                [list(row) for row in sorted(tuples, key=repr)], default=repr
             )
-            entry = (rows, text.encode("ascii"))
-            _ENCODED.put(id(rows), entry, weight=len(rows))
+            entry = (rows.codec if packed else rows, text.encode("ascii"))
+            _ENCODED.put(key, entry, weight=len(rows))
     return entry[1]
 
 
@@ -177,7 +192,9 @@ def evaluate_payload(
     cache; pool workers pass their per-process cache.
 
     The answer's rows come back as ``rows_json``, the bytes of
-    :func:`encode_rows`, with their count as ``row_count``.
+    :func:`encode_rows`, with their count as ``row_count``.  A packed
+    answer goes to :func:`encode_rows` as its relation, so a warm one
+    is neither decoded nor counted row by row.
 
     When the payload asks for tracing, evaluation runs under a private
     :class:`~repro.obs.tracer.Tracer` and the answer dict carries the
@@ -209,7 +226,8 @@ def evaluate_payload(
         if result.guard is not None and hasattr(result.guard, "peak_rows")
         else result.stats.max_intermediate_rows
     )
-    rows = result.relation.tuples
+    relation = result.relation
+    rows = relation if isinstance(relation, PackedRelation) else relation.tuples
     answer: Dict[str, object] = {
         "rows_json": encode_rows(
             rows, tracer if tracer is not None else NULL_TRACER

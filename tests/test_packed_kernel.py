@@ -11,8 +11,11 @@ Three layers:
   tables over random small domains (including ``n = 0`` and ``n = 1``);
 * :class:`PackedRelation` against plain :class:`Relation`, including the
   cross-representation equality/hash contract the engines rely on;
+* the factored join of two 2-column tables against the align-and-AND
+  join it stands in for, operation by operation;
 * the bounded atom/align mask caches and their ``kernel.cache.*``
-  counters, and the mask-bit cap on tables a join or union widens.
+  counters, the mask-bit cap on tables a join or union widens, and
+  codecs kept apart for domains whose values differ only in type.
 """
 
 import itertools
@@ -220,6 +223,22 @@ def test_empty_domain_codec():
     assert codec.expand(1, 0, 0) == 0
     assert codec.project(0, 1, 0) == 0
     assert codec.sel0(2, 0) == 0
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_iter_rows_matches_decode_index(n, k):
+    """The block decode lists exactly the set bits, in ascending index
+    order, as decoding each index on its own does."""
+    codec = DomainCodec(Domain.range(n))
+    rng = random.Random(n * 10 + k)
+    size = codec.size(k)
+    masks = [0, codec.full_mask(k)] + [rng.getrandbits(size) for _ in range(5)]
+    for mask in masks:
+        expected = [
+            codec.decode_index(i, k) for i in range(size) if mask >> i & 1
+        ]
+        assert list(codec.iter_rows(mask, k)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -695,6 +714,154 @@ def test_kernel_cache_counters_reach_registry():
 
 
 # ---------------------------------------------------------------------------
+# the factored join: ∃v. A(u, v) ∧ B(v, w) without the n³-bit mask
+# ---------------------------------------------------------------------------
+
+
+def eager_join(left, right):
+    """The align-and-AND join, the reference for the factored one."""
+    target = tuple(sorted(set(left.variables) | set(right.variables)))
+    mask = left._aligned(target) & right._aligned(target)
+    return PackedTable(left.codec, target, mask, left._tracer)
+
+
+@st.composite
+def compositions(draw):
+    """The tables of ``A(u, v)`` and ``B(v, w)``, in either join order,
+    and the names ``(u, v, w)``.  The names are a permutation of
+    ``a < b < c``, so ``v`` lands at either digit of either operand and
+    ``u < w`` and ``u > w`` both occur.  Either table may be a
+    transposed one, as the table of an atom ``R(y, x)`` is."""
+    n = draw(st.integers(0, 6))
+    codec = DomainCodec(Domain.range(n))
+    u, v, w = draw(st.permutations(("a", "b", "c")))
+    tables = []
+    for pair in ((u, v), (v, w)):
+        variables = tuple(sorted(pair))
+        mask = draw(st.integers(0, codec.full_mask(2)))
+        if draw(st.booleans()):
+            table = PackedTable.transposed(
+                codec, variables, codec.swap(mask, 2, 0, 1)
+            )
+        else:
+            table = PackedTable(codec, variables, mask)
+        tables.append(table)
+    left, right = tables
+    if draw(st.booleans()):
+        left, right = right, left
+    return left, right, (u, v, w)
+
+
+def factored(left, right):
+    """A fresh factored join, its mask not yet built."""
+    table = left.join(right)
+    assert table._factors is not None and table._mask is None
+    return table
+
+
+class TestFactoredJoin:
+    @given(compositions())
+    def test_count_and_composition_are_bit_identical(self, case):
+        left, right, (u, v, w) = case
+        eager = eager_join(left, right)
+        table = factored(left, right)
+        assert table.variables == eager.variables
+        assert len(table) == popcount(eager.mask)
+        assert table.is_empty() == (eager.mask == 0)
+        composed = factored(left, right).project_out(v)
+        projected = eager.project_out(v)
+        assert composed.variables == projected.variables == tuple(sorted((u, w)))
+        assert composed.mask == projected.mask
+        # the composition never built the join's mask
+        assert table._mask is None
+
+    @given(compositions(), st.data())
+    def test_other_operations_match_the_eager_join(self, case, data):
+        left, right, (u, v, w) = case
+        eager = eager_join(left, right)
+        codec = eager.codec
+        assert factored(left, right).mask == eager.mask
+        assert factored(left, right).rows == eager.rows
+        assert factored(left, right) == eager
+        assert hash(factored(left, right)) == hash(eager)
+        assert factored(left, right).complement() == eager.complement()
+        for var in (u, w):
+            assert factored(left, right).project_out(var) == eager.project_out(var)
+        for var in (u, v, w):
+            assert factored(left, right).forall_out(var) == eager.forall_out(var)
+        for order in itertools.permutations((u, v, w)):
+            assert factored(left, right).to_relation(order) == eager.to_relation(
+                order
+            )
+        for variables in (("a", "b", "c"), ("a", "b"), ("c", "d")):
+            other = PackedTable(
+                codec,
+                variables,
+                data.draw(st.integers(0, codec.full_mask(len(variables)))),
+            )
+            assert factored(left, right).union(other) == eager.union(other)
+            assert factored(left, right).join(other) == eager.join(other)
+            assert other.join(factored(left, right)) == other.join(eager)
+        # rebound to an equal domain's codec and a tracer: still factored
+        twin = DomainCodec(Domain.range(codec.n))
+        bound = factored(left, right).bound_to(twin, Tracer())
+        assert bound._mask is None and bound.codec is twin
+        assert len(bound) == len(eager)
+        assert bound == eager.bound_to(twin, Tracer())
+        assert bound.project_out(v).mask == eager.project_out(v).mask
+
+    def test_only_two_binary_tables_sharing_one_column_factor(self):
+        codec = DomainCodec(Domain.range(3))
+        xy = PackedTable(codec, ("x", "y"), 0b101010101)
+        for other in [
+            PackedTable(codec, ("x", "y"), 0b11),  # same columns
+            PackedTable(codec, ("z",), 0b101),  # a unary table
+            PackedTable(codec, ("w", "z"), 0b1001),  # nothing shared
+            PackedTable(codec, ("x", "y", "z"), 1 << 26),  # a ternary table
+        ]:
+            assert xy.join(other)._factors is None
+            assert other.join(xy)._factors is None
+
+
+def _kernel_span_rows(monkeypatch, factor):
+    """The ``(name, attrs)`` of every ``kernel.join`` and
+    ``kernel.project`` span of a traced packed transitive closure."""
+    if not factor:
+        monkeypatch.setattr(
+            PackedTable,
+            "_join",
+            lambda self, other: eager_join(self, self._coerced(other)),
+        )
+    db = Database.from_tuples(
+        range(7), {"E": (2, [(0, 1), (1, 2), (2, 3), (3, 1), (4, 5), (5, 6)])}
+    )
+    formula = parse_formula(
+        "[lfp S(x, y). E(x, y) | exists z. (E(x, z) & S(z, y))](u, v)"
+    )
+    rows = []
+    for strategy in FixpointStrategy:
+        tracer = Tracer()
+        evaluate(
+            formula, db, ("u", "v"),
+            EvalOptions(backend="packed", strategy=strategy, trace=tracer),
+        )
+        rows.extend(
+            (span.name, dict(span.attrs))
+            for span in tracer.spans
+            if span.name in ("kernel.join", "kernel.project")
+        )
+    monkeypatch.undo()
+    return rows
+
+
+def test_traced_closure_spans_match_the_eager_join(monkeypatch):
+    factored_rows = _kernel_span_rows(monkeypatch, factor=True)
+    eager_rows = _kernel_span_rows(monkeypatch, factor=False)
+    assert any(name == "kernel.join" for name, _ in factored_rows)
+    assert factored_rows == eager_rows
+
+
+# ---------------------------------------------------------------------------
 # the mask-bit cap on widened tables
 # ---------------------------------------------------------------------------
 
@@ -727,3 +894,31 @@ def test_width_cap_refuses_widened_tables(query, out, rows):
     answer = evaluate(formula, db, out, EvalOptions(backend=backend)).relation
     sparse = evaluate(formula, db, out, EvalOptions(backend="sparse")).relation
     assert answer == sparse and len(answer) == rows
+
+
+# ---------------------------------------------------------------------------
+# codecs are shared only between domains whose values agree in type
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "query, out, first, second, expected",
+    [
+        # 0 == False and 1 == True: equal value sets, other types
+        ("E(x, y)", ("x", "y"), [0, 1], [False, True], [(False, True)]),
+        ("exists y. E(x, y)", ("x",), [1, 2], [1.0, 2.0], [(1.0,)]),
+    ],
+)
+def test_codecs_keep_value_types_apart(query, out, first, second, expected):
+    """A packed answer decodes into its own domain's values, even after
+    an evaluation over a domain equal to it as a value set."""
+    formula = parse_formula(query)
+    options = EvalOptions(backend="packed")
+    for values in (first, second):
+        db = Database.from_tuples(values, {"E": (2, [tuple(values)])})
+        answer = evaluate(formula, db, out, options).relation
+    rows = sorted(answer.tuples)
+    assert rows == expected
+    assert [tuple(map(type, row)) for row in rows] == [
+        tuple(map(type, row)) for row in expected
+    ]

@@ -136,6 +136,26 @@ class TestMetricsAndKeys:
             cache, formula, mutated
         )
 
+    def test_key_tells_apart_values_of_other_types(self):
+        # [0, 1] == [False, True] as value sets; a shared entry would
+        # serve one database's rows, with their types, to the other
+        cache = SubqueryCache()
+        formula = parse_formula("exists y. E(x, y)")
+        keys = [
+            _key_of(
+                cache,
+                formula,
+                Database.from_tuples(values, {"E": (2, [tuple(values)])}),
+            )
+            for values in ([0, 1], [False, True], [0.0, 1.0], [0, 1])
+        ]
+        assert len(set(keys[:3])) == 3
+        assert keys[0] == keys[3]
+
+    def test_domain_key_is_built_once_per_domain(self):
+        domain = _db().domain
+        assert domain.exact_key is domain.exact_key
+
     def test_key_is_none_for_unresolvable_relation(self):
         cache = SubqueryCache()
         assert _key(cache, "R(x)", _db()) is None

@@ -8,10 +8,12 @@ import pytest
 
 from repro.core.engine import Query
 from repro.database.database import Database
+from repro.database.domain import Domain
 from repro.errors import EvaluationError, Overloaded, ResourceExhausted
 from repro.guard.budget import Budget
 from repro.guard.chaos import ChaosPolicy
 from repro.kernel.lru import LRU
+from repro.kernel.packed import DomainCodec, PackedRelation
 from repro.obs.tracer import Tracer
 from repro.perf.cache import SubqueryCache
 from repro.serve import workers
@@ -509,6 +511,46 @@ class TestAnswerEncoding:
             want = b"[[0, 1]]" if name == "ints" else b"[[false, true]]"
             assert response.rows_json == want
         service.close()
+
+    def test_cached_tables_keep_their_value_types(self):
+        # a shared subquery cache keyed on domain values compared with
+        # ==, so {(False, True)}'s closure was served {(0, 1)}'s table
+        service = QueryService(retry=FAST_RETRY, cache=True)
+        for name, values in (("ints", [0, 1]), ("bools", [False, True])):
+            service.register_database(
+                name,
+                Database.from_tuples(values, {"E": (2, [tuple(values)])}),
+            )
+        service.prepare("tc", TC_QUERY, ("u", "v"))
+        for name in ("ints", "bools"):
+            response = run(service.call("t0", "tc", name))
+            want = b"[[0, 1]]" if name == "ints" else b"[[false, true]]"
+            assert response.rows_json == want
+        service.close()
+
+    def test_packed_answers_are_memoized_by_codec_arity_and_mask(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(workers, "_ENCODED", LRU(4))
+        codec = DomainCodec(Domain([0, 1]))
+        twin = DomainCodec(Domain([False, True]))
+        tracer = Tracer()
+        # every call hands a fresh relation; equal content under one
+        # codec is one entry, and a warm one is never decoded
+        for _ in range(2):
+            answer = PackedRelation(2, 0b0010, codec)
+            assert workers.encode_rows(answer, tracer) == b"[[0, 1]]"
+        assert answer._materialized is None
+        assert workers.encode_rows(PackedRelation(1, 0b10, codec), tracer) == (
+            b"[[1]]"
+        )
+        assert workers.encode_rows(PackedRelation(2, 0b0010, twin), tracer) == (
+            b"[[false, true]]"
+        )
+        assert [span.attrs["reused"] for span in tracer.spans] == [
+            False, True, False, False,
+        ]
+        assert [span.attrs["rows"] for span in tracer.spans] == [1, 1, 1, 1]
 
     def test_memo_bounds_are_the_module_constants(self):
         assert workers._ENCODED.max_entries == workers.ANSWER_MEMO_ENTRIES
