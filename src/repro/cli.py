@@ -326,6 +326,18 @@ def _cmd_explain(args: argparse.Namespace) -> int:
                 print(f"# witness problem: {problem}", file=sys.stderr)
             return 1
         print("# witness replayed against the database: ok")
+        # the witness is built on the reference semantics: it judges the
+        # answer the engine computed above
+        in_answer = values in result.relation
+        if witness.holds != in_answer:
+            print(
+                f"# witness disagrees with the engine: {values!r} is an "
+                f"answer: {witness.holds} by the reference, {in_answer} by "
+                f"the engine",
+                file=sys.stderr,
+            )
+            return 1
+        print("# witness agrees with the engine's answer: ok")
     return 0
 
 

@@ -13,13 +13,18 @@ tables, and no cleverness:
   the naive approach Section 3.3 says "does not work"; it is guarded by an
   explicit budget so tests cannot hang.
 
+One stage loop, :func:`kleene_stages`, serves every fixpoint kind; it is
+public because the ``explain --why`` witnesses of
+:mod:`repro.obs.provenance` cite its stages, so the same semantics that
+judges the engines also builds and checks the witnesses.
+
 Everything here favours clarity over speed.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.database.database import Database
 from repro.database.domain import Value
@@ -146,9 +151,11 @@ def _holds(
         finally:
             _restore(assignment, name, saved)
     if isinstance(formula, _FixpointBase):
-        limit = _fixpoint_limit(formula, db, assignment, env, so_budget)
+        stages, diverged = kleene_stages(
+            formula, db, assignment, env, so_budget
+        )
         row = tuple(_term_value(t, assignment) for t in formula.args)
-        return row in limit
+        return not diverged and row in stages[-1]
     if isinstance(formula, SOExists):
         return _so_exists(formula, db, assignment, env, so_budget)
     raise EvaluationError(f"unknown formula node {formula!r}")
@@ -190,50 +197,46 @@ def _apply_operator(
     return Relation(node.arity, rows)
 
 
-def _fixpoint_limit(
+def kleene_stages(
     node: _FixpointBase,
     db: Database,
-    assignment: Dict[str, Value],
-    env: Dict[str, Relation],
-    so_budget: int,
-) -> Relation:
+    assignment: Optional[Mapping[str, Value]] = None,
+    rel_env: Optional[RelEnv] = None,
+    so_budget: int = DEFAULT_SO_BUDGET,
+) -> Tuple[List[Relation], bool]:
+    """The Kleene stages of a fixpoint node and whether they diverge.
+
+    ``stages[0]`` is the start (``∅``, or ``D^m`` for GFP); each later
+    stage applies the operator once more (``S ∪ φ(S)`` for IFP), and the
+    last is the limit.  ``diverged`` is True only for a PFP whose
+    sequence cycles without converging: its last stage then repeats an
+    earlier one, and the partial fixpoint is ``∅`` by Section 2.2's
+    convention.  ``assignment`` binds the node's free individual
+    variables, ``rel_env`` its free relation variables.
+    """
+    a = dict(assignment or {})
+    env = dict(rel_env or {})
     arity = node.arity
-    if isinstance(node, LFP):
-        current = Relation.empty(arity)
-        while True:
-            after = _apply_operator(node, db, assignment, env, current, so_budget)
-            if after == current:
-                return current
-            current = after
     if isinstance(node, GFP):
         current = Relation(arity, db.domain.tuples(arity))
-        while True:
-            after = _apply_operator(node, db, assignment, env, current, so_budget)
-            if after == current:
-                return current
-            current = after
-    if isinstance(node, IFP):
+    elif isinstance(node, (LFP, IFP, PFP)):
         current = Relation.empty(arity)
-        while True:
-            step = _apply_operator(node, db, assignment, env, current, so_budget)
-            after = current.union(step)
-            if after == current:
-                return current
-            current = after
-    if isinstance(node, PFP):
-        current = Relation.empty(arity)
-        seen = {current}
-        while True:
-            after = _apply_operator(node, db, assignment, env, current, so_budget)
-            if after == current:
-                return current
+    else:
+        raise EvaluationError(f"unknown fixpoint node {node!r}")
+    stages = [current]
+    seen = {current}
+    while True:
+        after = _apply_operator(node, db, a, env, current, so_budget)
+        if isinstance(node, IFP):
+            after = current.union(after)
+        if after == current:
+            return stages, False
+        stages.append(after)
+        if isinstance(node, PFP):
             if after in seen:
-                # the sequence entered a non-trivial cycle: no limit exists,
-                # and the partial fixpoint is the empty relation by convention
-                return Relation.empty(arity)
+                return stages, True
             seen.add(after)
-            current = after
-    raise EvaluationError(f"unknown fixpoint node {node!r}")
+        current = after
 
 
 def _so_exists(

@@ -30,8 +30,10 @@ class Database:
     >>> b.size()
     3
 
-    Every tuple of every relation must lie within the domain; this invariant
-    is checked at construction time so downstream evaluators can rely on it.
+    Every value of every relation must be a domain value, of the same type
+    as that domain value (:meth:`Domain.check_rows`); this invariant is
+    checked at construction time so downstream evaluators, whichever
+    backend they run on, can rely on it.
     """
 
     __slots__ = ("_domain", "_relations", "_schema")
@@ -40,13 +42,7 @@ class Database:
         self._domain = domain
         rels: Dict[str, Relation] = dict(relations)
         for name, rel in rels.items():
-            for t in rel.tuples:
-                for v in t:
-                    if v not in domain:
-                        raise SchemaError(
-                            f"relation {name!r} contains value {v!r} "
-                            f"outside the domain"
-                        )
+            domain.check_rows(rel.tuples, f"relation {name!r}")
         self._relations = rels
         self._schema = DatabaseSchema(
             RelationSchema(name, rel.arity) for name, rel in rels.items()
@@ -127,11 +123,7 @@ class Database:
                 f"fact {fact!r} has length {len(fact)}, relation {name!r} "
                 f"has arity {rel.arity}"
             )
-        for v in fact:
-            if v not in self._domain:
-                raise SchemaError(
-                    f"fact value {v!r} is outside the domain"
-                )
+        self._domain.check_rows((fact,), f"fact {fact!r}")
         if fact in rel:
             return False
         self._relations[name] = Relation(rel.arity, rel.tuples | {fact})

@@ -9,7 +9,7 @@ readable strings for employees and departments.
 from __future__ import annotations
 
 import itertools
-from typing import Hashable, Iterable, Iterator, Tuple
+from typing import Hashable, Iterable, Iterator, Sequence, Tuple
 
 from repro.errors import SchemaError
 
@@ -76,6 +76,31 @@ class Domain:
             return self._index[value]
         except KeyError:
             raise SchemaError(f"value {value!r} not in domain") from None
+
+    def check_rows(self, rows: Iterable[Sequence[Value]], owner: str) -> None:
+        """Refuse any value in ``rows`` that is not a domain value.
+
+        A value equal to a domain value only across types (``False`` for
+        ``0``, ``1.0`` for ``1``) is refused too: a backend that encodes
+        values by domain position would read it as the domain's value,
+        one that keeps tuples as they are would not.  ``owner`` names the
+        rows in the error.
+        """
+        index, values = self._index, self._values
+        for row in rows:
+            for value in row:
+                position = index.get(value)
+                if position is None:
+                    raise SchemaError(
+                        f"{owner} contains value {value!r} outside the domain"
+                    )
+                own = values[position]
+                if type(own) is not type(value):
+                    raise SchemaError(
+                        f"{owner} contains value {value!r} of type "
+                        f"{type(value).__name__}, which equals the domain "
+                        f"value {own!r} of type {type(own).__name__}"
+                    )
 
     def tuples(self, arity: int) -> Iterator[Tuple[Value, ...]]:
         """All ``arity``-tuples over the domain, in lexicographic order.

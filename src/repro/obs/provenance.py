@@ -19,21 +19,26 @@ Two complementary facilities live here:
   first-entry stage plus a *derivation chain* (the body witness at the
   previous stage, whose recursion-variable atoms recurse to strictly
   earlier stages, bottoming out at the database).  Witnesses are built
-  by an independent reference semantics (direct recursive satisfaction
-  plus naive Kleene stage computation — no engine code), so
-  :func:`check_witness` can replay one against the database and detect
-  any disagreement with the engines.
+  on the reference semantics of :mod:`repro.core.naive_eval`, the
+  oracle the differential suites judge every engine by: fixpoint nodes
+  cite its :func:`~repro.core.naive_eval.kleene_stages`, and terms are
+  evaluated by it.  :func:`check_witness` replays a witness against the
+  same oracle, and ``repro explain --why`` compares its claim with the
+  engine's answer.
 
-The module keeps its imports to the logic/database layers so the core
-engines can import :data:`NULL_STAGE_LOG` without cycles.
+The oracle imports only the logic/database layers, so the core engines
+can import :data:`NULL_STAGE_LOG` from here without cycles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from itertools import repeat
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro.core.naive_eval import _term_value, holds, kleene_stages
 from repro.database.database import Database
+from repro.database.relation import Relation
 from repro.errors import EvaluationError, ReproError
 from repro.logic.printer import format_formula
 from repro.logic.substitution import substitute
@@ -44,7 +49,6 @@ from repro.logic.syntax import (
     Exists,
     Forall,
     Formula,
-    GFP,
     IFP,
     LFP,
     Not,
@@ -201,56 +205,18 @@ StageLogLike = Union[StageLog, NullStageLog]
 
 
 # ---------------------------------------------------------------------------
-# Reference satisfaction semantics (witness side)
+# Reference stages (witness side)
 # ---------------------------------------------------------------------------
 
 Assignment = Dict[str, object]
-
-
-def _term_value(term, assignment: Assignment):
-    if isinstance(term, Var):
-        try:
-            return assignment[term.name]
-        except KeyError:
-            raise ProvenanceError(
-                f"assignment does not bind variable {term.name!r}"
-            ) from None
-    if isinstance(term, Const):
-        return term.value
-    raise ProvenanceError(f"unknown term {term!r}")
-
-
-class _StageCache:
-    """Memoized naive Kleene stages per closed fixpoint formula.
-
-    Keys are the *closed* node (all free individual variables already
-    substituted to constants) — a frozen dataclass, hence hashable and
-    structural.  Nested fixpoints recurse through :func:`_holds`, so the
-    cache is threaded everywhere.
-    """
-
-    __slots__ = ("_stages",)
-
-    def __init__(self) -> None:
-        self._stages: Dict[tuple, Tuple[List[frozenset], bool]] = {}
-
-    def stages(
-        self, node: _FixpointBase, db: Database, rel_env: Dict[str, frozenset]
-    ) -> Tuple[List[frozenset], bool]:
-        """``(stages, diverged)`` for a closed fixpoint node.
-
-        ``stages[0]`` is the start (∅, or the full relation for GFP);
-        the last stage is the limit.  ``diverged`` is True only for a
-        PFP whose sequence cycles without converging — its limit is
-        then the empty relation by the paper's convention.
-        """
-        key = (node, tuple(sorted(rel_env.items())))
-        cached = self._stages.get(key)
-        if cached is not None:
-            return cached
-        result = _kleene_stages(node, db, rel_env, self)
-        self._stages[key] = result
-        return result
+RelEnv = Dict[str, Relation]
+Stages = Tuple[List[Relation], bool]
+#: the recursion variables in scope of a derivation body, by name: the
+#: fixpoint node, its stages up to the one the body is evaluated at, and
+#: the relation environment and scope of the node itself — a derivation
+#: cited from deeper inside the body is rebuilt in those, so bindings
+#: made in between (an inner fixpoint reusing an outer name) do not leak
+Scope = Dict[str, tuple]
 
 
 def _close_fixpoint(
@@ -269,129 +235,27 @@ def _close_fixpoint(
     )
 
 
-def _operator_image(
+def _closed_stages(
+    memo: Dict[tuple, Stages],
     node: _FixpointBase,
-    db: Database,
-    rel_env: Dict[str, frozenset],
-    current: frozenset,
-    cache: "_StageCache",
-) -> frozenset:
-    """``φ(current)`` over the bound-variable order, by direct checking."""
-    order = [v.name for v in node.bound_vars]
-    env = dict(rel_env)
-    env[node.rel] = current
-    image = set()
-    for combo in db.domain.tuples(len(order)):
-        assignment = dict(zip(order, combo))
-        if _holds(node.body, db, assignment, env, cache):
-            image.add(tuple(combo))
-    return frozenset(image)
-
-
-def _kleene_stages(
-    node: _FixpointBase,
-    db: Database,
-    rel_env: Dict[str, frozenset],
-    cache: "_StageCache",
-) -> Tuple[List[frozenset], bool]:
-    arity = node.arity
-    if isinstance(node, GFP):
-        current: frozenset = frozenset(db.domain.tuples(arity))
-    else:
-        current = frozenset()
-    stages = [current]
-    seen = {current}
-    while True:
-        image = _operator_image(node, db, rel_env, current, cache)
-        if isinstance(node, IFP):
-            after = current | image
-        else:
-            after = image
-        if after == current:
-            return stages, False
-        if isinstance(node, PFP) and after in seen:
-            # cycle without convergence: the partial fixpoint is empty
-            stages.append(after)
-            return stages, True
-        stages.append(after)
-        seen.add(after)
-        current = after
-
-
-def _holds(
-    formula: Formula,
     db: Database,
     assignment: Assignment,
-    rel_env: Dict[str, frozenset],
-    cache: "_StageCache",
-) -> bool:
-    """Direct recursive satisfaction — the reference the witnesses cite."""
-    if isinstance(formula, RelAtom):
-        values = tuple(_term_value(t, assignment) for t in formula.terms)
-        relation = rel_env.get(formula.name)
-        if relation is None:
-            relation = db.relation(formula.name).tuples
-        return values in relation
-    if isinstance(formula, Equals):
-        return _term_value(formula.left, assignment) == _term_value(
-            formula.right, assignment
-        )
-    if isinstance(formula, Truth):
-        return formula.value
-    if isinstance(formula, Not):
-        return not _holds(formula.sub, db, assignment, rel_env, cache)
-    if isinstance(formula, And):
-        return all(
-            _holds(sub, db, assignment, rel_env, cache)
-            for sub in formula.subs
-        )
-    if isinstance(formula, Or):
-        return any(
-            _holds(sub, db, assignment, rel_env, cache)
-            for sub in formula.subs
-        )
-    if isinstance(formula, Exists):
-        name = formula.var.name
-        saved = assignment.get(name, _MISSING)
-        for value in db.domain:
-            assignment[name] = value
-            if _holds(formula.sub, db, assignment, rel_env, cache):
-                _restore(assignment, name, saved)
-                return True
-        _restore(assignment, name, saved)
-        return False
-    if isinstance(formula, Forall):
-        name = formula.var.name
-        saved = assignment.get(name, _MISSING)
-        for value in db.domain:
-            assignment[name] = value
-            if not _holds(formula.sub, db, assignment, rel_env, cache):
-                _restore(assignment, name, saved)
-                return False
-        _restore(assignment, name, saved)
-        return True
-    if isinstance(formula, _FixpointBase):
-        closed = _close_fixpoint(formula, assignment)
-        stages, diverged = cache.stages(closed, db, rel_env)
-        limit = frozenset() if diverged else stages[-1]
-        values = tuple(_term_value(t, assignment) for t in formula.args)
-        return values in limit
-    if isinstance(formula, SOExists):
-        raise ProvenanceError(
-            "second-order quantifiers have no witness semantics here; "
-            "provenance covers FO/FP/PFP formulas"
-        )
-    raise ProvenanceError(f"unknown formula node {formula!r}")
+    rel_env: RelEnv,
+) -> Tuple[_FixpointBase, Stages]:
+    """The node closed under ``assignment``, and its oracle stages.
 
-
-_MISSING = object()
-
-
-def _restore(assignment: Assignment, name: str, saved: object) -> None:
-    if saved is _MISSING:
-        assignment.pop(name, None)
-    else:
-        assignment[name] = saved
+    A witness visits one fixpoint node under many assignments, so the
+    ``(stages, diverged)`` pair of
+    :func:`~repro.core.naive_eval.kleene_stages` is memoized per closed
+    node (a frozen dataclass, hence a structural key) and relation
+    environment.
+    """
+    closed = _close_fixpoint(node, assignment)
+    key = (closed, tuple(sorted(rel_env.items())))
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = kleene_stages(closed, db, rel_env=rel_env)
+    return closed, found
 
 
 # ---------------------------------------------------------------------------
@@ -449,36 +313,36 @@ def _clip(text: str, limit: int = 60) -> str:
 
 
 class _WitnessBuilder:
-    """Builds witness trees by mirroring :func:`_holds` with recording."""
+    """Builds witness trees by following the oracle's recursion, recording
+    each choice it makes."""
 
-    def __init__(self, db: Database, cache: Optional[_StageCache] = None):
+    def __init__(self, db: Database):
         self.db = db
-        self.cache = cache if cache is not None else _StageCache()
+        self.memo: Dict[tuple, Stages] = {}
 
     def explain(
         self,
         formula: Formula,
         assignment: Assignment,
-        rel_env: Dict[str, frozenset],
-        fixpoints: Dict[str, Tuple[_FixpointBase, List[frozenset]]],
+        rel_env: RelEnv,
+        fixpoints: Scope,
     ) -> Witness:
-        db, cache = self.db, self.cache
+        db = self.db
         snap = dict(assignment)
         if isinstance(formula, RelAtom):
             values = tuple(_term_value(t, assignment) for t in formula.terms)
             if formula.name in fixpoints:
                 return self._explain_stage_atom(
-                    formula, values, snap, rel_env, fixpoints
+                    formula, values, snap, fixpoints
                 )
             relation = rel_env.get(formula.name)
             if relation is None:
-                relation = db.relation(formula.name).tuples
-            holds = values in relation
+                relation = db.relation(formula.name)
             return Witness(
                 "atom",
                 formula,
                 snap,
-                holds,
+                values in relation,
                 {"rel": formula.name, "tuple": values},
             )
         if isinstance(formula, Equals):
@@ -524,20 +388,16 @@ class _WitnessBuilder:
                         (child,),
                     )
             return Witness("or", formula, snap, False, {}, tuple(children))
-        if isinstance(formula, Exists):
+        if isinstance(formula, (Exists, Forall)):
             return self._explain_quantifier(
-                formula, assignment, rel_env, fixpoints, existential=True
-            )
-        if isinstance(formula, Forall):
-            return self._explain_quantifier(
-                formula, assignment, rel_env, fixpoints, existential=False
+                formula, snap, rel_env, fixpoints
             )
         if isinstance(formula, _FixpointBase):
-            closed = _close_fixpoint(formula, assignment)
-            stages, diverged = cache.stages(closed, db, rel_env)
-            limit = frozenset() if diverged else stages[-1]
+            closed, (stages, diverged) = _closed_stages(
+                self.memo, formula, db, assignment, rel_env
+            )
             values = tuple(_term_value(t, assignment) for t in formula.args)
-            holds = values in limit
+            holds = not diverged and values in stages[-1]
             detail: Dict[str, object] = {
                 "rel": formula.rel,
                 "tuple": values,
@@ -558,49 +418,39 @@ class _WitnessBuilder:
                 )
                 detail["stage"] = children[0].detail["stage"]
             return Witness("fixpoint", formula, snap, holds, detail, children)
-        if isinstance(formula, SOExists):
-            raise ProvenanceError(
-                "second-order quantifiers have no witness semantics here; "
-                "provenance covers FO/FP/PFP formulas"
-            )
         raise ProvenanceError(f"unknown formula node {formula!r}")
 
     def _explain_quantifier(
-        self, formula, assignment, rel_env, fixpoints, existential: bool
+        self, formula, assignment, rel_env, fixpoints
     ) -> Witness:
-        name = formula.var.name
-        snap = dict(assignment)
-        saved = assignment.get(name, _MISSING)
-        children = []
+        existential = isinstance(formula, Exists)
         kind = "exists" if existential else "forall"
+        children = []
         for value in self.db.domain:
-            assignment[name] = value
-            child = self.explain(formula.sub, assignment, rel_env, fixpoints)
-            if existential and child.holds:
-                _restore(assignment, name, saved)
-                return Witness(
-                    kind, formula, snap, True, {"value": value}, (child,)
-                )
-            if not existential and not child.holds:
-                _restore(assignment, name, saved)
+            child = self.explain(
+                formula.sub,
+                {**assignment, formula.var.name: value},
+                rel_env,
+                fixpoints,
+            )
+            if child.holds == existential:
+                # a holding ∃ value or a failing ∀ value decides the claim
+                key = "value" if existential else "counterexample"
                 return Witness(
                     kind,
                     formula,
-                    snap,
-                    False,
-                    {"counterexample": value},
+                    assignment,
+                    existential,
+                    {key: value},
                     (child,),
                 )
             children.append(child)
-        _restore(assignment, name, saved)
-        if existential:
-            # no value worked: the children enumerate every failure
-            return Witness(kind, formula, snap, False, {}, tuple(children))
-        return Witness(kind, formula, snap, True, {}, tuple(children))
+        # no value decided: the children cover every domain value
+        return Witness(
+            kind, formula, assignment, not existential, {}, tuple(children)
+        )
 
-    def _explain_stage_atom(
-        self, formula, values, snap, rel_env, fixpoints
-    ) -> Witness:
+    def _explain_stage_atom(self, formula, values, snap, fixpoints) -> Witness:
         """An atom on a recursion variable inside a derivation chain.
 
         A *positive* occurrence recurses to the tuple's own derivation
@@ -608,7 +458,7 @@ class _WitnessBuilder:
         possible in IFP bodies — records the stage-absence claim, which
         the checker verifies against recomputed stages.
         """
-        node, stages = fixpoints[formula.name]
+        node, stages, rel_env, outer = fixpoints[formula.name]
         stage_bound = len(stages) - 1  # derive against stages[stage_bound]
         present = values in stages[stage_bound]
         if not present:
@@ -620,7 +470,7 @@ class _WitnessBuilder:
                 {"rel": formula.name, "tuple": values, "stage": stage_bound},
             )
         derivation = self._explain_derivation(
-            node, values, stages, rel_env, fixpoints, bound=stage_bound
+            node, values, stages, rel_env, outer, bound=stage_bound
         )
         return Witness(
             "stage-member",
@@ -639,9 +489,9 @@ class _WitnessBuilder:
         self,
         node: _FixpointBase,
         values: tuple,
-        stages: List[frozenset],
-        rel_env: Dict[str, frozenset],
-        fixpoints: Dict[str, Tuple[_FixpointBase, List[frozenset]]],
+        stages: List[Relation],
+        rel_env: RelEnv,
+        fixpoints: Scope,
         bound: Optional[int] = None,
     ) -> Witness:
         """Why ``values`` entered the iteration: the body witness at the
@@ -664,7 +514,7 @@ class _WitnessBuilder:
         inner_env = dict(rel_env)
         inner_env[node.rel] = previous
         inner_fixpoints = dict(fixpoints)
-        inner_fixpoints[node.rel] = (node, stages[: entry])
+        inner_fixpoints[node.rel] = (node, stages[:entry], rel_env, fixpoints)
         body = self.explain(
             node.body, assignment, inner_env, inner_fixpoints
         )
@@ -687,26 +537,24 @@ class _WitnessBuilder:
 
 
 def explain_membership(
-    formula: Formula,
-    db: Database,
-    assignment: Assignment,
-    rel_env: Optional[Dict[str, frozenset]] = None,
+    formula: Formula, db: Database, assignment: Assignment
 ) -> Witness:
     """Why ``formula`` holds (or fails) under ``assignment`` on ``db``.
 
-    ``assignment`` must bind every free individual variable;
-    ``rel_env`` optionally binds free relation variables to tuple sets.
+    ``assignment`` must bind every free individual variable; a formula
+    with a second-order quantifier anywhere is refused.
     """
-    builder = _WitnessBuilder(db)
-    env = {
-        name: frozenset(rel) for name, rel in (rel_env or {}).items()
-    }
     missing = free_variables(formula) - set(assignment)
     if missing:
         raise ProvenanceError(
             f"assignment does not bind free variables {sorted(missing)}"
         )
-    return builder.explain(formula, dict(assignment), env, {})
+    if any(isinstance(node, SOExists) for node in formula.walk()):
+        raise ProvenanceError(
+            "second-order quantifiers have no witness semantics here; "
+            "provenance covers FO/FP/PFP formulas"
+        )
+    return _WitnessBuilder(db).explain(formula, dict(assignment), {}, {})
 
 
 def explain_answer(
@@ -714,7 +562,6 @@ def explain_answer(
     db: Database,
     output_vars: Sequence[str],
     values: Sequence[object],
-    rel_env: Optional[Dict[str, frozenset]] = None,
 ) -> Witness:
     """Why tuple ``values`` is (or is not) in the answer of the query."""
     out = tuple(output_vars)
@@ -727,235 +574,382 @@ def explain_answer(
             raise ProvenanceError(
                 f"value {value!r} is not in the database domain"
             )
-    assignment = dict(zip(out, values))
-    return explain_membership(formula, db, assignment, rel_env)
+    return explain_membership(formula, db, dict(zip(out, values)))
 
 
 # ---------------------------------------------------------------------------
-# Witness checking (replay against the database)
+# Witness checking (replay against the reference semantics)
 # ---------------------------------------------------------------------------
 
 
-def check_witness(
-    witness: Witness,
-    db: Database,
-    rel_env: Optional[Dict[str, frozenset]] = None,
-) -> List[str]:
+def check_witness(witness: Witness, db: Database) -> List[str]:
     """Replay a witness against ``db``; the list of problems (empty = ok).
 
-    Every leaf claim is re-verified against the database (fixpoint stage
-    claims against independently recomputed Kleene stages), and every
-    connective's claim is re-checked against its children's.  An empty
-    result means the witness is a sound certificate for its root claim.
+    Every claim is recomputed on the reference semantics: each atom's,
+    equality's and fixpoint's values from its terms under its
+    assignment, each atom's truth by :func:`repro.core.naive_eval.holds`
+    and each fixpoint's stages by
+    :func:`~repro.core.naive_eval.kleene_stages`.  Each child must carry
+    its parent's subformula and assignment (a quantifier's child
+    rebinding only its variable, a derivation binding its bound
+    variables to its tuple), each stage claim must hold at the enclosing
+    derivation's previous stage, and each connective's claim must follow
+    from its children's.  An empty result means the witness is a sound
+    certificate for its root claim.
     """
-    checker = _WitnessChecker(
-        db, {name: frozenset(r) for name, r in (rel_env or {}).items()}
-    )
-    checker.check(witness)
+    checker = _WitnessChecker(db)
+    checker.check(witness, {}, {})
     return checker.problems
 
 
 class _WitnessChecker:
-    def __init__(self, db: Database, rel_env: Dict[str, frozenset]):
+    def __init__(self, db: Database):
         self.db = db
-        self.rel_env = rel_env
-        self.cache = _StageCache()
+        self.memo: Dict[tuple, Stages] = {}
         self.problems: List[str] = []
 
     def _flag(self, witness: Witness, message: str) -> None:
         self.problems.append(f"{witness.kind}: {message}")
 
-    def _stages_for(self, witness: Witness) -> Optional[List[frozenset]]:
-        node = witness.formula
-        if not isinstance(node, _FixpointBase):
-            self._flag(witness, "fixpoint claim on a non-fixpoint node")
-            return None
-        closed = _close_fixpoint(node, witness.assignment)
-        try:
-            stages, diverged = self.cache.stages(closed, self.db, self.rel_env)
-        except ReproError as exc:
-            # e.g. a nested fixpoint citing an outer recursion variable
-            # the checker has no value for
-            self._flag(witness, f"stages not recomputable: {exc}")
-            return None
-        if diverged and not isinstance(node, PFP):
-            self._flag(witness, "non-PFP iteration reported divergent")
-        return stages
-
-    def check(self, witness: Witness) -> None:
+    def check(self, witness: Witness, env: RelEnv, fixpoints: Scope) -> None:
         handler = getattr(self, f"_check_{witness.kind.replace('-', '_')}", None)
         if handler is None:
             self._flag(witness, "unknown witness kind")
             return
-        handler(witness)
+        handler(witness, env, fixpoints)
+
+    def _children(
+        self,
+        w: Witness,
+        env: RelEnv,
+        fixpoints: Scope,
+        formulas: Iterable[Formula],
+        assignments: Iterable[Assignment],
+    ) -> None:
+        """Check each child against the subformula and the assignment it
+        must carry (``formulas`` and ``assignments`` in child order)."""
+        count = 0
+        for child, formula, assignment in zip(
+            w.children, formulas, assignments
+        ):
+            count += 1
+            if child.formula != formula:
+                self._flag(child, "formula is not its parent's subformula")
+            if child.assignment != assignment:
+                self._flag(
+                    child,
+                    f"assignment {child.assignment!r} is not the "
+                    f"{assignment!r} its parent binds",
+                )
+            self.check(child, env, fixpoints)
+        if count != len(w.children):
+            self._flag(w, "more children than subformulas")
+
+    def _values(self, w: Witness, terms) -> Optional[tuple]:
+        """The terms' values under the witness's assignment, or None
+        (flagged) when a variable is unbound."""
+        try:
+            return tuple(_term_value(t, w.assignment) for t in terms)
+        except EvaluationError as exc:
+            self._flag(w, str(exc))
+            return None
+
+    def _stages(
+        self, w: Witness, node: _FixpointBase, env: RelEnv
+    ) -> Optional[Tuple[_FixpointBase, Stages]]:
+        try:
+            return _closed_stages(self.memo, node, self.db, w.assignment, env)
+        except ReproError as exc:
+            self._flag(w, f"stages not recomputable: {exc}")
+            return None
 
     # -- leaves --------------------------------------------------------
 
-    def _check_atom(self, w: Witness) -> None:
-        name = w.detail.get("rel")
-        values = w.detail.get("tuple")
-        relation = self.rel_env.get(name)
-        if relation is None:
-            try:
-                relation = self.db.relation(name).tuples
-            except Exception:
-                self._flag(w, f"unknown relation {name!r}")
-                return
-        if (values in relation) != w.holds:
+    def _check_atom(
+        self, w: Witness, env: RelEnv, fixpoints: Scope
+    ) -> Optional[tuple]:
+        """Check the cited tuple against the atom's terms and its truth
+        on the oracle; the tuple, or None when it cannot be judged."""
+        atom = w.formula
+        if not isinstance(atom, RelAtom):
+            self._flag(w, "atom claim on a non-atom")
+            return None
+        values = self._values(w, atom.terms)
+        if values is None:
+            return None
+        if (w.detail.get("rel"), w.detail.get("tuple")) != (atom.name, values):
             self._flag(
-                w, f"{name}{values!r} membership is {values in relation}, "
+                w,
+                f"cites {w.detail.get('rel')}{w.detail.get('tuple')!r}, "
+                f"but its terms name {atom.name}{values!r}",
+            )
+        try:
+            truth = holds(atom, self.db, w.assignment, env)
+        except ReproError as exc:
+            self._flag(w, str(exc))
+            return None
+        if truth != w.holds:
+            self._flag(
+                w, f"{atom.name}{values!r} membership is {truth}, "
                 f"witness claims {w.holds}"
             )
+        return values
 
-    def _check_equals(self, w: Witness) -> None:
-        if (w.detail.get("left") == w.detail.get("right")) != w.holds:
+    def _check_equals(self, w: Witness, env: RelEnv, fixpoints: Scope) -> None:
+        if not isinstance(w.formula, Equals):
+            self._flag(w, "equality claim on a non-equality")
+            return
+        values = self._values(w, (w.formula.left, w.formula.right))
+        if values is None:
+            return
+        if (w.detail.get("left"), w.detail.get("right")) != values:
+            self._flag(
+                w,
+                f"cites {w.detail.get('left')!r} = {w.detail.get('right')!r}, "
+                f"but its terms name {values[0]!r} = {values[1]!r}",
+            )
+        if (values[0] == values[1]) != w.holds:
             self._flag(w, "equality claim disagrees with its values")
 
-    def _check_truth(self, w: Witness) -> None:
+    def _check_truth(self, w: Witness, env: RelEnv, fixpoints: Scope) -> None:
         if not isinstance(w.formula, Truth) or w.formula.value != w.holds:
             self._flag(w, "truth constant claim mismatch")
 
     # -- connectives ---------------------------------------------------
 
-    def _check_not(self, w: Witness) -> None:
-        if len(w.children) != 1:
+    def _check_not(self, w: Witness, env: RelEnv, fixpoints: Scope) -> None:
+        if not isinstance(w.formula, Not) or len(w.children) != 1:
             self._flag(w, "negation needs exactly one child")
             return
         if w.children[0].holds == w.holds:
             self._flag(w, "negation claim equals its child's")
-        self.check(w.children[0])
+        self._children(
+            w, env, fixpoints, (w.formula.sub,), repeat(w.assignment)
+        )
 
-    def _check_and(self, w: Witness) -> None:
+    def _check_and(self, w: Witness, env: RelEnv, fixpoints: Scope) -> None:
+        if not isinstance(w.formula, And):
+            self._flag(w, "conjunction claim on a non-conjunction")
+            return
+        subs = w.formula.subs
         if w.holds:
-            subs = w.formula.subs if isinstance(w.formula, And) else ()
             if len(w.children) != len(subs):
                 self._flag(w, "a true conjunction must witness every conjunct")
             if not all(c.holds for c in w.children):
                 self._flag(w, "true conjunction with a failing child")
-        else:
-            if not any(not c.holds for c in w.children):
-                self._flag(w, "false conjunction without a failing child")
-        for child in w.children:
-            self.check(child)
+        elif all(c.holds for c in w.children):
+            self._flag(w, "false conjunction without a failing child")
+        self._children(w, env, fixpoints, subs, repeat(w.assignment))
 
-    def _check_or(self, w: Witness) -> None:
+    def _check_or(self, w: Witness, env: RelEnv, fixpoints: Scope) -> None:
+        if not isinstance(w.formula, Or):
+            self._flag(w, "disjunction claim on a non-disjunction")
+            return
+        subs = w.formula.subs
         if w.holds:
-            if not any(c.holds for c in w.children):
-                self._flag(w, "true disjunction without a holding child")
+            chosen = w.detail.get("chosen")
+            if (
+                len(w.children) != 1
+                or not w.children[0].holds
+                or not isinstance(chosen, int)
+                or not 0 <= chosen < len(subs)
+            ):
+                self._flag(w, "a true disjunction needs its chosen disjunct")
+                return
+            subs = (subs[chosen],)
         else:
-            subs = w.formula.subs if isinstance(w.formula, Or) else ()
             if len(w.children) != len(subs):
                 self._flag(w, "a false disjunction must refute every disjunct")
             if any(c.holds for c in w.children):
                 self._flag(w, "false disjunction with a holding child")
-        for child in w.children:
-            self.check(child)
+        self._children(w, env, fixpoints, subs, repeat(w.assignment))
 
-    def _check_exists(self, w: Witness) -> None:
-        var = w.formula.var.name if isinstance(w.formula, Exists) else None
-        if w.holds:
-            if len(w.children) != 1 or not w.children[0].holds:
-                self._flag(w, "a true ∃ needs one holding child")
+    def _check_exists(self, w: Witness, env: RelEnv, fixpoints: Scope) -> None:
+        self._check_quantifier(w, env, fixpoints, Exists, "value")
+
+    def _check_forall(self, w: Witness, env: RelEnv, fixpoints: Scope) -> None:
+        self._check_quantifier(w, env, fixpoints, Forall, "counterexample")
+
+    def _check_quantifier(
+        self, w: Witness, env: RelEnv, fixpoints: Scope, node_type, key: str
+    ) -> None:
+        if not isinstance(w.formula, node_type):
+            self._flag(w, "quantifier claim on another connective")
+            return
+        existential = node_type is Exists
+        if w.holds == existential:
+            # one child decides: a holding ∃ value, a failing ∀ value
+            value = w.detail.get(key)
+            if (
+                len(w.children) != 1
+                or w.children[0].holds != existential
+                or value not in self.db.domain
+            ):
+                self._flag(w, f"needs one deciding child at its {key}")
                 return
-            value = w.detail.get("value")
-            if var and w.children[0].assignment.get(var) != value:
-                self._flag(w, "chosen value not bound in the child witness")
+            values: Sequence[object] = (value,)
         else:
-            if len(w.children) != len(self.db.domain):
-                self._flag(w, "a false ∃ must refute every domain value")
-            if any(c.holds for c in w.children):
-                self._flag(w, "false ∃ with a holding child")
-        for child in w.children:
-            self.check(child)
-
-    def _check_forall(self, w: Witness) -> None:
-        if w.holds:
-            if len(w.children) != len(self.db.domain):
-                self._flag(w, "a true ∀ must witness every domain value")
-            if any(not c.holds for c in w.children):
-                self._flag(w, "true ∀ with a failing child")
-        else:
-            if len(w.children) != 1 or w.children[0].holds:
-                self._flag(w, "a false ∀ needs one failing child")
-        for child in w.children:
-            self.check(child)
+            values = self.db.domain.values
+            if len(w.children) != len(values):
+                self._flag(w, "must cover every domain value")
+            if any(c.holds == existential for c in w.children):
+                self._flag(w, "a child contradicts the claim")
+        name = w.formula.var.name
+        self._children(
+            w,
+            env,
+            fixpoints,
+            repeat(w.formula.sub),
+            ({**w.assignment, name: value} for value in values),
+        )
 
     # -- fixpoints -----------------------------------------------------
 
-    def _check_fixpoint(self, w: Witness) -> None:
-        stages = self._stages_for(w)
-        if stages is None:
-            return
+    def _check_fixpoint(
+        self, w: Witness, env: RelEnv, fixpoints: Scope
+    ) -> None:
         node = w.formula
-        closed = _close_fixpoint(node, w.assignment)
-        _, diverged = self.cache.stages(closed, self.db, self.rel_env)
-        limit = frozenset() if diverged else stages[-1]
-        values = w.detail.get("tuple")
-        if (values in limit) != w.holds:
+        if not isinstance(node, _FixpointBase):
+            self._flag(w, "fixpoint claim on a non-fixpoint node")
+            return
+        values = self._values(w, node.args)
+        found = self._stages(w, node, env)
+        if values is None or found is None:
+            return
+        closed, (stages, diverged) = found
+        expected = {
+            "rel": node.rel,
+            "tuple": values,
+            "kind": type(node).__name__.lower(),
+            "stages": len(stages) - 1,
+        }
+        for key, value in expected.items():
+            if w.detail.get(key) != value:
+                self._flag(
+                    w, f"{key}={w.detail.get(key)!r}, recomputed {value!r}"
+                )
+        member = not diverged and values in stages[-1]
+        if member != w.holds:
             self._flag(
                 w,
-                f"{node.rel}{values!r} limit membership is "
-                f"{values in limit}, witness claims {w.holds}",
+                f"{node.rel}{values!r} limit membership is {member}, "
+                f"witness claims {w.holds}",
             )
         if isinstance(node, PFP):
-            expected = tuple(
+            trajectory = tuple(
                 i for i, stage in enumerate(stages) if values in stage
             )
-            if tuple(w.detail.get("trajectory", ())) != expected:
+            if tuple(w.detail.get("trajectory", ())) != trajectory:
                 self._flag(w, "PFP trajectory disagrees with recomputation")
+            if w.detail.get("diverged") != diverged:
+                self._flag(w, "PFP divergence disagrees with recomputation")
         elif w.holds and isinstance(node, (LFP, IFP)):
             if len(w.children) != 1:
                 self._flag(w, "membership witness needs a derivation child")
-            else:
-                self._check_derivation_against(w.children[0], stages)
+                return
+            derivation = w.children[0]
+            if derivation.detail.get("stage") != w.detail.get("stage"):
+                self._flag(w, "stage claim disagrees with its derivation")
+            self._derivation(
+                derivation,
+                closed,
+                values,
+                stages,
+                len(stages) - 1,
+                env,
+                fixpoints,
+            )
 
-    def _check_derivation(self, w: Witness) -> None:
-        stages = self._stages_for(w)
-        if stages is not None:
-            self._check_derivation_against(w, stages)
-
-    def _check_derivation_against(
-        self, w: Witness, stages: List[frozenset]
+    def _check_derivation(
+        self, w: Witness, env: RelEnv, fixpoints: Scope
     ) -> None:
-        values = w.detail.get("tuple")
+        # its stages and environment come from the claim it supports
+        self._flag(w, "a derivation must hang under a fixpoint or stage claim")
+
+    def _derivation(
+        self,
+        w: Witness,
+        node: _FixpointBase,
+        values: tuple,
+        stages: List[Relation],
+        ceiling: int,
+        env: RelEnv,
+        fixpoints: Scope,
+    ) -> None:
+        """``w`` must derive ``values`` into ``node``'s iteration at their
+        first-entry stage, no later than ``ceiling``."""
+        if w.kind != "derivation" or w.formula != node or not w.holds:
+            self._flag(w, f"is not a holding derivation in {node.rel}")
+            return
+        if w.detail.get("tuple") != values:
+            self._flag(w, f"derives {w.detail.get('tuple')!r}, not {values!r}")
         stage = w.detail.get("stage")
-        if not isinstance(stage, int) or not (1 <= stage < len(stages)):
-            self._flag(w, f"derivation stage {stage!r} out of range")
+        if not isinstance(stage, int) or not 1 <= stage <= ceiling:
+            self._flag(w, f"derivation stage {stage!r} outside 1..{ceiling}")
             return
         if values not in stages[stage]:
             self._flag(w, f"{values!r} not in stage {stage}")
         if values in stages[stage - 1]:
             self._flag(w, f"{values!r} already present before stage {stage}")
+        bound = dict(zip((v.name for v in node.bound_vars), values))
+        if w.assignment != bound:
+            self._flag(
+                w, f"assignment {w.assignment!r} does not bind {bound!r}"
+            )
         if len(w.children) != 1:
             self._flag(w, "derivation needs exactly one body witness")
             return
-        body = w.children[0]
-        if not body.holds:
+        if not w.children[0].holds:
             self._flag(w, "derivation cites a failing body witness")
-        self.check(body)
+        self._children(
+            w,
+            {**env, node.rel: stages[stage - 1]},
+            {**fixpoints, node.rel: (node, stages[:stage], env, fixpoints)},
+            (node.body,),
+            (bound,),
+        )
 
-    def _check_stage_member(self, w: Witness) -> None:
-        if len(w.children) != 1 or w.children[0].kind != "derivation":
+    def _stage_atom(
+        self, w: Witness, env: RelEnv, fixpoints: Scope, member: bool
+    ) -> Optional[tuple]:
+        """A recursion-variable atom in a derivation body: an atom whose
+        relation ``env`` binds to the enclosing derivation's previous
+        stage."""
+        atom = w.formula
+        if not isinstance(atom, RelAtom) or atom.name not in fixpoints:
+            self._flag(w, "stage claim outside a derivation of its relation")
+            return None
+        if w.holds != member:
+            self._flag(w, f"claim must be {member}")
+        return self._check_atom(w, env, fixpoints)
+
+    def _check_stage_member(
+        self, w: Witness, env: RelEnv, fixpoints: Scope
+    ) -> None:
+        values = self._stage_atom(w, env, fixpoints, True)
+        if values is None:
+            return
+        if len(w.children) != 1:
             self._flag(w, "stage membership needs a derivation child")
             return
-        self.check(w.children[0])
-        inner = w.children[0].detail.get("stage")
-        claimed = w.detail.get("stage")
-        if inner != claimed:
+        derivation = w.children[0]
+        if derivation.detail.get("stage") != w.detail.get("stage"):
             self._flag(w, "stage claim disagrees with its derivation")
+        node, stages, outer_env, outer = fixpoints[w.formula.name]
+        self._derivation(
+            derivation, node, values, stages, len(stages) - 1, outer_env, outer
+        )
 
-    def _check_stage_absent(self, w: Witness) -> None:
-        node = w.formula
-        # the claim cites a recursion variable; recompute its stages via
-        # the enclosing derivation's node, carried as the witness formula
-        if not isinstance(node, RelAtom):
-            self._flag(w, "stage absence on a non-atom")
+    def _check_stage_absent(
+        self, w: Witness, env: RelEnv, fixpoints: Scope
+    ) -> None:
+        if self._stage_atom(w, env, fixpoints, False) is None:
             return
-        # absence claims are bounded by construction (stage index within
-        # the recorded prefix); a full recheck happens through the
-        # enclosing derivation's stage recomputation
-        if w.holds:
-            self._flag(w, "absence claim marked as holding")
+        previous = len(fixpoints[w.formula.name][1]) - 1
+        if w.detail.get("stage") != previous:
+            self._flag(
+                w, f"cites stage {w.detail.get('stage')!r}, not {previous}"
+            )
 
 
 __all__ = [

@@ -315,6 +315,33 @@ class TestExplain:
         out = capsys.readouterr().out
         assert "== why (2,) ==" in out
         assert "witness replayed against the database: ok" in out
+        assert "witness agrees with the engine's answer: ok" in out
+
+    def test_why_compares_witness_with_engine(
+        self, db_file, capsys, monkeypatch
+    ):
+        import dataclasses
+
+        import repro.cli
+        from repro.database.relation import Relation
+
+        real_evaluate = repro.cli.evaluate
+
+        def dropping_evaluate(formula, db, out, options):
+            # an engine that loses the asked answer (2,)
+            result = real_evaluate(formula, db, out, options)
+            kept = Relation(1, result.relation.tuples - {(2,)})
+            return dataclasses.replace(result, relation=kept)
+
+        monkeypatch.setattr(repro.cli, "evaluate", dropping_evaluate)
+        code = main(
+            ["explain", "--db", db_file, "--query", self.FP_QUERY,
+             "--out", "u", "--why", "2"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "witness replayed against the database: ok" in captured.out
+        assert "# witness disagrees with the engine:" in captured.err
 
     def test_why_negative_answer(self, db_file, capsys):
         code = main(

@@ -40,6 +40,26 @@ class TestDatabase:
         with pytest.raises(SchemaError):
             Database(Domain.range(2), {"E": Relation(2, [(0, 5)])})
 
+    @pytest.mark.parametrize(
+        "domain,edge,shown,own",
+        [([0, 1], (False, True), "False", "0"), ([1, 2], (1.0, 2), "1.0", "1")],
+    )
+    def test_value_equal_only_across_types_rejected(
+        self, domain, edge, shown, own
+    ):
+        # accepted, E(x, y) would answer the value itself on the sparse
+        # backend and the domain value it equals on the packed one
+        with pytest.raises(
+            SchemaError, match=f"value {shown} of type .* domain value {own} "
+        ):
+            Database.from_tuples(domain, {"E": (2, [edge])})
+
+    def test_add_fact_rejects_value_equal_only_across_types(self):
+        db = Database.from_tuples([0, 1], {"E": (2, [])})
+        with pytest.raises(SchemaError, match="domain value 1 of type int"):
+            db.add_fact("E", (0, True))
+        assert len(db.relation("E")) == 0
+
     def test_with_relation_is_functional(self):
         db = Database.from_tuples(range(2), {"E": (2, [])})
         db2 = db.with_relation("E", Relation(2, [(0, 1)]))
