@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Print the paper's Tables 1-3 with this library's evidence, in miniature.
 
-The full regeneration lives in ``benchmarks/`` (run
-``pytest benchmarks/ --benchmark-only``); this example prints the three
-tables with their claims and witnesses, then runs one *small* live probe
-per Table 2 row so the mapping is concrete.
+The full regeneration is one registered experiment per row (run
+``python -m repro perf record <id>``, ids in DESIGN.md §4); this example
+prints the three tables with their claims and witnesses, then runs one
+*small* live probe per Table 2 row so the mapping is concrete.
 
 Run:  python examples/reproduce_tables.py
 """
@@ -87,8 +87,8 @@ def main() -> None:
     )
     live_probes()
     print(
-        "\nfull regeneration: pytest benchmarks/ --benchmark-only "
-        "(see EXPERIMENTS.md)"
+        "\nfull regeneration: python -m repro perf record <id>, one id "
+        "per row (see EXPERIMENTS.md)"
     )
 
 

@@ -38,7 +38,7 @@ Usage (also via ``python -m repro``)::
 
     # perf observatory: record a run, gate it against its baseline,
     # inspect the trajectory, profile where the time goes as n grows
-    python -m repro perf record bench_table2_fp
+    python -m repro perf record T2-FP
     python -m repro perf compare T2-FP
     python -m repro perf report T2-FP
     python -m repro perf profile T2-FP --top 8
@@ -574,8 +574,8 @@ def _cmd_datalog(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Default run-store root, relative to the invocation directory — the
-#: same place the benchmarks write to (``benchmarks/out/records``).
+#: Default run-store root, relative to the invocation directory: the
+#: directory that holds the committed ``BENCH_<id>.json`` baselines.
 DEFAULT_STORE = "benchmarks/out/records"
 
 
@@ -644,24 +644,6 @@ def _cmd_perf_record(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _stored_experiment_id(name: str, store) -> str:
-    """The experiment id for a command that only reads stored records.
-
-    Registered experiments and their aliases resolve as usual.  Any
-    other id is accepted when the store holds its committed
-    ``BENCH_<id>.json`` baseline: benches archive records under ids
-    that have no registered workload, and only a fresh run needs one.
-    """
-    from repro.perf.experiments import ExperimentError, get_experiment
-
-    try:
-        return get_experiment(name).experiment_id
-    except ExperimentError:
-        if store.load_baseline(name) is not None:
-            return name
-        raise
-
-
 def _cmd_perf_compare(args: argparse.Namespace) -> int:
     import json as _json
 
@@ -670,10 +652,7 @@ def _cmd_perf_compare(args: argparse.Namespace) -> int:
     from repro.perf.experiments import get_experiment
 
     store = RunStore(args.store)
-    if args.use_latest:
-        experiment_id = _stored_experiment_id(args.experiment, store)
-    else:
-        experiment_id = get_experiment(args.experiment).experiment_id
+    experiment_id = get_experiment(args.experiment).experiment_id
     baseline = store.load_baseline(experiment_id)
     if baseline is None:
         raise ReproError(
@@ -702,6 +681,7 @@ def _cmd_perf_compare(args: argparse.Namespace) -> int:
 
 def _cmd_perf_report(args: argparse.Namespace) -> int:
     from repro.obs.runstore import RunStore
+    from repro.perf.experiments import get_experiment
 
     store = RunStore(args.store)
     if args.experiment is None:
@@ -713,7 +693,7 @@ def _cmd_perf_report(args: argparse.Namespace) -> int:
             entries = store.index(experiment_id)
             print(f"{experiment_id}: {len(entries)} record(s)")
         return 0
-    experiment_id = _stored_experiment_id(args.experiment, store)
+    experiment_id = get_experiment(args.experiment).experiment_id
     entries = store.index(experiment_id)
     if not entries:
         print(f"(no records for {experiment_id} under {args.store})")
@@ -1055,7 +1035,7 @@ def build_parser() -> argparse.ArgumentParser:
         "record",
         help="run an experiment and archive a machine-readable run record",
     )
-    p_record.add_argument("experiment", help="experiment id or bench module")
+    p_record.add_argument("experiment", help="experiment id")
     _add_run_arguments(p_record)
     p_record.add_argument(
         "--baseline",
@@ -1075,7 +1055,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="gate a fresh (or the latest archived) run's counters "
         "against the baseline",
     )
-    p_compare.add_argument("experiment", help="experiment id or bench module")
+    p_compare.add_argument("experiment", help="experiment id")
     _add_run_arguments(p_compare)
     p_compare.add_argument(
         "--use-latest",
@@ -1128,7 +1108,7 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment",
         nargs="?",
         default=None,
-        help="experiment id or bench module (traced sweep)",
+        help="experiment id (traced sweep)",
     )
     _add_run_arguments(p_profile, with_jobs=False)
     p_profile.add_argument(

@@ -6,7 +6,7 @@ Fits two models to a series ``(n_i, y_i)``:
 * exponential: ``log y = r·n + c``     (base ``e^r``),
 
 by least squares, and classifies by which model has the smaller residual.
-This is how the benchmark harness turns the paper's complexity-class
+This is how the experiment sweeps turn the paper's complexity-class
 claims ("PTIME" vs "EXPTIME-complete") into checkable statements about
 measured curves: a Table 2 engine should classify as polynomial in
 ``|B| + |e|``; the unbounded baselines of Table 1 should classify as
@@ -94,12 +94,12 @@ def looks_polynomial(
     ys: Sequence[float],
     max_degree: float = 8.0,
 ) -> bool:
-    """Convenience check used by benchmark assertions."""
+    """Convenience check for growth-shape assertions."""
     winner, poly, _ = classify_growth(ns, ys)
     return winner == "polynomial" and poly.coefficient <= max_degree
 
 
 def looks_exponential(ns: Sequence[float], ys: Sequence[float]) -> bool:
-    """Convenience check used by benchmark assertions."""
+    """Convenience check for growth-shape assertions."""
     winner, _, _ = classify_growth(ns, ys)
     return winner == "exponential"

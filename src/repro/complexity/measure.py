@@ -7,12 +7,12 @@ can fit alongside raw time — counters are deterministic, so they give
 much cleaner scaling curves than wall-clock noise.
 
 With a ``tracer_factory``, each timed call also records a span trace
-(``workload(parameter, tracer)``), so a bench can attribute a point's
+(``workload(parameter, tracer)``), so a sweep can attribute a point's
 time to evaluation phases — see :mod:`repro.obs`.
 
 Failures do not abort a sweep: a point whose workload raises is recorded
 with ``outcome`` ``"timeout"`` (a :class:`~repro.errors.ResourceExhausted`
-— typically a per-point deadline, see ``benchmarks/_harness.py``) or
+— typically a per-point deadline, ``repro perf record --deadline``) or
 ``"error"`` (anything else) plus the message, and the sweep continues
 with the next parameter.  Pass ``capture_failures=False`` for the old
 fail-fast behavior.
@@ -151,7 +151,7 @@ class SweepResult:
         return [p.counter(name, default) for p in self.points]
 
     def format_rows(self, counter_names: Sequence[str] = ()) -> str:
-        """A plain-text table of the sweep, for bench output.
+        """A plain-text table of the sweep, for ``repro perf record``.
 
         Points that lack one of ``counter_names`` render ``-`` in that
         column instead of raising.  When any point failed, an ``outcome``

@@ -2,7 +2,8 @@
 
 Each row records the paper's claimed complexity together with the
 library component whose measured behaviour witnesses the claim's *shape*
-(the benchmarks under ``benchmarks/`` produce the measurements; see
+(the registered ``repro perf`` experiments of
+:mod:`repro.perf.experiments` produce the measurements; see
 EXPERIMENTS.md for the recorded outcomes).
 """
 
@@ -18,7 +19,7 @@ class TableRow:
 
     language: str
     columns: Tuple[Tuple[str, str], ...]   # (column name, complexity claim)
-    witness: str                           # library component / bench id
+    witness: str                           # library component / experiment id
 
 
 TABLE1_ROWS: Tuple[TableRow, ...] = (
@@ -29,7 +30,7 @@ TABLE1_ROWS: Tuple[TableRow, ...] = (
             ("expression", "PSPACE-complete"),
             ("combined", "PSPACE-complete"),
         ),
-        "benchmarks/bench_table1_unbounded.py (chain joins: cost exponential in width)",
+        "experiment T1 (chain joins: cost exponential in width)",
     ),
     TableRow(
         "FP",
@@ -38,7 +39,7 @@ TABLE1_ROWS: Tuple[TableRow, ...] = (
             ("expression", "EXPTIME-complete"),
             ("combined", "EXPTIME-complete"),
         ),
-        "benchmarks/bench_fp_alternation.py (naive strategy: n^{k·l} iterations)",
+        "experiment F3 (naive strategy: n^{k·l} iterations)",
     ),
     TableRow(
         "ESO",
@@ -47,7 +48,7 @@ TABLE1_ROWS: Tuple[TableRow, ...] = (
             ("expression", "NEXPTIME-complete"),
             ("combined", "NEXPTIME-complete"),
         ),
-        "benchmarks/bench_eso_rewrite.py (grounding without Lemma 3.6: exponential CNF)",
+        "experiment F6 (grounding without Lemma 3.6: exponential CNF)",
     ),
     TableRow(
         "PFP",
@@ -68,7 +69,7 @@ TABLE2_ROWS: Tuple[TableRow, ...] = (
             ("combined complexity of FO^k", "PTIME-complete"),
         ),
         "Prop 3.1: repro.core.fo_eval + Prop 3.2: repro.reductions.path_systems "
-        "(bench_table2_fo.py, bench_path_systems.py)",
+        "(experiments T2-FO, F4)",
     ),
     TableRow(
         "FP",
@@ -77,7 +78,7 @@ TABLE2_ROWS: Tuple[TableRow, ...] = (
             ("combined complexity of FP^k", "NP ∩ co-NP"),
         ),
         "Thm 3.5: repro.core.alternation + repro.core.certificates "
-        "(bench_table2_fp.py)",
+        "(experiments T2-FP-CERT, T2-FP)",
     ),
     TableRow(
         "ESO",
@@ -86,7 +87,7 @@ TABLE2_ROWS: Tuple[TableRow, ...] = (
             ("combined complexity of ESO^k", "NP-complete"),
         ),
         "Lemma 3.6 + Cor 3.7: repro.core.eso_rewrite / eso_eval "
-        "(bench_table2_eso.py)",
+        "(experiment T2-ESO)",
     ),
     TableRow(
         "PFP",
@@ -94,7 +95,7 @@ TABLE2_ROWS: Tuple[TableRow, ...] = (
             ("data complexity of PFP", "PSPACE-complete"),
             ("combined complexity of PFP^k", "PSPACE-complete"),
         ),
-        "Thm 3.8: repro.core.pfp_eval (bench_table2_pfp.py)",
+        "Thm 3.8: repro.core.pfp_eval (experiment T2-PFP)",
     ),
 )
 
@@ -105,7 +106,7 @@ TABLE3_ROWS: Tuple[TableRow, ...] = (
             ("combined complexity of FO^k", "PTIME-complete"),
             ("expression complexity of FO^k", "ALOGTIME"),
         ),
-        "Lemma 4.2 + Thm 4.4: repro.grammar (bench_table3_fo_expression.py)",
+        "Lemma 4.2 + Thm 4.4: repro.grammar (experiment T3-FO)",
     ),
     TableRow(
         "FP",
@@ -113,7 +114,7 @@ TABLE3_ROWS: Tuple[TableRow, ...] = (
             ("combined complexity of FP^k", "NP ∩ co-NP"),
             ("expression complexity of FP^k", "NP ∩ co-NP"),
         ),
-        "Thm 3.5 applied with fixed B (bench_table2_fp.py, expression sweep)",
+        "Thm 3.5 applied with fixed B (experiment T3-FP)",
     ),
     TableRow(
         "ESO",
@@ -121,7 +122,7 @@ TABLE3_ROWS: Tuple[TableRow, ...] = (
             ("combined complexity of ESO^k", "NP-complete"),
             ("expression complexity of ESO^k", "NP-complete"),
         ),
-        "Thm 4.5: repro.reductions.sat_to_eso (bench_table3_lower_bounds.py)",
+        "Thm 4.5: repro.reductions.sat_to_eso (experiment T3-ESO)",
     ),
     TableRow(
         "PFP",
@@ -129,7 +130,7 @@ TABLE3_ROWS: Tuple[TableRow, ...] = (
             ("combined complexity of PFP^k", "PSPACE-complete"),
             ("expression complexity of PFP^k", "PSPACE-complete"),
         ),
-        "Thm 4.6: repro.reductions.qbf_to_pfp (bench_table3_lower_bounds.py)",
+        "Thm 4.6: repro.reductions.qbf_to_pfp (experiment T3-PFP)",
     ),
 )
 
@@ -137,7 +138,7 @@ TABLE3_ROWS: Tuple[TableRow, ...] = (
 def render_table(
     title: str, rows: Sequence[TableRow], with_witness: bool = True
 ) -> str:
-    """Plain-text rendering of one table, bench-output friendly."""
+    """Plain-text rendering of one table."""
     lines: List[str] = [title, "=" * len(title)]
     for row in rows:
         claims = "; ".join(f"{name}: {claim}" for name, claim in row.columns)

@@ -1,8 +1,6 @@
 """Machine-readable run records and the content-addressed run store.
 
-The benchmarks' text blocks under ``benchmarks/out/`` are regenerable
-human output; they overwrite in place and carry no history.  This module
-is the durable counterpart: a **run record** is one experiment run as
+A **run record** is one ``repro perf`` experiment run as
 plain JSON — environment fingerprint, per-point parameters, outcomes,
 deterministic counters, fitted growth shapes, and (optionally) the raw
 span trace — and a :class:`RunStore` archives records content-addressed
@@ -86,7 +84,7 @@ def env_fingerprint(cwd: Optional[str] = None) -> Dict[str, object]:
 
 
 def format_fingerprint(env: Mapping[str, object]) -> str:
-    """One human-readable line, used by bench-output headers."""
+    """One human-readable line, printed by ``repro perf record``."""
     sha = env.get("git_sha") or "unknown"
     return (
         f"{env.get('implementation', '?')} {env.get('python', '?')} on "
@@ -299,8 +297,7 @@ def build_record(
     """Assemble a :class:`RunRecord` from parallel per-point series.
 
     ``fit_counters`` names the counters whose growth shape should be
-    fitted (only points with ``outcome == "ok"`` enter a fit).  Benches
-    that build rows by hand use this; sweeps use :func:`record_from_sweep`.
+    fitted (only points with ``outcome == "ok"`` enter a fit).
     """
     n = len(parameters)
     counters = counters if counters is not None else [{}] * n

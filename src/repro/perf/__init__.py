@@ -12,32 +12,19 @@ it.  See ``docs/performance.md``.
 transform; the semi-naive ascent is a round rule of the one fixpoint
 solver, :class:`repro.core.fp_eval.KleeneSolver`.
 
-:mod:`repro.perf.experiments` keeps the speedups honest over time: it
-registers deterministic, runnable perf experiments for the
+:mod:`repro.perf.experiments` registers the runnable experiments of the
 ``repro perf`` observatory (run records, committed baselines, the
-regression gate — see ``docs/benchmarking.md``).
+regression gate — see ``docs/benchmarking.md``).  The engine imports
+this package for the cache and the transform, so the registry is not
+imported here: import it by its module path.
 """
 
 from repro.perf.cache import SubqueryCache, resolve_subquery_cache
-from repro.perf.experiments import (
-    EXPERIMENTS,
-    ExperimentError,
-    PerfExperiment,
-    experiment_ids,
-    get_experiment,
-    run_experiment,
-)
 from repro.perf.seminaive import delta_relation_name, differential
 
 __all__ = [
-    "EXPERIMENTS",
-    "ExperimentError",
-    "PerfExperiment",
     "SubqueryCache",
     "delta_relation_name",
     "differential",
-    "experiment_ids",
-    "get_experiment",
     "resolve_subquery_cache",
-    "run_experiment",
 ]

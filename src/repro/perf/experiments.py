@@ -1,18 +1,26 @@
 """Named, runnable perf experiments for the ``repro perf`` observatory.
 
-Each entry reproduces the sweep at the core of one benchmark module as
-a plain picklable workload, so the CLI can run it, record it into the
-run store, and gate it against its committed ``BENCH_<id>.json``
-baseline without going through pytest.  The seeds are fixed and every
-counter the workloads report is deterministic — that is what makes the
-exact-match gate of :mod:`repro.obs.regress` possible.  Every point
-runs once, with no warm-up: no gate reads its wall-clock.
+One entry per reproduced Table row and Figure construction (DESIGN.md
+§4): each is a plain picklable workload the CLI can run, record into
+the run store, and gate against its committed ``BENCH_<id>.json``
+baseline.  The seeds are fixed and every counter the workloads report
+is deterministic — that is what makes the exact-match gate of
+:mod:`repro.obs.regress` possible.  Every point runs once, with no
+warm-up: no gate reads its wall-clock.
 
 Workloads follow the :func:`repro.complexity.run_sweep` convention:
 ``workload(parameter)`` or ``workload(parameter, tracer)``, returning a
 dict of counters.  Experiment options (fixpoint strategy, edge
 probability, ...) are keyword arguments bound with ``functools.partial``
-so parallel sweeps can ship them to worker processes.
+so parallel sweeps can ship them to worker processes.  ``deadline``
+bounds every engine call of a point that takes a budget.
+
+A workload also cross-checks its point — against a reference solver,
+the paper's ``l·n^k`` certificate envelope, or a verifier — and raises
+:class:`ExperimentError` when the check fails, so the point is
+recorded with outcome ``error`` and the gate reports it.  Claims about
+a whole sweep (growth fits, ratios between the first and last point)
+are asserted by ``tests/test_experiments.py``.
 """
 
 from __future__ import annotations
@@ -22,16 +30,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
-from repro.guard.budget import Budget
+from repro.guard.budget import Budget, resolve_guard
 from repro.obs.tracer import NULL_TRACER
 
 # NOTE: repro.core.engine imports repro.perf.cache, so the engine (and
-# anything that pulls it in) is imported lazily inside the workloads to
-# keep this module importable from repro.perf's package init.
+# anything that pulls it in) is imported lazily inside the workloads.
 
 
 class ExperimentError(ReproError):
-    """Unknown experiment name or a bad option override."""
+    """Unknown experiment name, a bad option override, or a failed
+    per-point cross-check."""
 
 
 #: The transitive-closure query of the T2-FP strategy shoot-out.
@@ -42,6 +50,36 @@ TWO_COLOR_QUERY = (
     "exists2 R/1. forall x. forall y. "
     "(~E(x, y) | (R(x) & ~R(y)) | (~R(x) & R(y)))"
 )
+
+#: "P infinitely often on every path" (ν/µ), the T2-FP-CERT property.
+FAIR_QUERY = (
+    "[gfp S(x). [lfp T(z). forall y. "
+    "(~E(z, y) | (P(y) & S(y)) | T(y))](x)](u)"
+)
+
+#: A unary binary counter: position i flips when all lower positions
+#: are set, so the pfp enumerates all 2^n subsets (T2-PFP) while its
+#: live state is one unary relation.
+COUNTER_QUERY = (
+    "[pfp X(x). (X(x) & ~forall y. (~LT(y, x) | X(y)))"
+    " | (~X(x) & forall y. (~LT(y, x) | X(y)))](u)"
+)
+
+
+def _check(ok: bool, what: str) -> None:
+    """Fail the sweep point when a cross-check does not hold."""
+    if not ok:
+        raise ExperimentError(f"cross-check failed: {what}")
+
+
+def _budget(deadline: Optional[float]) -> Optional[Budget]:
+    return (
+        Budget(deadline_seconds=deadline) if deadline and deadline > 0 else None
+    )
+
+
+def _guard(deadline: Optional[float]):
+    return resolve_guard(_budget(deadline))
 
 
 def _options(
@@ -54,13 +92,10 @@ def _options(
     from repro.core.engine import EvalOptions
     from repro.core.fp_eval import FixpointStrategy
 
-    budget = (
-        Budget(deadline_seconds=deadline) if deadline and deadline > 0 else None
-    )
     return EvalOptions(
         strategy=FixpointStrategy(strategy),
         k_limit=k_limit,
-        budget=budget,
+        budget=_budget(deadline),
         trace=tracer,
         backend=backend,
     )
@@ -89,6 +124,51 @@ def _counters(result, extra: Optional[Dict[str, float]] = None) -> Dict[str, flo
     return counters
 
 
+# -- Table 1 ---------------------------------------------------------------
+
+
+def chain_join_workload(
+    parameter: float, tracer=NULL_TRACER, deadline: Optional[float] = None
+) -> Dict[str, float]:
+    """T1: a width-w chain join on a fixed 7-node graph, planned naively
+    (cross product first: a (w+1)-ary intermediate) and by the
+    bounded-variable compiler (arity ≤ 3 after minimization); both plans
+    must return the same rows."""
+    from repro.algebra import (
+        ArityTracker,
+        compile_bounded,
+        compile_naive_conjunctive,
+    )
+    from repro.optimize import minimize_variables
+    from repro.workloads.formulas import chain_join_query
+    from repro.workloads.graphs import random_graph
+
+    graph = random_graph(7, 0.35, seed=13)
+    q = chain_join_query(int(parameter))
+    naive = ArityTracker()
+    naive_rows = set(
+        compile_naive_conjunctive(q.formula, q.output_vars)
+        .evaluate(graph, naive)
+        .rows
+    )
+    bounded = ArityTracker()
+    bounded_rows = set(
+        compile_bounded(minimize_variables(q.formula), q.output_vars)
+        .evaluate(graph, bounded)
+        .rows
+    )
+    _check(naive_rows == bounded_rows, "naive and bounded plans disagree")
+    return {
+        "naive_arity": float(naive.max_arity),
+        "naive_rows": float(naive.total_rows_produced),
+        "bounded_arity": float(bounded.max_arity),
+        "bounded_rows": float(bounded.total_rows_produced),
+    }
+
+
+# -- Table 2 ---------------------------------------------------------------
+
+
 def tc_workload(
     parameter: float,
     tracer=NULL_TRACER,
@@ -113,6 +193,58 @@ def tc_workload(
         _options(strategy, deadline, tracer, backend=backend),
     )
     return _counters(result)
+
+
+def fp_certificate_workload(
+    parameter: float, tracer=NULL_TRACER, deadline: Optional[float] = None
+) -> Dict[str, float]:
+    """T2-FP-CERT (Thm 3.5): certificates for the ν/µ fairness property
+    on a seeded labeled graph of size n — membership for the smallest
+    member, non-membership (via the dual query) for the smallest
+    non-member.  Each certificate must verify, and the larger must stay
+    within the ``l·n^k`` envelope (l = 2 fixpoints, k = 3)."""
+    from repro.core.certificates import (
+        certificate_size,
+        extract_membership,
+        extract_non_membership,
+        verify_membership,
+        verify_non_membership,
+    )
+    from repro.core.interp import EvalStats
+    from repro.core.naive_eval import naive_answer
+    from repro.workloads.graphs import labeled_graph, random_graph
+
+    n = int(parameter)
+    formula = _parsed(FAIR_QUERY)
+    db = labeled_graph(
+        random_graph(n, 0.35, seed=n + 100), {"P": list(range(0, n, 2))}
+    )
+    answer = naive_answer(formula, db, ("u",))
+    member = next(iter(sorted(answer.tuples)), None)
+    outside = next(((v,) for v in range(n) if (v,) not in answer), None)
+    sizes, verify_ops = [0], [0]
+    for row, extract, verify in (
+        (member, extract_membership, verify_membership),
+        (outside, extract_non_membership, verify_non_membership),
+    ):
+        if row is None:
+            continue
+        cert = extract(formula, db, ("u",), row)
+        stats = EvalStats()
+        _check(
+            verify(cert, formula, db, stats=stats),
+            f"{verify.__name__} rejected the certificate for {row}",
+        )
+        sizes.append(certificate_size(cert))
+        verify_ops.append(stats.table_ops)
+    fixpoints, k = 2, 3
+    envelope = 2 * fixpoints * n**k
+    _check(max(sizes) <= envelope, f"{max(sizes)} tuples > l*n^k = {envelope}")
+    return {
+        "cert_tuples": float(max(sizes)),
+        "envelope": float(envelope),
+        "verify_ops": float(max(verify_ops)),
+    }
 
 
 def fo_path_workload(
@@ -162,6 +294,482 @@ def eso_two_color_workload(
         _options("monotone", deadline, tracer),
     )
     return _counters(result, {"satisfiable": float(result.as_bool())})
+
+
+def pfp_counter_workload(
+    parameter: float, tracer=NULL_TRACER, deadline: Optional[float] = None
+) -> Dict[str, float]:
+    """T2-PFP (Thm 3.8): the binary-counter pfp on n ordered elements —
+    about 2^n iterations while the live state stays at n tuples; the
+    answer must equal the reference semantics."""
+    from repro.core.naive_eval import naive_answer
+    from repro.core.pfp_eval import SpaceMeter, pfp_answer
+    from repro.database import Database, Relation
+    from repro.workloads.graphs import path_graph
+
+    n = int(parameter)
+    base = path_graph(n)
+    lt = [(i, j) for i in range(n) for j in range(n) if i < j]
+    db = Database(
+        base.domain, {"E": base.relation("E"), "LT": Relation(2, lt)}
+    )
+    formula = _parsed(COUNTER_QUERY)
+    meter = SpaceMeter()
+    answer = pfp_answer(
+        formula, db, ("u",), meter=meter, tracer=tracer,
+        guard=_guard(deadline),
+    )
+    _check(
+        answer == naive_answer(formula, db, ("u",)),
+        "pfp answer differs from the reference semantics",
+    )
+    return {
+        "peak_live_tuples": float(meter.peak_live_tuples),
+        "iterations": float(meter.total_iterations),
+    }
+
+
+# -- Table 3 ---------------------------------------------------------------
+
+
+def fo_grammar_workload(
+    parameter: float, tracer=NULL_TRACER, deadline: Optional[float] = None
+) -> Dict[str, float]:
+    """T3-FO (Lemma 4.2): a nested ∃/∧ formula of ``parameter`` levels
+    over the fixed two-element database, decided as membership in the
+    FO^2 parenthesis language — one recognizer pass per candidate
+    value, with reductions never outnumbering scanned tokens."""
+    from repro.database import Database
+    from repro.grammar import build_fo_grammar
+    from repro.grammar.recognizer import (
+        RecognizerStats,
+        recognize_parenthesis,
+    )
+    from repro.logic.builders import atom
+    from repro.logic.syntax import And, Exists, Var
+
+    fg = build_fo_grammar(
+        Database.from_tuples(range(2), {"E": (2, [(0, 1)]), "P": (1, [(0,)])}),
+        k=2,
+    )
+    phi = atom("P", "x1")
+    for i in range(int(parameter)):
+        inner = And((atom("E", "x1", "x2"), phi))
+        phi = (
+            Exists(Var("x2"), inner)
+            if i % 2 == 0
+            else And((atom("P", "x1"), Exists(Var("x2"), inner)))
+        )
+    stats = RecognizerStats()
+    value = next(
+        (
+            index
+            for index in range(len(fg.relations))
+            if recognize_parenthesis(fg.grammar, fg.word_for(phi, index), stats)
+        ),
+        None,
+    )
+    _check(value is not None, "no k-relation recognized the formula")
+    _check(
+        stats.reductions <= stats.tokens_scanned,
+        "more reductions than scanned tokens",
+    )
+    return {
+        "word_len": float(len(fg.word_for(phi, 0))),
+        "tokens_scanned": float(stats.tokens_scanned),
+        "reductions": float(stats.reductions),
+    }
+
+
+def fp_expression_workload(
+    parameter: float, tracer=NULL_TRACER, deadline: Optional[float] = None
+) -> Dict[str, float]:
+    """T3-FP: the alternating ν/µ family of depth l on one fixed
+    5-element database; its Theorem 3.5 certificate must stay within
+    the ``l·n^k`` envelope."""
+    from repro.core.alternation import alternation_answer_with_trace
+    from repro.workloads.formulas import alternating_fixpoint_family
+    from repro.workloads.graphs import labeled_graph, random_graph
+
+    depth = int(parameter)
+    q = alternating_fixpoint_family(depth)
+    db = labeled_graph(
+        random_graph(5, 0.35, seed=4),
+        {f"P{i}": [0, 2] for i in range(1, depth + 1)},
+    )
+    _, cert = alternation_answer_with_trace(
+        q.formula, db, (), guard=_guard(deadline)
+    )
+    size = cert.total_guessed_tuples()
+    envelope = 2 * depth * db.size() ** 3
+    _check(size <= envelope, f"{size} tuples > l*n^k = {envelope}")
+    return {
+        "expr_nodes": float(q.formula.size()),
+        "cert_tuples": float(size),
+        "envelope": float(envelope),
+    }
+
+
+def _random_cnf_formula(num_vars: int, num_clauses: int, seed: int):
+    import random
+
+    from repro.sat.cnf import BoolAnd, BoolNot, BoolOr, BoolVar
+
+    rng = random.Random(seed)
+    names = [f"p{i}" for i in range(num_vars)]
+    clauses = []
+    for _ in range(num_clauses):
+        lits = []
+        for name in rng.sample(names, min(3, num_vars)):
+            var = BoolVar(name)
+            lits.append(var if rng.random() < 0.5 else BoolNot(var))
+        clauses.append(BoolOr(tuple(lits)))
+    return BoolAnd(tuple(clauses))
+
+
+def sat_to_eso_workload(
+    parameter: float, tracer=NULL_TRACER, deadline: Optional[float] = None
+) -> Dict[str, float]:
+    """T3-ESO (Thm 4.5): a seeded 3-CNF over ``parameter`` propositions
+    as an ESO^k sentence, decided on a fixed 3-element path (any fixed
+    database works — that is the theorem); the answer must equal DPLL's
+    on the Tseitin CNF."""
+    from repro.logic.printer import formula_length
+    from repro.reductions import sat_to_eso_query
+    from repro.sat.dpll import solve
+    from repro.sat.tseitin import to_cnf
+    from repro.workloads.graphs import path_graph
+
+    num_vars = int(parameter)
+    formula = _random_cnf_formula(num_vars, 2 * num_vars, seed=num_vars)
+    q = sat_to_eso_query(formula)
+    got = q.holds(path_graph(3), _options("monotone", deadline, tracer))
+    _check(got == solve(to_cnf(formula)[0]).satisfiable, "ESO answer != DPLL")
+    return {
+        "input_size": float(2 * num_vars * 3),
+        "expr_length": float(formula_length(q.formula)),
+        "satisfiable": float(got),
+    }
+
+
+def qbf_to_pfp_workload(
+    parameter: float, tracer=NULL_TRACER, deadline: Optional[float] = None
+) -> Dict[str, float]:
+    """T3-PFP (Thm 4.6): a seeded QBF with ``parameter`` variables as a
+    PFP^2 sentence over the fixed ``B0``; its value must equal the
+    reference QBF solver's."""
+    from repro.logic.printer import formula_length
+    from repro.reductions import (
+        qbf_database,
+        qbf_to_pfp_query,
+        random_qbf,
+        solve_qbf,
+    )
+
+    num_vars = int(parameter)
+    qbf = random_qbf(num_vars, matrix_depth=3, seed=num_vars)
+    q = qbf_to_pfp_query(qbf)
+    got = q.holds(qbf_database(), _options("monotone", deadline, tracer))
+    _check(got == solve_qbf(qbf), "PFP value != QBF solver")
+    return {
+        "expr_length": float(formula_length(q.formula)),
+        "value": float(got),
+    }
+
+
+# -- Figures ---------------------------------------------------------------
+
+
+def company_plans_workload(
+    parameter: float, tracer=NULL_TRACER, deadline: Optional[float] = None
+) -> Dict[str, float]:
+    """F1: the introduction's "earns less than the manager's secretary"
+    query on a seeded company of ``parameter`` employees — the 12-ary
+    cross-product plan vs the arity-3 join plan.  Both must return the
+    same rows, and the bounded plan must dominate."""
+    from repro.algebra import dynamic_cost
+    from repro.workloads.company import (
+        company_database,
+        earns_less_bounded_algebra,
+        earns_less_naive_algebra,
+    )
+
+    n = int(parameter)
+    db = company_database(
+        num_employees=n, num_departments=max(2, n // 3), seed=n
+    )
+    naive_table, naive = dynamic_cost(earns_less_naive_algebra(), db)
+    bounded_table, bounded = dynamic_cost(earns_less_bounded_algebra(), db)
+    _check(
+        set(naive_table.rows) == set(bounded_table.rows),
+        "naive and bounded plans disagree",
+    )
+    _check(bounded.dominates(naive), "the bounded plan does not dominate")
+    return {
+        "naive_max_rows": float(naive.max_intermediate_rows),
+        "naive_arity": float(naive.max_intermediate_arity),
+        "bounded_max_rows": float(bounded.max_intermediate_rows),
+        "bounded_arity": float(bounded.max_intermediate_arity),
+    }
+
+
+def path_rewrite_workload(
+    parameter: float, tracer=NULL_TRACER, deadline: Optional[float] = None
+) -> Dict[str, float]:
+    """F2 (§2.2): the length-n path query on a fixed 10-node graph in
+    three forms — naive (n+1 variables), the paper's FO^3 rewrite, and
+    the minimizer's output.  All three answers agree, the minimizer
+    reaches width 3, and both 3-variable forms stay at arity ≤ 3."""
+    from repro.core.fo_eval import BoundedEvaluator
+    from repro.core.interp import EvalStats
+    from repro.logic.variables import variable_width
+    from repro.optimize import minimize_variables
+    from repro.workloads.formulas import path_query_fo3, path_query_naive
+    from repro.workloads.graphs import random_graph
+
+    n = int(parameter)
+    graph = random_graph(10, 0.25, seed=77)
+    guard = _guard(deadline)
+
+    def run(formula):
+        stats = EvalStats()
+        evaluator = BoundedEvaluator(
+            graph, stats=stats, tracer=tracer, guard=guard
+        )
+        return evaluator.answer(formula, ("x", "y")), stats
+
+    naive = path_query_naive(n).formula
+    minimized = minimize_variables(naive)
+    naive_answer, naive_stats = run(naive)
+    fo3_answer, fo3_stats = run(path_query_fo3(n).formula)
+    min_answer, min_stats = run(minimized)
+    _check(naive_answer == fo3_answer == min_answer, "the three forms disagree")
+    _check(variable_width(minimized) == 3, "the minimizer missed width 3")
+    _check(
+        max(fo3_stats.max_intermediate_arity, min_stats.max_intermediate_arity)
+        <= 3,
+        "a 3-variable form built an intermediate of arity > 3",
+    )
+    return {
+        "naive_width": float(variable_width(naive)),
+        "naive_max_rows": float(naive_stats.max_intermediate_rows),
+        "minimized_width": float(variable_width(minimized)),
+        "fo3_max_rows": float(fo3_stats.max_intermediate_rows),
+    }
+
+
+def nested_lfp_workload(
+    parameter: float, tracer=NULL_TRACER, deadline: Optional[float] = None
+) -> Dict[str, float]:
+    """F3 (the Thm 3.5 ablation): the dependent nested-lfp family of
+    depth l on a labeled 8-path, solved restart-everything (NAIVE) and
+    warm-started (MONOTONE).  Both answers agree, and at depth ≤ 2 they
+    equal the reference semantics."""
+    from repro.core.fp_eval import FixpointStrategy, solve_query
+    from repro.core.interp import EvalStats
+    from repro.core.naive_eval import naive_answer
+    from repro.workloads.formulas import nested_lfp_family
+    from repro.workloads.graphs import labeled_graph, path_graph
+
+    depth = int(parameter)
+    db = labeled_graph(path_graph(8), {"P1": [0], "L": [7]})
+    formula = nested_lfp_family(depth).formula
+    guard = _guard(deadline)
+
+    def run(strategy):
+        stats = EvalStats()
+        answer = solve_query(
+            formula, db, ("w",), strategy=strategy, stats=stats,
+            tracer=tracer, guard=guard,
+        )
+        return answer, stats
+
+    naive, naive_stats = run(FixpointStrategy.NAIVE)
+    monotone, monotone_stats = run(FixpointStrategy.MONOTONE)
+    _check(naive == monotone, "NAIVE and MONOTONE disagree")
+    if depth <= 2:
+        # the recursive reference interpreter costs ~n^{2l} on nested
+        # parameterized fixpoints; cross-check the cheap depths only
+        _check(
+            naive == naive_answer(formula, db, ("w",)),
+            "NAIVE differs from the reference semantics",
+        )
+    return {
+        "naive_body_evals": float(naive_stats.body_evaluations),
+        "monotone_body_evals": float(monotone_stats.body_evaluations),
+        "warm_starts": float(monotone_stats.notes.get("warm_starts", 0)),
+    }
+
+
+def path_systems_workload(
+    parameter: float, tracer=NULL_TRACER, deadline: Optional[float] = None
+) -> Dict[str, float]:
+    """F4 (Prop 3.2): a seeded Path Systems instance of size m as an
+    FO^3 sentence.  The bounded engine, the reference closure and the
+    paper's Datalog program must agree.  The engine call runs untraced
+    inside the ``fo3_query`` span, whose duration is its wall-clock."""
+    from repro.database import Database
+    from repro.datalog import parse_program, semi_naive
+    from repro.logic.printer import formula_length
+    from repro.logic.variables import variable_width
+    from repro.reductions import (
+        path_system_database,
+        path_system_query,
+        random_path_system,
+        solve_path_system,
+    )
+
+    size = int(parameter)
+    instance = random_path_system(
+        size, num_rules=2 * size, num_sources=2, num_targets=2, seed=size
+    )
+    query = path_system_query(instance)
+    db = path_system_database(instance)
+    expected = solve_path_system(instance)
+    with tracer.span("fo3_query"):
+        got = query.holds(db, _options("monotone", deadline, NULL_TRACER))
+    _check(got == expected, "FO^3 answer != reference closure")
+    renamed = Database(
+        db.domain, {"s": db.relation("S"), "q": db.relation("Q")}
+    )
+    # third route: the paper's Datalog program through the semi-naive engine
+    program = parse_program("p(X) :- s(X). p(X) :- q(X, Y, Z), p(Y), p(Z).")
+    closure = semi_naive(program, renamed)["p"]
+    _check(
+        bool({row[0] for row in closure.tuples} & set(instance.targets))
+        == expected,
+        "Datalog answer != reference closure",
+    )
+    width = variable_width(query.formula)
+    _check(width == 3, f"the reduction produced width {width}")
+    return {
+        "width": float(width),
+        "expr_length": float(formula_length(query.formula)),
+        "solvable": float(got),
+    }
+
+
+def mucalculus_workload(
+    parameter: float, tracer=NULL_TRACER, deadline: Optional[float] = None
+) -> Dict[str, float]:
+    """F5 (§1): the ν/µ fairness property on a seeded total Kripke
+    structure of n states, model-checked directly and as an FP^2 query;
+    both routes must return the same states.  The FP^2 evaluation runs
+    untraced inside the ``fp_route`` span, whose duration is its
+    wall-clock."""
+    from repro.core.engine import evaluate
+    from repro.mucalculus import (
+        KripkeStructure,
+        model_check,
+        mu_to_fp_query,
+        parse_mu,
+    )
+
+    n = int(parameter)
+    structure = KripkeStructure.random(n, 0.3, ["p", "q"], seed=n, total=True)
+    prop = parse_mu("nu X. mu Y. <>((p & X) | Y)")
+    direct = model_check(structure, prop)
+    q = mu_to_fp_query(prop)
+    db = structure.to_database()
+    with tracer.span("fp_route"):
+        result = evaluate(
+            q.formula, db, ("x",), _options("monotone", deadline, NULL_TRACER)
+        )
+    _check(
+        frozenset(t[0] for t in result.relation.tuples) == direct,
+        "FP^2 route != direct model checker",
+    )
+    return {
+        "answer_states": float(len(direct)),
+        "fixpoint_iterations": float(result.stats.fixpoint_iterations),
+    }
+
+
+def eso_arity_workload(
+    parameter: float, tracer=NULL_TRACER, deadline: Optional[float] = None
+) -> Dict[str, float]:
+    """F6 (Lemma 3.6): ``∃S/arity`` constrained by two-variable S-patterns
+    on a fixed 4-node graph.  The rewrite must cut the quantified arity
+    to ≤ 2 and the grounded CNF must stay below the ``n^arity`` tuples a
+    naive guess of S ranges over."""
+    from repro.core.eso_eval import eso_decide, grounded_cnf
+    from repro.core.eso_rewrite import rewrite_eso
+    from repro.logic.analysis import max_so_arity
+    from repro.logic.parser import parse_formula
+    from repro.workloads.graphs import random_graph
+
+    arity = int(parameter)
+    n = 4
+    db = random_graph(n, 0.4, seed=7)
+    xs = ", ".join(["x", "y"] * (arity // 2))
+    ys = ", ".join(["y", "x"] * (arity // 2))
+    phi = parse_formula(
+        f"exists2 S/{arity}. forall x. forall y. "
+        f"(~E(x, y) | S({xs}) | ~S({ys}))"
+    )
+    rewritten = rewrite_eso(phi)
+    cnf, _ = grounded_cnf(phi, db, use_rewrite=True)
+    # the point's wall-clock reads the decision, as in Corollary 3.7
+    eso_decide(phi, db, tracer=tracer, guard=_guard(deadline))
+    view_arity = max_so_arity(rewritten.formula)
+    _check(max_so_arity(phi) == arity, "the query has the wrong arity")
+    _check(view_arity <= 2, f"the rewrite left arity {view_arity}")
+    _check(
+        cnf.num_vars < n**arity or arity == 2,
+        "the CNF is as large as the naive tuple space",
+    )
+    return {
+        "view_arity": float(view_arity),
+        "num_views": float(len(rewritten.views)),
+        "cnf_vars": float(cnf.num_vars),
+        "naive_tuple_space": float(n**arity),
+    }
+
+
+def acyclic_joins_workload(
+    parameter: float, tracer=NULL_TRACER, deadline: Optional[float] = None
+) -> Dict[str, float]:
+    """F7 (§1): a width-w chain join on a fixed 8-node graph three ways —
+    cross product first, Yannakakis' semijoin algorithm, and the
+    bounded evaluator; all three must return the same rows."""
+    from repro.algebra import ArityTracker, compile_naive_conjunctive
+    from repro.algebra.acyclic import YannakakisStats, yannakakis
+    from repro.core.fo_eval import BoundedEvaluator
+    from repro.core.interp import EvalStats
+    from repro.logic.builders import and_, atom, exists
+    from repro.workloads.graphs import random_graph
+
+    width = int(parameter)
+    graph = random_graph(8, 0.3, seed=31)
+    names = [f"v{i}" for i in range(width + 1)]
+    atoms = [atom("E", names[i], names[i + 1]) for i in range(width)]
+    out = (names[0], names[-1])
+    middles = names[1:-1]
+    formula = exists(middles, and_(*atoms)) if middles else atoms[0]
+    cross = ArityTracker()
+    cross_rows = set(
+        compile_naive_conjunctive(formula, out).evaluate(graph, cross).rows
+    )
+    yk = YannakakisStats()
+    yk_rows = yannakakis(atoms, graph, out, yk)
+    bounded = EvalStats()
+    bounded_rows = set(
+        BoundedEvaluator(
+            graph, stats=bounded, tracer=tracer, guard=_guard(deadline)
+        )
+        .answer(formula, out)
+        .tuples
+    )
+    _check(cross_rows == yk_rows == bounded_rows, "the three joins disagree")
+    return {
+        "cross_max_rows": float(cross.max_rows),
+        "yannakakis_max_rows": float(yk.max_intermediate_rows),
+        "semijoins": float(yk.semijoins),
+        "bounded_max_rows": float(bounded.max_intermediate_rows),
+    }
+
+
+# -- the query service -----------------------------------------------------
 
 
 def serve_workload(
@@ -318,57 +926,171 @@ def _coerce(default: object, value: object, key: str) -> object:
     return value
 
 
-EXPERIMENTS: Dict[str, PerfExperiment] = {
-    "T2-FP": PerfExperiment(
-        experiment_id="T2-FP",
-        title="FP^k transitive closure: fixpoint strategy counters",
-        parameters=(6.0, 10.0, 14.0, 18.0),
-        workload=tc_workload,
-        options={"strategy": "seminaive", "backend": "sparse"},
-        fit_counters=("table_ops", "answer_rows"),
-    ),
-    "T2-FP-PACKED": PerfExperiment(
-        experiment_id="T2-FP-PACKED",
-        title="FP^k transitive closure on the packed n^k-bit kernel",
-        parameters=(6.0, 10.0, 14.0, 18.0, 26.0),
-        workload=tc_workload,
-        options={"strategy": "seminaive", "backend": "packed"},
-        fit_counters=("table_ops", "answer_rows"),
-    ),
-    "T2-FO": PerfExperiment(
-        experiment_id="T2-FO",
-        title="FO^3 path query: polynomial data-complexity counters",
-        parameters=(4.0, 8.0, 12.0, 16.0, 20.0),
-        workload=fo_path_workload,
-        options={"path_len": 4, "edge_prob": 0.3},
-        fit_counters=("table_ops", "max_intermediate_rows"),
-    ),
-    "T2-ESO": PerfExperiment(
-        experiment_id="T2-ESO",
-        title="ESO^k 2-colorability: grounded CNF size counters",
-        parameters=(4.0, 6.0, 8.0, 10.0),
-        workload=eso_two_color_workload,
-        options={"edge_prob": 0.25},
-        fit_counters=("sat_variables", "sat_clauses"),
-    ),
-    "SERVE": PerfExperiment(
-        experiment_id="SERVE",
-        title="Query service robustness drill: deterministic serve counters",
-        parameters=(6.0, 8.0, 10.0),
-        workload=serve_workload,
-        options={"requests": 18, "max_queue": 4, "burst": 8},
-        fit_counters=("ok", "answer_rows"),
-    ),
-}
+def _experiment(
+    experiment_id: str,
+    title: str,
+    parameters: Sequence[float],
+    workload: Callable[..., Dict[str, float]],
+    fit_counters: Tuple[str, ...],
+    **options: object,
+) -> PerfExperiment:
+    return PerfExperiment(
+        experiment_id=experiment_id,
+        title=title,
+        parameters=tuple(float(p) for p in parameters),
+        workload=workload,
+        options=options,
+        fit_counters=fit_counters,
+    )
 
-#: Bench-module spellings accepted by the CLI (``repro perf record
-#: bench_table2_fp`` and ``repro perf record T2-FP`` are the same run).
-ALIASES: Dict[str, str] = {
-    "bench_table2_fp": "T2-FP",
-    "bench_table2_fp_packed": "T2-FP-PACKED",
-    "bench_table2_fo": "T2-FO",
-    "bench_table2_eso": "T2-ESO",
-    "bench_serve": "SERVE",
+
+EXPERIMENTS: Dict[str, PerfExperiment] = {
+    e.experiment_id: e
+    for e in (
+        _experiment(
+            "T1",
+            "chain joins: naive vs bounded-variable row production",
+            (2, 3, 4, 5),
+            chain_join_workload,
+            ("naive_rows", "bounded_rows"),
+        ),
+        _experiment(
+            "T2-FO",
+            "FO^3 path query: polynomial data-complexity counters",
+            (4, 8, 12, 16, 20),
+            fo_path_workload,
+            ("table_ops", "max_intermediate_rows"),
+            path_len=4,
+            edge_prob=0.3,
+        ),
+        _experiment(
+            "T2-FP",
+            "FP^k transitive closure: fixpoint strategy counters",
+            (6, 10, 14, 18),
+            tc_workload,
+            ("table_ops", "answer_rows"),
+            strategy="seminaive",
+            backend="sparse",
+        ),
+        _experiment(
+            "T2-FP-PACKED",
+            "FP^k transitive closure on the packed n^k-bit kernel",
+            (6, 10, 14, 18, 26),
+            tc_workload,
+            ("table_ops", "answer_rows"),
+            strategy="seminaive",
+            backend="packed",
+        ),
+        _experiment(
+            "T2-FP-CERT",
+            "FP^k certificate sizes and verification work",
+            (3, 4, 5, 6, 7),
+            fp_certificate_workload,
+            ("cert_tuples", "verify_ops"),
+        ),
+        _experiment(
+            "T2-ESO",
+            "ESO^k 2-colorability: grounded CNF size counters",
+            (4, 6, 8, 10, 12),
+            eso_two_color_workload,
+            ("sat_variables", "sat_clauses"),
+            edge_prob=0.25,
+        ),
+        _experiment(
+            "T2-PFP",
+            "PFP^k binary counter: live space vs iteration count",
+            (2, 3, 4, 5, 6, 7),
+            pfp_counter_workload,
+            ("peak_live_tuples", "iterations"),
+        ),
+        _experiment(
+            "T3-FO",
+            "parenthesis-language route: scans and reductions per word",
+            (3, 5, 7, 9, 11),
+            fo_grammar_workload,
+            ("tokens_scanned",),
+        ),
+        _experiment(
+            "T3-FP",
+            "FP^k expression complexity: certificate size vs alternation depth",
+            (1, 2, 3, 4),
+            fp_expression_workload,
+            ("cert_tuples",),
+        ),
+        _experiment(
+            "T3-ESO",
+            "SAT to ESO^k: reduction output size vs input size",
+            (3, 5, 7, 9),
+            sat_to_eso_workload,
+            ("expr_length",),
+        ),
+        _experiment(
+            "T3-PFP",
+            "QBF to PFP^2: sentence size and evaluation cost vs prefix",
+            (2, 3, 4, 5),
+            qbf_to_pfp_workload,
+            ("expr_length",),
+        ),
+        _experiment(
+            "F1",
+            "company example: naive vs bounded join-plan row high-water",
+            (4, 6, 8, 10),
+            company_plans_workload,
+            ("naive_max_rows", "bounded_max_rows"),
+        ),
+        _experiment(
+            "F2",
+            "path queries: naive vs FO^3 peak intermediate rows",
+            (2, 3, 4, 5),
+            path_rewrite_workload,
+            ("naive_max_rows", "fo3_max_rows"),
+        ),
+        _experiment(
+            "F3",
+            "nested-lfp ablation: naive vs warm-started body evaluations",
+            (1, 2, 3),
+            nested_lfp_workload,
+            ("naive_body_evals", "monotone_body_evals"),
+        ),
+        _experiment(
+            "F4",
+            "Path Systems to FO^3: query width and size per instance",
+            (4, 6, 8, 10, 12),
+            path_systems_workload,
+            ("expr_length",),
+        ),
+        _experiment(
+            "F5",
+            "mu-calculus fairness property through the FP^2 route",
+            (4, 6, 8, 10, 12),
+            mucalculus_workload,
+            ("fixpoint_iterations",),
+        ),
+        _experiment(
+            "F6",
+            "arity reduction: CNF size vs quantified relation arity",
+            (2, 4, 6, 8),
+            eso_arity_workload,
+            ("cnf_vars",),
+        ),
+        _experiment(
+            "F7",
+            "chain joins three ways: peak intermediate rows",
+            (2, 3, 4),
+            acyclic_joins_workload,
+            ("cross_max_rows", "yannakakis_max_rows"),
+        ),
+        _experiment(
+            "SERVE",
+            "Query service robustness drill: deterministic serve counters",
+            (6, 8, 10),
+            serve_workload,
+            ("ok", "answer_rows"),
+            requests=18,
+            max_queue=4,
+            burst=8,
+        ),
+    )
 }
 
 
@@ -377,13 +1099,12 @@ def experiment_ids() -> Tuple[str, ...]:
 
 
 def get_experiment(name: str) -> PerfExperiment:
-    canonical = ALIASES.get(name, name)
     try:
-        return EXPERIMENTS[canonical]
+        return EXPERIMENTS[name]
     except KeyError:
-        known = ", ".join(sorted(EXPERIMENTS) + sorted(ALIASES))
         raise ExperimentError(
-            f"unknown perf experiment {name!r} (known: {known})"
+            f"unknown perf experiment {name!r} "
+            f"(known: {', '.join(experiment_ids())})"
         ) from None
 
 
@@ -395,8 +1116,8 @@ def explain_target(
     ``repro explain --experiment`` needs a single evaluation, not a
     sweep: this binds the named experiment's query and database at one
     parameter value (default: the experiment's largest registered one).
-    T2-ESO is refused — the explain layer annotates the FO/FP span
-    convention, and the grounded SAT pipeline does not produce it.
+    Only the engine-evaluation experiments (T2-FP, T2-FP-PACKED, T2-FO)
+    qualify — the explain layer annotates the FO/FP span convention.
     """
     from repro.logic.parser import parse_formula
     from repro.workloads.formulas import path_query_fo3

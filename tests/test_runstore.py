@@ -217,31 +217,3 @@ class TestRunStore:
         store.save(_record("B"))
         store.save(_record("A"))
         assert store.experiments() == ["A", "B"]
-
-
-class TestHarnessEmitRecord:
-    def test_emit_record_seeds_baseline_once(self, tmp_path):
-        from benchmarks._harness import emit_record, load_baseline
-
-        root = str(tmp_path / "records")
-        digest, _ = emit_record(
-            "HARNESS",
-            "harness smoke",
-            parameters=[1.0, 2.0],
-            seconds=[0.01, 0.02],
-            counters=[{"ops": 1.0}, {"ops": 4.0}],
-            fit_counters=("ops",),
-            store_root=root,
-        )
-        baseline = load_baseline("HARNESS", store_root=root)
-        assert baseline is not None and baseline.digest() == digest
-        # a second, different run archives but never rewrites the baseline
-        emit_record(
-            "HARNESS",
-            "harness smoke",
-            parameters=[1.0, 2.0],
-            seconds=[0.01, 0.02],
-            counters=[{"ops": 2.0}, {"ops": 8.0}],
-            store_root=root,
-        )
-        assert load_baseline("HARNESS", store_root=root).digest() == digest
