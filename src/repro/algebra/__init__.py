@@ -1,25 +1,27 @@
-"""Bounded-arity relational algebra (Section 1 / Section 2.2).
+"""Relational algebra plans (Section 1 / Section 2.2).
 
 "FO^k corresponds to the fragment of relational algebra where the arity
-of every subexpression is bounded by k."  This subpackage makes that
-correspondence executable:
+of every subexpression is bounded by k."  Queries in that fragment are
+evaluated by Prop 3.1's bottom-up evaluator,
+:class:`repro.core.fo_eval.BoundedEvaluator`.  This subpackage holds
+explicit plans — the naive cross-product baselines and the
+introduction's hand-built company plans — and audits their
+intermediates:
 
 * :mod:`~repro.algebra.ops` — plan nodes (scan, join, cross product,
-  select, project, rename, union, difference, complement) evaluating over
-  a :class:`~repro.database.database.Database`, with an
+  select, project, rename) evaluating over a
+  :class:`~repro.database.database.Database`, with an
   :class:`~repro.algebra.ops.ArityTracker` that audits every intermediate;
-* :mod:`~repro.algebra.compile_fo` — two FO→algebra compilers: the
-  *bounded* compiler (intermediate arity ≤ number of free variables per
-  subformula, Prop 3.1's evaluation order) and the *naive* compiler for
+* :mod:`~repro.algebra.compile_fo` — the *naive* compiler for
   conjunctive queries (cross-product-first, the Section 1 anti-pattern);
+* :mod:`~repro.algebra.acyclic` — GYO acyclicity and Yannakakis'
+  semijoin algorithm;
 * :mod:`~repro.algebra.cost` — static and dynamic plan cost summaries.
 """
 
 from repro.algebra.ops import (
     ArityTracker,
-    Complement,
     CrossProduct,
-    Difference,
     Join,
     PlanNode,
     Project,
@@ -27,11 +29,10 @@ from repro.algebra.ops import (
     Rename,
     Select,
     Table,
-    Union,
     column_eq,
     column_eq_const,
 )
-from repro.algebra.compile_fo import compile_bounded, compile_naive_conjunctive
+from repro.algebra.compile_fo import compile_naive_conjunctive
 from repro.algebra.cost import PlanCost, dynamic_cost, static_max_arity
 
 __all__ = [
@@ -43,13 +44,9 @@ __all__ = [
     "Select",
     "Project",
     "Rename",
-    "Union",
-    "Difference",
-    "Complement",
     "column_eq",
     "column_eq_const",
     "ArityTracker",
-    "compile_bounded",
     "compile_naive_conjunctive",
     "PlanCost",
     "static_max_arity",

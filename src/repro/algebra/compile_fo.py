@@ -1,236 +1,28 @@
-"""Compilers from first-order formulas to relational algebra plans.
+"""The naive FO→algebra compiler: the Section 1 anti-pattern as a plan.
 
-Two compilers embody the paper's contrast:
-
-* :func:`compile_bounded` — the Prop 3.1 evaluation order as a plan: each
-  subformula becomes a subplan over exactly its free variables, so every
-  intermediate arity is at most the subformula's free-variable count (≤ k
-  for FO^k queries);
-* :func:`compile_naive_conjunctive` — the Section 1 anti-pattern for
-  existential conjunctive queries: cross-product every atom first, then
-  select, then project, peaking at the sum of the atom arities.
+:func:`compile_naive_conjunctive` plans an existential conjunctive query
+cross-product first, then select, then project, peaking at the sum of
+the atom arities.  It is the unbounded baseline of experiments T1 and
+F7; the bounded side of both is Prop 3.1's bottom-up evaluation,
+:class:`repro.core.fo_eval.BoundedEvaluator`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
-from repro.database.database import Database
 from repro.errors import EvaluationError
 from repro.algebra.ops import (
-    Complement,
     CrossProduct,
-    Join,
     PlanNode,
     Project,
     RelationScan,
     Rename,
     Select,
-    Table,
-    Union,
     column_eq,
     column_eq_const,
 )
-from repro.logic.syntax import (
-    And,
-    Const,
-    Equals,
-    Exists,
-    Forall,
-    Formula,
-    Not,
-    Or,
-    RelAtom,
-    Truth,
-    Var,
-)
-from repro.logic.variables import free_variables
-
-
-# ---------------------------------------------------------------------------
-# Extra leaf nodes the compilers need
-# ---------------------------------------------------------------------------
-
-
-class DomainScan(PlanNode):
-    """``D^columns`` — all assignments to the given variables."""
-
-    def __init__(self, columns: Tuple[str, ...]):
-        self.columns = tuple(columns)
-
-    def children(self) -> Tuple[PlanNode, ...]:
-        return ()
-
-    def _run(self, db: Database, tracker) -> Table:
-        import itertools
-
-        rows = tuple(
-            itertools.product(db.domain.values, repeat=len(self.columns))
-        )
-        return Table(self.columns, rows)
-
-    def __repr__(self) -> str:
-        return f"DomainScan({self.columns})"
-
-
-class EqualityScan(PlanNode):
-    """The diagonal ``{(v, v)}`` over two variable columns."""
-
-    def __init__(self, left: str, right: str):
-        if left == right:
-            raise EvaluationError("EqualityScan needs two distinct columns")
-        self.left = left
-        self.right = right
-
-    def children(self) -> Tuple[PlanNode, ...]:
-        return ()
-
-    def _run(self, db: Database, tracker) -> Table:
-        rows = tuple((v, v) for v in db.domain.values)
-        return Table((self.left, self.right), rows)
-
-    def __repr__(self) -> str:
-        return f"EqualityScan({self.left}, {self.right})"
-
-
-class EmptyScan(PlanNode):
-    """The empty table over the given columns (``false``)."""
-
-    def __init__(self, columns: Tuple[str, ...]):
-        self.columns = tuple(columns)
-
-    def children(self) -> Tuple[PlanNode, ...]:
-        return ()
-
-    def _run(self, db: Database, tracker) -> Table:
-        return Table(self.columns, ())
-
-    def __repr__(self) -> str:
-        return f"EmptyScan({self.columns})"
-
-
-# ---------------------------------------------------------------------------
-# Bounded compiler (Prop 3.1 as a plan)
-# ---------------------------------------------------------------------------
-
-
-def compile_bounded(formula: Formula, output_vars: Sequence[str]) -> PlanNode:
-    """Compile FO to a plan whose intermediates stay at ≤ k columns.
-
-    The plan's final schema is exactly ``output_vars`` (missing free
-    variables raise; extra output variables are cylindrified over the
-    domain, the paper's convention).
-    """
-    out = tuple(output_vars)
-    missing = free_variables(formula) - set(out)
-    if missing:
-        raise EvaluationError(
-            f"output variables {out} do not cover free variables "
-            f"{sorted(missing)}"
-        )
-    plan = _compile(formula)
-    plan_cols = tuple(sorted(free_variables(formula)))
-    extra = tuple(v for v in out if v not in plan_cols)
-    if extra:
-        plan = CrossProduct((plan, DomainScan(extra)))
-    return Project(plan, out, by_name=True)
-
-
-def _compile(formula: Formula) -> PlanNode:
-    if isinstance(formula, RelAtom):
-        return _compile_atom(formula)
-    if isinstance(formula, Equals):
-        return _compile_equals(formula)
-    if isinstance(formula, Truth):
-        if formula.value:
-            return DomainScan(())
-        return EmptyScan(())
-    if isinstance(formula, Not):
-        return Complement(_compile(formula.sub))
-    if isinstance(formula, And):
-        if not formula.subs:
-            return DomainScan(())
-        plan = _compile(formula.subs[0])
-        for sub in formula.subs[1:]:
-            plan = Join(plan, _compile(sub))
-        return plan
-    if isinstance(formula, Or):
-        if not formula.subs:
-            return EmptyScan(())
-        target = tuple(sorted(free_variables(formula)))
-        plans = []
-        for sub in formula.subs:
-            plan = _compile(sub)
-            extra = tuple(
-                v for v in target if v not in free_variables(sub)
-            )
-            if extra:
-                plan = CrossProduct((plan, DomainScan(extra)))
-            plans.append(Project(plan, target, by_name=True))
-        result = plans[0]
-        for plan in plans[1:]:
-            result = Union(result, plan)
-        return result
-    if isinstance(formula, Exists):
-        sub_plan = _compile(formula.sub)
-        remaining = tuple(
-            sorted(free_variables(formula.sub) - {formula.var.name})
-        )
-        return Project(sub_plan, remaining, by_name=True)
-    if isinstance(formula, Forall):
-        # ∀x φ = ¬∃x ¬φ, all within the same variable budget
-        rewritten = Not(Exists(formula.var, Not(formula.sub)))
-        return _compile(rewritten)
-    raise EvaluationError(
-        f"the algebra compiler handles first-order formulas only, got "
-        f"{type(formula).__name__}"
-    )
-
-
-def _compile_atom(atom: RelAtom) -> PlanNode:
-    arity = len(atom.terms)
-    scan_cols = tuple(f"_pos{i}" for i in range(arity))
-    plan: PlanNode = RelationScan(atom.name, arity, columns=scan_cols)
-    predicates = []
-    first_position: Dict[str, int] = {}
-    keep: List[int] = []
-    names: List[str] = []
-    for i, term in enumerate(atom.terms):
-        if isinstance(term, Const):
-            predicates.append(column_eq_const(i, term.value))
-        elif isinstance(term, Var):
-            if term.name in first_position:
-                predicates.append(column_eq(first_position[term.name], i))
-            else:
-                first_position[term.name] = i
-                keep.append(i)
-                names.append(term.name)
-    if predicates:
-        plan = Select(plan, tuple(predicates))
-    plan = Project(plan, tuple(keep))
-    return Rename(plan, tuple(zip([scan_cols[i] for i in keep], names)))
-
-
-def _compile_equals(eq: Equals) -> PlanNode:
-    left, right = eq.left, eq.right
-    if isinstance(left, Var) and isinstance(right, Var):
-        if left.name == right.name:
-            return DomainScan((left.name,))
-        return EqualityScan(*sorted((left.name, right.name)))
-    if isinstance(left, Const) and isinstance(right, Var):
-        left, right = right, left
-    if isinstance(left, Var) and isinstance(right, Const):
-        return Select(
-            DomainScan((left.name,)), (column_eq_const(0, right.value),)
-        )
-    if isinstance(left, Const) and isinstance(right, Const):
-        return DomainScan(()) if left.value == right.value else EmptyScan(())
-    raise EvaluationError(f"malformed equality {eq!r}")
-
-
-# ---------------------------------------------------------------------------
-# Naive compiler (the Section 1 anti-pattern)
-# ---------------------------------------------------------------------------
+from repro.logic.syntax import And, Const, Exists, Formula, RelAtom, Var
 
 
 def compile_naive_conjunctive(
@@ -238,7 +30,7 @@ def compile_naive_conjunctive(
 ) -> PlanNode:
     """Cross-product-first plan for an existential conjunctive query.
 
-    Accepts ``∃x̄ (A_1 ∧ ... ∧ A_m)`` with relation/equality atoms and
+    Accepts ``∃x̄ (A_1 ∧ ... ∧ A_m)`` with relation atoms ``A_i`` and
     builds ``π(σ(A_1 × ... × A_m))`` — the naive approach whose largest
     intermediate has arity Σ arity(A_i).
     """
@@ -246,20 +38,19 @@ def compile_naive_conjunctive(
     while isinstance(body, Exists):
         body = body.sub
     atoms = body.subs if isinstance(body, And) else (body,)
-    scans: List[PlanNode] = []
+    scans: List[RelationScan] = []
+    columns: List[str] = []
     var_positions: Dict[str, int] = {}
     predicates = []
-    offset = 0
     for atom in atoms:
         if not isinstance(atom, RelAtom):
             raise EvaluationError(
                 "the naive compiler accepts conjunctions of relation atoms, "
                 f"got {type(atom).__name__}"
             )
-        arity = len(atom.terms)
-        scans.append(RelationScan(atom.name, arity))
-        for i, term in enumerate(atom.terms):
-            position = offset + i
+        scan = RelationScan(atom.name, len(atom.terms))
+        scans.append(scan)
+        for position, term in enumerate(atom.terms, start=len(columns)):
             if isinstance(term, Const):
                 predicates.append(column_eq_const(position, term.value))
             elif isinstance(term, Var):
@@ -269,7 +60,7 @@ def compile_naive_conjunctive(
                     )
                 else:
                     var_positions[term.name] = position
-        offset += arity
+        columns.extend(scan.schema())
     plan: PlanNode = CrossProduct(tuple(scans))
     if predicates:
         plan = Select(plan, tuple(predicates))
@@ -278,30 +69,12 @@ def compile_naive_conjunctive(
         if name not in var_positions:
             raise EvaluationError(f"output variable {name!r} not in the query")
         out_positions.append(var_positions[name])
-    projected = Project(plan, tuple(out_positions))
-    # positions were projected in output order; rename to the variable names
-    return _rename_positional(projected, tuple(output_vars))
-
-
-def _rename_positional(plan: Project, names: Tuple[str, ...]) -> PlanNode:
-    class _RenameByPosition(PlanNode):
-        def __init__(self, inner: PlanNode, new_names: Tuple[str, ...]):
-            self.inner = inner
-            self.new_names = new_names
-
-        def children(self) -> Tuple[PlanNode, ...]:
-            return (self.inner,)
-
-        def _run(self, db: Database, tracker) -> Table:
-            table = self.inner.evaluate(db, tracker)
-            if len(self.new_names) != table.arity:
-                raise EvaluationError(
-                    f"positional rename: {len(self.new_names)} names for "
-                    f"arity {table.arity}"
-                )
-            return Table(self.new_names, table.rows)
-
-        def __repr__(self) -> str:
-            return f"RenameByPosition({self.new_names})"
-
-    return _RenameByPosition(plan, names)
+    # the scans' column names are unique, so the product keeps them and
+    # the projection's columns rename to the output variables by name
+    return Rename(
+        Project(plan, tuple(out_positions)),
+        tuple(
+            (columns[position], name)
+            for position, name in zip(out_positions, output_vars)
+        ),
+    )

@@ -17,9 +17,7 @@ from repro.database.database import Database
 from repro.errors import EvaluationError
 from repro.algebra.ops import (
     ArityTracker,
-    Complement,
     CrossProduct,
-    Difference,
     Join,
     PlanNode,
     Project,
@@ -27,7 +25,6 @@ from repro.algebra.ops import (
     Rename,
     Select,
     Table,
-    Union,
 )
 
 
@@ -52,9 +49,8 @@ class PlanCost:
 def static_max_arity(plan: PlanNode) -> int:
     """Upper bound on the arity of every intermediate of ``plan``.
 
-    Computed bottom-up without touching a database.  Nodes the analyzer
-    does not recognize contribute the max of their children (safe for
-    leaf nodes that declare a ``columns`` attribute).
+    Computed bottom-up without touching a database; a node type the
+    analyzer does not know raises :class:`~repro.errors.EvaluationError`.
     """
     peak, _ = _arity(plan)
     return peak
@@ -74,30 +70,12 @@ def _arity(plan: PlanNode) -> Tuple[int, int]:
         # without schema knowledge the join output is at most lo + ro
         out = lo + ro
         return max(lp, rp, out), out
-    if isinstance(plan, (Select,)):
-        peak, out = _arity(plan.input)
-        return peak, out
+    if isinstance(plan, (Select, Rename)):
+        return _arity(plan.input)
     if isinstance(plan, Project):
         peak, _ = _arity(plan.input)
         out = len(plan.columns)
         return max(peak, out), out
-    if isinstance(plan, Rename):
-        return _arity(plan.input)
-    if isinstance(plan, (Union, Difference)):
-        lp, lo = _arity(plan.left)
-        rp, _ = _arity(plan.right)
-        return max(lp, rp), lo
-    if isinstance(plan, Complement):
-        return _arity(plan.input)
-    # unknown leaf (DomainScan, EqualityScan, ...): trust its columns
-    columns = getattr(plan, "columns", None)
-    if columns is not None and not plan.children():
-        return len(columns), len(columns)
-    if plan.children():
-        peaks_outs = [_arity(c) for c in plan.children()]
-        peak = max(p for p, _ in peaks_outs)
-        out = peaks_outs[-1][1]
-        return peak, out
     raise EvaluationError(f"cannot bound arity of {type(plan).__name__}")
 
 

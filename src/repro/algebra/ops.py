@@ -293,72 +293,3 @@ class Rename(PlanNode):
         return Table(
             tuple(mapping.get(c, c) for c in table.columns), table.rows
         )
-
-
-@dataclass(frozen=True)
-class Union(PlanNode):
-    """Set union; schemas must have the same column names (any order)."""
-
-    left: PlanNode
-    right: PlanNode
-
-    def children(self) -> Tuple[PlanNode, ...]:
-        return (self.left, self.right)
-
-    def _run(self, db: Database, tracker) -> Table:
-        left = self.left.evaluate(db, tracker)
-        right = self.right.evaluate(db, tracker)
-        right = _align(right, left.columns)
-        return Table(
-            left.columns, tuple(dict.fromkeys(left.rows + right.rows))
-        )
-
-
-@dataclass(frozen=True)
-class Difference(PlanNode):
-    """Set difference; schemas must have the same column names."""
-
-    left: PlanNode
-    right: PlanNode
-
-    def children(self) -> Tuple[PlanNode, ...]:
-        return (self.left, self.right)
-
-    def _run(self, db: Database, tracker) -> Table:
-        left = self.left.evaluate(db, tracker)
-        right = _align(self.right.evaluate(db, tracker), left.columns)
-        removed = set(right.rows)
-        return Table(
-            left.columns,
-            tuple(row for row in left.rows if row not in removed),
-        )
-
-
-@dataclass(frozen=True)
-class Complement(PlanNode):
-    """``D^columns`` minus the input — negation needs the active domain."""
-
-    input: PlanNode
-
-    def children(self) -> Tuple[PlanNode, ...]:
-        return (self.input,)
-
-    def _run(self, db: Database, tracker) -> Table:
-        table = self.input.evaluate(db, tracker)
-        present = set(table.rows)
-        universe = itertools.product(db.domain.values, repeat=table.arity)
-        rows = tuple(row for row in universe if row not in present)
-        return Table(table.columns, rows)
-
-
-def _align(table: Table, columns: Tuple[str, ...]) -> Table:
-    if set(table.columns) != set(columns) or table.arity != len(columns):
-        raise EvaluationError(
-            f"schema mismatch: {table.columns} vs {columns}"
-        )
-    if table.columns == columns:
-        return table
-    positions = [table.column_index(c) for c in columns]
-    return Table(
-        columns, tuple(tuple(row[p] for p in positions) for row in table.rows)
-    )

@@ -88,18 +88,3 @@ def classify_growth(
     winner = "polynomial" if poly.residual <= expo.residual else "exponential"
     return winner, poly, expo
 
-
-def looks_polynomial(
-    ns: Sequence[float],
-    ys: Sequence[float],
-    max_degree: float = 8.0,
-) -> bool:
-    """Convenience check for growth-shape assertions."""
-    winner, poly, _ = classify_growth(ns, ys)
-    return winner == "polynomial" and poly.coefficient <= max_degree
-
-
-def looks_exponential(ns: Sequence[float], ys: Sequence[float]) -> bool:
-    """Convenience check for growth-shape assertions."""
-    winner, _, _ = classify_growth(ns, ys)
-    return winner == "exponential"

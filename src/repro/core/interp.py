@@ -32,7 +32,6 @@ from typing import (
     FrozenSet,
     Iterable,
     Iterator,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -44,7 +43,6 @@ from repro.errors import EvaluationError
 from repro.obs.metrics import MetricsRegistry
 
 Row = Tuple[Value, ...]
-Assignment = Mapping[str, Value]
 
 #: Registry names behind each ``EvalStats`` attribute (see
 #: ``docs/observability.md`` for the full catalogue).
@@ -245,16 +243,6 @@ class VarTable:
             frozenset(itertools.product(domain.values, repeat=len(ordered))),
         )
 
-    @classmethod
-    def from_assignments(
-        cls, variables: Sequence[str], assignments: Iterable[Assignment]
-    ) -> "VarTable":
-        """Build from explicit variable→value mappings."""
-        ordered = tuple(sorted(variables))
-        return cls(
-            ordered, (tuple(a[v] for v in ordered) for a in assignments)
-        )
-
     # -- basic accessors -------------------------------------------------
 
     @property
@@ -269,16 +257,6 @@ class VarTable:
         """Iterate rows as variable→value dictionaries."""
         for row in self._rows:
             yield dict(zip(self._vars, row))
-
-    def contains(self, assignment: Assignment) -> bool:
-        """Does the table contain (the restriction of) this assignment?"""
-        try:
-            row = tuple(assignment[v] for v in self._vars)
-        except KeyError as missing:
-            raise EvaluationError(
-                f"assignment missing variable {missing}"
-            ) from None
-        return row in self._rows
 
     def is_empty(self) -> bool:
         return not self._rows
@@ -346,13 +324,6 @@ class VarTable:
         right = other.cylindrify(target, domain)
         return VarTable._trusted(left._vars, left._rows | right._rows)
 
-    def intersect(self, other: "VarTable", domain: Domain) -> "VarTable":
-        """Set intersection after cylindrifying to a common schema."""
-        target = set(self._vars) | set(other._vars)
-        left = self.cylindrify(target, domain)
-        right = other.cylindrify(target, domain)
-        return VarTable._trusted(left._vars, left._rows & right._rows)
-
     def complement(self, domain: Domain) -> "VarTable":
         """``D^{vars}`` minus this table (the semantics of negation)."""
         universe = itertools.product(domain.values, repeat=len(self._vars))
@@ -396,27 +367,6 @@ class VarTable:
             base for base, seen in sections.items() if len(seen) == n
         )
         return VarTable._trusted(tuple(self._vars[i] for i in keep), rows)
-
-    def select_eq(self, var_a: str, var_b: str) -> "VarTable":
-        """Rows where two columns are equal (for repeated variables)."""
-        if var_a not in self._vars or var_b not in self._vars:
-            raise EvaluationError(
-                f"select_eq: {var_a!r}/{var_b!r} not in {self._vars}"
-            )
-        ia, ib = self._vars.index(var_a), self._vars.index(var_b)
-        return VarTable._trusted(
-            self._vars,
-            frozenset(row for row in self._rows if row[ia] == row[ib]),
-        )
-
-    def rename(self, mapping: Mapping[str, str]) -> "VarTable":
-        """Rename columns; the result is re-sorted canonically."""
-        new_vars = tuple(mapping.get(v, v) for v in self._vars)
-        if len(set(new_vars)) != len(new_vars):
-            raise EvaluationError(
-                f"rename would merge columns: {self._vars} via {dict(mapping)}"
-            )
-        return VarTable(new_vars, self._rows)
 
     def to_relation(self, output_vars: Sequence[str]) -> Relation:
         """Read the table out as a plain relation in the given column order.

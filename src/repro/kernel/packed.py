@@ -56,7 +56,6 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -646,19 +645,6 @@ class PackedTable:
         for row in self.rows:
             yield dict(zip(self._vars, row))
 
-    def contains(self, assignment: Mapping[str, Value]) -> bool:
-        try:
-            row = tuple(assignment[v] for v in self._vars)
-        except KeyError as missing:
-            raise EvaluationError(
-                f"assignment missing variable {missing}"
-            ) from None
-        try:
-            idx = self._codec.encode_row(row)
-        except SchemaError:
-            return False
-        return bool((self.mask >> idx) & 1)
-
     def is_empty(self) -> bool:
         if self._mask is None:
             return len(self) == 0
@@ -816,9 +802,6 @@ class PackedTable:
             self._tracer,
         )
 
-    def intersect(self, other, domain: Optional[Domain] = None) -> "PackedTable":
-        return self.join(other)
-
     def complement(self, domain: Optional[Domain] = None) -> "PackedTable":
         full = self._codec.full_mask(len(self._vars))
         return PackedTable(
@@ -878,37 +861,6 @@ class PackedTable:
             )
         mask = self._codec.project(self.mask, k, k - 1 - i, universal=True)
         return PackedTable(self._codec, remaining, mask, self._tracer)
-
-    def select_eq(self, var_a: str, var_b: str) -> "PackedTable":
-        """Rows where two columns agree (for repeated variables)."""
-        if var_a not in self._vars or var_b not in self._vars:
-            raise EvaluationError(
-                f"select_eq: {var_a!r}/{var_b!r} not in {self._vars}"
-            )
-        k = len(self._vars)
-        ia, ib = self._vars.index(var_a), self._vars.index(var_b)
-        if ia == ib:
-            return self
-        eq = self._codec.eq_mask(k, k - 1 - ia, k - 1 - ib)
-        return PackedTable(self._codec, self._vars, self.mask & eq, self._tracer)
-
-    def rename(self, mapping: Mapping[str, str]) -> "PackedTable":
-        """Rename columns; digits are permuted back to sorted order."""
-        new_vars = tuple(mapping.get(v, v) for v in self._vars)
-        if len(set(new_vars)) != len(new_vars):
-            raise EvaluationError(
-                f"rename would merge columns: {self._vars} via {dict(mapping)}"
-            )
-        if new_vars == self._vars:
-            return self
-        k = len(new_vars)
-        order = sorted(range(k), key=new_vars.__getitem__)
-        target_vars = tuple(new_vars[i] for i in order)
-        src_for = [0] * k
-        for j, i in enumerate(order):
-            src_for[k - 1 - j] = k - 1 - i
-        mask = self._codec.permute(self.mask, k, src_for)
-        return PackedTable(self._codec, target_vars, mask, self._tracer)
 
     def to_relation(self, output_vars: Sequence[str]) -> Relation:
         """Read the table out as a (packed) relation in the given order."""

@@ -131,19 +131,19 @@ def chain_join_workload(
     parameter: float, tracer=NULL_TRACER, deadline: Optional[float] = None
 ) -> Dict[str, float]:
     """T1: a width-w chain join on a fixed 7-node graph, planned naively
-    (cross product first: a (w+1)-ary intermediate) and by the
-    bounded-variable compiler (arity ≤ 3 after minimization); both plans
-    must return the same rows."""
-    from repro.algebra import (
-        ArityTracker,
-        compile_bounded,
-        compile_naive_conjunctive,
-    )
+    (cross product first: a 2w-ary intermediate) and evaluated bottom-up
+    by the bounded evaluator after variable minimization; both must
+    return the same rows, and the evaluator must keep Prop 3.1's bound —
+    every intermediate at most 3 columns, hence at most 7³ rows."""
+    from repro.algebra import ArityTracker, compile_naive_conjunctive
+    from repro.core.fo_eval import BoundedEvaluator
+    from repro.core.interp import EvalStats
     from repro.optimize import minimize_variables
     from repro.workloads.formulas import chain_join_query
     from repro.workloads.graphs import random_graph
 
-    graph = random_graph(7, 0.35, seed=13)
+    n, k = 7, 3
+    graph = random_graph(n, 0.35, seed=13)
     q = chain_join_query(int(parameter))
     naive = ArityTracker()
     naive_rows = set(
@@ -151,18 +151,27 @@ def chain_join_workload(
         .evaluate(graph, naive)
         .rows
     )
-    bounded = ArityTracker()
+    bounded = EvalStats()
     bounded_rows = set(
-        compile_bounded(minimize_variables(q.formula), q.output_vars)
-        .evaluate(graph, bounded)
-        .rows
+        BoundedEvaluator(
+            graph, stats=bounded, tracer=tracer, guard=_guard(deadline)
+        )
+        .answer(minimize_variables(q.formula), q.output_vars)
+        .tuples
     )
-    _check(naive_rows == bounded_rows, "naive and bounded plans disagree")
+    _check(naive_rows == bounded_rows, "naive plan and evaluator disagree")
+    arity, peak = bounded.max_intermediate_arity, bounded.max_intermediate_rows
+    _check(arity <= k, f"intermediate arity {arity} > k = {k}")
+    _check(peak <= n**k, f"{peak} intermediate rows > n^k = {n**k}")
     return {
         "naive_arity": float(naive.max_arity),
         "naive_rows": float(naive.total_rows_produced),
-        "bounded_arity": float(bounded.max_arity),
-        "bounded_rows": float(bounded.total_rows_produced),
+        "bounded_arity": float(arity),
+        # rows over every audited table, as the naive side counts rows
+        # over every plan node
+        "bounded_rows": float(
+            bounded.registry.histogram("eval.table_rows").total
+        ),
     }
 
 

@@ -1,30 +1,24 @@
-"""Tests for the bounded-arity relational algebra."""
+"""Tests for the relational algebra plans and the naive compiler."""
 
 import pytest
-from hypothesis import given
 
 from repro.algebra import (
     ArityTracker,
-    Complement,
     CrossProduct,
-    Difference,
     Join,
     Project,
     RelationScan,
     Rename,
     Select,
-    Union,
-    column_eq,
     column_eq_const,
-    compile_bounded,
     compile_naive_conjunctive,
     dynamic_cost,
     static_max_arity,
 )
+from repro.core.fo_eval import BoundedEvaluator
 from repro.core.naive_eval import naive_answer
 from repro.errors import EvaluationError
 from repro.logic.parser import parse_formula
-from repro.logic.variables import free_variables
 from repro.workloads.company import (
     company_database,
     earns_less_bounded_algebra,
@@ -32,8 +26,6 @@ from repro.workloads.company import (
     earns_less_naive_algebra,
 )
 from repro.workloads.formulas import chain_join_query
-
-from tests.conftest import databases, fo_formulas
 
 
 class TestOperators:
@@ -74,31 +66,6 @@ class TestOperators:
             tiny_graph
         ).columns == ("b",)
 
-    def test_union_aligns_by_name(self, tiny_graph):
-        left = RelationScan("E", 2, columns=("a", "b"))
-        right = Project(
-            CrossProduct(
-                (
-                    RelationScan("P", 1, columns=("b",)),
-                    RelationScan("Q", 1, columns=("a",)),
-                )
-            ),
-            ("a", "b"),
-            by_name=True,
-        )
-        table = Union(left, right).evaluate(tiny_graph)
-        assert (3, 0) in table.rows  # from Q × P side, aligned
-
-    def test_difference(self, tiny_graph):
-        scan = RelationScan("P", 1, columns=("v",))
-        table = Difference(scan, scan).evaluate(tiny_graph)
-        assert not table.rows
-
-    def test_complement(self, tiny_graph):
-        scan = RelationScan("P", 1, columns=("v",))
-        table = Complement(scan).evaluate(tiny_graph)
-        assert set(table.rows) == {(1,), (3,)}
-
     def test_rename(self, tiny_graph):
         plan = Rename(RelationScan("P", 1, columns=("v",)), (("v", "w"),))
         assert plan.evaluate(tiny_graph).columns == ("w",)
@@ -119,29 +86,16 @@ class TestOperators:
 
 
 class TestCompilers:
-    @given(fo_formulas(), databases(max_size=3))
-    def test_bounded_compiler_matches_reference(self, phi, db):
-        out = sorted(free_variables(phi))
-        plan = compile_bounded(phi, out)
-        table = plan.evaluate(db)
-        got = set(table.rows)
-        expected = set(naive_answer(phi, db, out).tuples)
-        assert got == expected
-
-    def test_bounded_compiler_respects_width(self, tiny_graph):
-        phi = parse_formula("exists z. (E(x, z) & exists x. (x = z & E(x, y)))")
-        plan = compile_bounded(phi, ("x", "y"))
-        tracker = ArityTracker()
-        plan.evaluate(tiny_graph, tracker)
-        assert tracker.max_arity <= 3
-
     def test_naive_conjunctive_matches_bounded(self, tiny_graph):
         q = chain_join_query(3)
-        naive_plan = compile_naive_conjunctive(q.formula, q.output_vars)
-        bounded_plan = compile_bounded(q.formula, q.output_vars)
-        a = set(naive_plan.evaluate(tiny_graph).rows)
-        b = set(bounded_plan.evaluate(tiny_graph).rows)
-        assert a == b
+        table = compile_naive_conjunctive(q.formula, q.output_vars).evaluate(
+            tiny_graph
+        )
+        bounded = BoundedEvaluator(tiny_graph).answer(
+            q.formula, q.output_vars
+        )
+        assert table.columns == q.output_vars
+        assert set(table.rows) == set(bounded.tuples)
 
     def test_naive_conjunctive_peaks_at_sum_of_arities(self, tiny_graph):
         q = chain_join_query(4)

@@ -30,11 +30,6 @@ class TestConstruction:
     def test_full(self):
         assert len(VarTable.full(("x", "y"), D3)) == 9
 
-    def test_from_assignments(self):
-        t = VarTable.from_assignments(("x",), [{"x": 1}, {"x": 2}])
-        assert t.contains({"x": 1})
-        assert not t.contains({"x": 0})
-
 
 class TestJoin:
     def test_join_on_shared_column(self):
@@ -78,11 +73,6 @@ class TestBooleanOps:
     def test_complement_of_boolean(self):
         assert VarTable.tautology().complement(D3) == VarTable.contradiction()
 
-    def test_intersect(self):
-        a = VarTable(("x",), [(0,), (1,)])
-        b = VarTable(("x",), [(1,), (2,)])
-        assert a.intersect(b, D3).rows == frozenset({(1,)})
-
 
 class TestQuantification:
     def test_project_out(self):
@@ -110,18 +100,6 @@ class TestQuantification:
 
 
 class TestMisc:
-    def test_select_eq(self):
-        t = VarTable(("x", "y"), [(0, 0), (0, 1)])
-        assert t.select_eq("x", "y").rows == frozenset({(0, 0)})
-
-    def test_rename(self):
-        t = VarTable(("x",), [(0,)])
-        assert t.rename({"x": "z"}).variables == ("z",)
-
-    def test_rename_collision_rejected(self):
-        with pytest.raises(EvaluationError):
-            VarTable(("x", "y"), []).rename({"x": "y"})
-
     def test_to_relation_permutes(self):
         t = VarTable(("x", "y"), [(0, 1)])
         assert (1, 0) in t.to_relation(("y", "x"))

@@ -29,7 +29,9 @@ class TestBooleanLaws:
     @given(tables(), tables())
     def test_de_morgan(self, a, b):
         lhs = a.union(b, DOMAIN).complement(DOMAIN)
-        rhs = a.complement(DOMAIN).intersect(b.complement(DOMAIN), DOMAIN)
+        # a natural join intersects both sides cylindrified to the
+        # union schema
+        rhs = a.complement(DOMAIN).join(b.complement(DOMAIN))
         assert lhs == rhs
 
     @given(tables(), tables())
@@ -45,12 +47,6 @@ class TestBooleanLaws:
     @given(tables())
     def test_union_idempotent(self, t):
         assert t.union(t, DOMAIN) == t
-
-    @given(tables(), tables())
-    def test_intersect_via_join_on_same_schema(self, a, b):
-        full = a.cylindrify(("x", "y", "z"), DOMAIN)
-        other = b.cylindrify(("x", "y", "z"), DOMAIN)
-        assert full.join(other) == full.intersect(other, DOMAIN)
 
 
 class TestJoinLaws:
@@ -103,17 +99,6 @@ class TestQuantifierLaws:
         assert lhs == rhs
 
 
-class TestRenameLaws:
-    @given(tables(variables=("x", "y")))
-    def test_rename_roundtrip(self, t):
-        renamed = t.rename({"x": "w"}).rename({"w": "x"})
-        assert renamed == t
-
-    @given(tables(variables=("x", "y")))
-    def test_rename_preserves_cardinality(self, t):
-        assert len(t.rename({"x": "a", "y": "b"})) == len(t)
-
-
 class TestConstructionContract:
     """The public constructor validates; ``_trusted`` is fast but must
     only ever see canonical input — these regressions pin both halves."""
@@ -141,15 +126,19 @@ class TestConstructionContract:
         assert t.variables == ("x", "y")
         assert t.rows == {(0, 1), (1, 2)}
 
-    @given(tables(variables=("x", "y")), tables(variables=("y", "z")))
-    def test_operator_results_are_canonical(self, a, b):
+    @given(
+        tables(variables=("x", "y")),
+        tables(variables=("y", "z")),
+        tables(variables=("x", "y")),
+    )
+    def test_operator_results_are_canonical(self, a, b, c):
         """Every operator output (built via the trusted path) would
         survive re-validation by the public constructor unchanged."""
         joined = a.join(b)
         for t in (
             joined,
             joined.project_out("y"),
-            a.union(b.rename({"z": "x"}), DOMAIN),
+            a.union(c, DOMAIN),
             a.complement(DOMAIN),
             a.cylindrify(("x", "y", "z"), DOMAIN),
         ):

@@ -387,7 +387,7 @@ class TestPackedMatchesSparse:
         assert_same(sa.join(sb), pa.join(pb))
 
     @given(st.data())
-    def test_union_and_intersect(self, data):
+    def test_union(self, data):
         sa, pa, domain = data.draw(table_pairs(min_n=1))
         variables = tuple(
             sorted(data.draw(st.sets(st.sampled_from(VARS), max_size=3)))
@@ -399,7 +399,6 @@ class TestPackedMatchesSparse:
         sb = VarTable(variables, rows)
         pb = PackedTable.from_rows(codec=pa.codec, variables=variables, rows=rows)
         assert_same(sa.union(sb, domain), pa.union(pb))
-        assert_same(sa.intersect(sb, domain), pa.intersect(pb))
 
     @given(table_pairs())
     def test_complement(self, pair):
@@ -421,18 +420,6 @@ class TestPackedMatchesSparse:
             packed.cylindrify(("w", "z")),
         )
 
-    @given(table_pairs(shared_vars=("x", "y", "z")))
-    def test_select_eq(self, pair):
-        sparse, packed, _ = pair
-        assert_same(sparse.select_eq("x", "z"), packed.select_eq("x", "z"))
-        assert_same(sparse.select_eq("y", "y"), packed.select_eq("y", "y"))
-
-    @given(table_pairs(shared_vars=("x", "y")))
-    def test_rename(self, pair):
-        sparse, packed, _ = pair
-        mapping = {"x": "z", "y": "a"}
-        assert_same(sparse.rename(mapping), packed.rename(mapping))
-
     @given(table_pairs(shared_vars=("x", "y")))
     def test_to_relation(self, pair):
         sparse, packed, _ = pair
@@ -440,16 +427,6 @@ class TestPackedMatchesSparse:
             got = packed.to_relation(order)
             assert isinstance(got, PackedRelation)
             assert got == sparse.to_relation(order)
-
-    @given(table_pairs(shared_vars=("x", "y")), st.data())
-    def test_contains(self, pair, data):
-        sparse, packed, domain = pair
-        values = list(domain.values) + ["alien"]
-        assignment = {
-            "x": data.draw(st.sampled_from(values)),
-            "y": data.draw(st.sampled_from(values)),
-        }
-        assert packed.contains(assignment) == sparse.contains(assignment)
 
     @given(table_pairs())
     def test_hash_matches_sparse(self, pair):
@@ -507,18 +484,6 @@ class TestPackedTableEdges:
         codec = DomainCodec(Domain.range(2))
         with pytest.raises(SchemaError):
             PackedTable.from_rows(codec, ("x",), [(9,)])
-
-    def test_rename_collision_rejected(self):
-        codec = DomainCodec(Domain.range(2))
-        t = PackedTable.from_rows(codec, ("x", "y"), [(0, 1)])
-        with pytest.raises(EvaluationError):
-            t.rename({"x": "y"})
-
-    def test_contains_missing_variable(self):
-        codec = DomainCodec(Domain.range(2))
-        t = PackedTable.from_rows(codec, ("x",), [(0,)])
-        with pytest.raises(EvaluationError):
-            t.contains({"q": 0})
 
     def test_to_relation_requires_permutation(self):
         codec = DomainCodec(Domain.range(2))
