@@ -13,7 +13,7 @@ Run:  python examples/company_queries.py
 """
 
 from repro import EvalOptions, Query, evaluate
-from repro.algebra import dynamic_cost
+from repro.core.interp import EvalStats
 from repro.optimize import minimize_variables
 from repro.workloads.company import (
     company_database,
@@ -53,20 +53,24 @@ def main() -> None:
     )
 
     # --- algebra-level plans (Section 1's two approaches) --------------
-    table_naive, cost_naive = dynamic_cost(earns_less_naive_algebra(), db)
-    table_bounded, cost_bounded = dynamic_cost(earns_less_bounded_algebra(), db)
+    # plan.evaluate(db, stats) audits every intermediate, as the
+    # evaluator does
+    naive, bounded = EvalStats(), EvalStats()
+    table_naive = earns_less_naive_algebra().evaluate(db, naive)
+    table_bounded = earns_less_bounded_algebra().evaluate(db, bounded)
     assert set(table_naive.rows) == set(table_bounded.rows)
     print("algebra plans:")
-    print(
-        f"  cross-product-first: max arity {cost_naive.max_intermediate_arity}, "
-        f"max rows {cost_naive.max_intermediate_rows}, "
-        f"total rows produced {cost_naive.total_rows_produced}"
-    )
-    print(
-        f"  bounded join plan:   max arity {cost_bounded.max_intermediate_arity}, "
-        f"max rows {cost_bounded.max_intermediate_rows}, "
-        f"total rows produced {cost_bounded.total_rows_produced}\n"
-    )
+    for label, stats in (
+        ("cross-product-first:", naive),
+        ("bounded join plan:  ", bounded),
+    ):
+        total = stats.registry.histogram("eval.table_rows").total
+        print(
+            f"  {label} max arity {stats.max_intermediate_arity}, "
+            f"max rows {stats.max_intermediate_rows}, "
+            f"total rows produced {total:.0f}"
+        )
+    print()
 
     # --- variable minimization as query optimization -------------------
     minimized = minimize_variables(naive_q.formula)

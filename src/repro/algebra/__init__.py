@@ -10,17 +10,17 @@ intermediates:
 
 * :mod:`~repro.algebra.ops` — plan nodes (scan, join, cross product,
   select, project, rename) evaluating over a
-  :class:`~repro.database.database.Database`, with an
-  :class:`~repro.algebra.ops.ArityTracker` that audits every intermediate;
+  :class:`~repro.database.database.Database`; ``plan.evaluate(db,
+  stats)`` audits every intermediate in an
+  :class:`~repro.core.interp.EvalStats`, as the bounded evaluator does;
 * :mod:`~repro.algebra.compile_fo` — the *naive* compiler for
   conjunctive queries (cross-product-first, the Section 1 anti-pattern);
 * :mod:`~repro.algebra.acyclic` — GYO acyclicity and Yannakakis'
   semijoin algorithm;
-* :mod:`~repro.algebra.cost` — static and dynamic plan cost summaries.
+* :mod:`~repro.algebra.cost` — static plan and formula cost bounds.
 """
 
 from repro.algebra.ops import (
-    ArityTracker,
     CrossProduct,
     Join,
     PlanNode,
@@ -33,7 +33,7 @@ from repro.algebra.ops import (
     column_eq_const,
 )
 from repro.algebra.compile_fo import compile_naive_conjunctive
-from repro.algebra.cost import PlanCost, dynamic_cost, static_max_arity
+from repro.algebra.cost import static_max_arity
 
 __all__ = [
     "PlanNode",
@@ -46,9 +46,6 @@ __all__ = [
     "Rename",
     "column_eq",
     "column_eq_const",
-    "ArityTracker",
     "compile_naive_conjunctive",
-    "PlanCost",
     "static_max_arity",
-    "dynamic_cost",
 ]

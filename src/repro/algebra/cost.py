@@ -1,11 +1,12 @@
-"""Plan cost summaries: static arity bounds and dynamic execution audits.
+"""Plan and formula cost summaries: static arity and ``n^k`` bounds.
 
 The quantity of interest throughout the paper is the size of intermediate
 results.  :func:`static_max_arity` bounds it before execution (a plan is
-"bounded-variable" when this is ≤ k); :func:`dynamic_cost` runs the plan
-and reports what actually materialized.  :class:`FormulaCostModel` does
-the same static exercise directly on formulas — per-subformula ``n^k``
-bounds that the explain layer compares against recorded span times.
+"bounded-variable" when this is ≤ k); ``plan.evaluate(db, stats)`` reports
+what actually materialized, in an
+:class:`~repro.core.interp.EvalStats`.  :class:`FormulaCostModel` does
+the static exercise directly on formulas — per-subformula ``n^k`` bounds
+that the explain layer compares against recorded span times.
 """
 
 from __future__ import annotations
@@ -13,10 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from repro.database.database import Database
 from repro.errors import EvaluationError
 from repro.algebra.ops import (
-    ArityTracker,
     CrossProduct,
     Join,
     PlanNode,
@@ -24,26 +23,7 @@ from repro.algebra.ops import (
     RelationScan,
     Rename,
     Select,
-    Table,
 )
-
-
-@dataclass(frozen=True)
-class PlanCost:
-    """Execution summary of one plan run."""
-
-    max_intermediate_arity: int
-    max_intermediate_rows: int
-    total_rows_produced: int
-    operators_executed: int
-    result_rows: int
-
-    def dominates(self, other: "PlanCost") -> bool:
-        """Strictly better on arity and rows (the intro example's claim)."""
-        return (
-            self.max_intermediate_arity < other.max_intermediate_arity
-            and self.max_intermediate_rows <= other.max_intermediate_rows
-        )
 
 
 def static_max_arity(plan: PlanNode) -> int:
@@ -77,22 +57,6 @@ def _arity(plan: PlanNode) -> Tuple[int, int]:
         out = len(plan.columns)
         return max(peak, out), out
     raise EvaluationError(f"cannot bound arity of {type(plan).__name__}")
-
-
-def dynamic_cost(
-    plan: PlanNode, db: Database
-) -> Tuple[Table, PlanCost]:
-    """Run ``plan`` and report what materialized."""
-    tracker = ArityTracker()
-    result = plan.evaluate(db, tracker)
-    cost = PlanCost(
-        max_intermediate_arity=tracker.max_arity,
-        max_intermediate_rows=tracker.max_rows,
-        total_rows_produced=tracker.total_rows_produced,
-        operators_executed=tracker.operators_executed,
-        result_rows=len(result),
-    )
-    return result, cost
 
 
 # ---------------------------------------------------------------------------

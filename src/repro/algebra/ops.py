@@ -2,22 +2,25 @@
 
 A plan is an immutable tree of operators; ``plan.evaluate(db)`` runs it
 against a database and returns a :class:`Table` (named columns + rows).
-Passing an :class:`ArityTracker` records the arity and cardinality of
-*every* intermediate result — the quantity the paper's introduction is
-about: the naive plan for the company query peaks at arity 12, the
-bounded plan at arity 3, and on large instances the difference is the
-whole game.
+``plan.evaluate(db, stats)`` audits *every* intermediate result through
+:meth:`repro.core.interp.EvalStats.observe_table`, the audit the bounded
+evaluator uses — the quantity the paper's introduction is about: the
+naive plan for the company query peaks at arity 12, the bounded plan at
+arity 3, and on large instances the difference is the whole game.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.database.database import Database
 from repro.database.domain import Value
 from repro.errors import EvaluationError
+
+if TYPE_CHECKING:
+    from repro.core.interp import EvalStats
 
 Row = Tuple[Value, ...]
 
@@ -36,6 +39,11 @@ class Table:
     @property
     def arity(self) -> int:
         return len(self.columns)
+
+    @property
+    def variables(self) -> Tuple[str, ...]:
+        """The column names, under the name ``EvalStats`` audits."""
+        return self.columns
 
     def column_index(self, name: str) -> int:
         try:
@@ -58,47 +66,20 @@ class Table:
         return len(self.rows)
 
 
-@dataclass
-class ArityTracker:
-    """Audit of a plan execution: the paper's intermediate-size story."""
-
-    max_arity: int = 0
-    max_rows: int = 0
-    total_rows_produced: int = 0
-    operators_executed: int = 0
-    per_operator: List[Tuple[str, int, int]] = field(default_factory=list)
-
-    def observe(self, op_name: str, table: Table) -> None:
-        self.operators_executed += 1
-        self.total_rows_produced += len(table)
-        if table.arity > self.max_arity:
-            self.max_arity = table.arity
-        if len(table) > self.max_rows:
-            self.max_rows = len(table)
-        self.per_operator.append((op_name, table.arity, len(table)))
-
-
 class PlanNode:
     """Base class for algebra operators."""
 
     def evaluate(
-        self, db: Database, tracker: Optional[ArityTracker] = None
+        self, db: Database, stats: Optional[EvalStats] = None
     ) -> Table:
-        table = self._run(db, tracker)
-        if tracker is not None:
-            tracker.observe(type(self).__name__, table)
+        """This node's table; ``stats`` audits it and every table below."""
+        table = self._run(db, stats)
+        if stats is not None:
+            stats.observe_table(table)
         return table
 
-    def _run(self, db: Database, tracker: Optional[ArityTracker]) -> Table:
+    def _run(self, db: Database, stats: Optional[EvalStats]) -> Table:
         raise NotImplementedError
-
-    def children(self) -> Tuple["PlanNode", ...]:
-        return ()
-
-    def walk(self):
-        yield self
-        for child in self.children():
-            yield from child.walk()
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +144,7 @@ class RelationScan(PlanNode):
             return tuple(self.columns)
         return tuple(f"{self.name}.{i}#{self._uid}" for i in range(self.arity))
 
-    def _run(self, db: Database, tracker) -> Table:
+    def _run(self, db: Database, stats) -> Table:
         relation = db.relation(self.name)
         if relation.arity != self.arity:
             raise EvaluationError(
@@ -179,11 +160,8 @@ class CrossProduct(PlanNode):
 
     inputs: Tuple[PlanNode, ...]
 
-    def children(self) -> Tuple[PlanNode, ...]:
-        return self.inputs
-
-    def _run(self, db: Database, tracker) -> Table:
-        tables = [child.evaluate(db, tracker) for child in self.inputs]
+    def _run(self, db: Database, stats) -> Table:
+        tables = [child.evaluate(db, stats) for child in self.inputs]
         columns: List[str] = []
         seen_cols = set()
         for i, table in enumerate(tables):
@@ -205,12 +183,9 @@ class Join(PlanNode):
     left: PlanNode
     right: PlanNode
 
-    def children(self) -> Tuple[PlanNode, ...]:
-        return (self.left, self.right)
-
-    def _run(self, db: Database, tracker) -> Table:
-        left = self.left.evaluate(db, tracker)
-        right = self.right.evaluate(db, tracker)
+    def _run(self, db: Database, stats) -> Table:
+        left = self.left.evaluate(db, stats)
+        right = self.right.evaluate(db, stats)
         right_cols = set(right.columns)
         shared = [c for c in left.columns if c in right_cols]
         shared_set = set(shared)
@@ -238,11 +213,8 @@ class Select(PlanNode):
     input: PlanNode
     predicates: Tuple[Callable[[Row], bool], ...]
 
-    def children(self) -> Tuple[PlanNode, ...]:
-        return (self.input,)
-
-    def _run(self, db: Database, tracker) -> Table:
-        table = self.input.evaluate(db, tracker)
+    def _run(self, db: Database, stats) -> Table:
+        table = self.input.evaluate(db, stats)
         rows = tuple(
             row for row in table.rows if all(p(row) for p in self.predicates)
         )
@@ -257,11 +229,8 @@ class Project(PlanNode):
     columns: Tuple[object, ...]
     by_name: bool = False
 
-    def children(self) -> Tuple[PlanNode, ...]:
-        return (self.input,)
-
-    def _run(self, db: Database, tracker) -> Table:
-        table = self.input.evaluate(db, tracker)
+    def _run(self, db: Database, stats) -> Table:
+        table = self.input.evaluate(db, stats)
         if self.by_name:
             positions = [table.column_index(str(c)) for c in self.columns]
         else:
@@ -284,11 +253,8 @@ class Rename(PlanNode):
     input: PlanNode
     mapping: Tuple[Tuple[str, str], ...]
 
-    def children(self) -> Tuple[PlanNode, ...]:
-        return (self.input,)
-
-    def _run(self, db: Database, tracker) -> Table:
-        table = self.input.evaluate(db, tracker)
+    def _run(self, db: Database, stats) -> Table:
+        table = self.input.evaluate(db, stats)
         mapping = dict(self.mapping)
         return Table(
             tuple(mapping.get(c, c) for c in table.columns), table.rows

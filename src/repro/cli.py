@@ -468,12 +468,7 @@ def _sweep_workload(
     counters = {"answer_rows": float(len(result.relation))}
     for key, value in result.stats.as_dict().items():
         counters[key] = float(value)
-    # rows high-water: the guard sees every charged relation when a
-    # budget is armed; otherwise the audited per-table maximum stands in
-    if result.guard is not None and hasattr(result.guard, "peak_rows"):
-        counters["peak_rows"] = float(result.guard.peak_rows)
-    else:
-        counters["peak_rows"] = float(result.stats.max_intermediate_rows)
+    counters["peak_rows"] = float(result.stats.max_intermediate_rows)
     return counters
 
 

@@ -100,20 +100,6 @@ class SweepPoint:
     def ok(self) -> bool:
         return self.outcome == "ok"
 
-    @property
-    def peak_rows(self) -> float:
-        """The rows high-water mark for this point.
-
-        Prefers the guard's ``peak_rows`` counter when the workload
-        reported one (it sees every charged relation, including those of
-        failing points); falls back to the audited
-        ``max_intermediate_rows`` for unguarded workloads.
-        """
-        value = self.counter("peak_rows", default=None)
-        if value is None:
-            value = self.counter("max_intermediate_rows", default=0.0)
-        return float(value)  # type: ignore[arg-type]
-
     def counter(self, name: str, default: object = _MISSING) -> float:
         """The named counter; ``default`` if given, else ``KeyError``."""
         for key, value in self.counters:

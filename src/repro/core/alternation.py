@@ -42,7 +42,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.database.database import Database
 from repro.database.relation import Relation
-from repro.errors import EvaluationError
 from repro.core.abstraction import AbstractedQuery, AbstractFixpoint, abstract_query
 from repro.core.fo_eval import BoundedEvaluator, check_variable_bound
 from repro.core.fp_eval import apply_operator
@@ -50,7 +49,6 @@ from repro.core.interp import EvalStats
 from repro.guard.budget import GuardLike, NULL_GUARD
 from repro.logic.analysis import check_positivity
 from repro.logic.syntax import Formula
-from repro.logic.variables import free_variables
 
 
 @dataclass(frozen=True)
@@ -236,16 +234,9 @@ class AlternationEvaluator:
             cert = self.extract(node, {})
             state[node.name] = cert.value
             top_certs.append(cert)
-        out = tuple(output_vars)
-        missing = free_variables(self.aq.skeleton) - set(out)
-        if missing:
-            raise EvaluationError(
-                f"output variables {out} do not cover free variables "
-                f"{sorted(missing)}"
-            )
-        table = self._evaluator.evaluate(self.aq.skeleton, rel_env=state)
-        table = table.cylindrify(out, self.db.domain)
-        relation = table.to_relation(out)
+        relation = self._evaluator.answer(
+            self.aq.skeleton, output_vars, rel_env=state
+        )
         return relation, FixpointCertificate(self.aq, tuple(top_certs))
 
 

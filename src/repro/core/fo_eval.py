@@ -5,7 +5,9 @@ a :class:`~repro.core.interp.VarTable` over the subformula's free variables —
 bottom-up.  For a query in ``FO^k`` every such table has at most ``k``
 columns, hence at most ``n^k`` rows: this is the paper's polynomial bound on
 intermediate results, and :class:`~repro.core.interp.EvalStats` checks it at
-runtime.
+runtime.  Each intermediate table is audited once, by
+:meth:`BoundedEvaluator._audit`, which also charges the row guard and feeds
+the backend's kernel metrics.
 
 Fixpoint subformulas are delegated to a pluggable solver (see
 :mod:`repro.core.fp_eval`); second-order quantifiers are rejected here and
@@ -87,9 +89,9 @@ class BoundedEvaluator:
         annotated with the resulting table's rows and arity.
     guard:
         Resource guard; the shared no-op guard by default.  When enabled,
-        every subformula evaluation is a cooperative checkpoint and every
-        intermediate table is charged against the row budget (the
-        enforced version of Prop 3.1's ``n^k`` invariant).
+        every intermediate table is charged once against the row budget
+        (the enforced version of Prop 3.1's ``n^k`` invariant), and each
+        charge is a cooperative checkpoint.
     subquery_cache:
         Optional :class:`repro.perf.cache.SubqueryCache`.  Unlike the
         internal per-evaluation memo (which keys on formula *identity*),
@@ -138,6 +140,8 @@ class BoundedEvaluator:
         # id() with the usual strong-reference scheme; only populated
         # when tracing is on
         self._expr_labels: Dict[int, Tuple[Formula, str]] = {}
+        # the table the latest _eval call returned (see _eval's audit)
+        self._last_result: Optional[VarTable] = None
 
     # -- public API --------------------------------------------------------
 
@@ -171,12 +175,10 @@ class BoundedEvaluator:
                 f"{sorted(missing)}"
             )
         table = self.evaluate(formula, rel_env)
-        table = table.cylindrify(out, self.domain)
-        if self.guard.enabled:
-            self.guard.charge_rows(len(table), node="answer")
-        self.stats.observe_table(table)
-        self.backend.observe(table)
-        return table.to_relation(out)
+        out_table = table.cylindrify(out, self.domain)
+        if out_table is not table:
+            self._audit(out_table, "answer")
+        return out_table.to_relation(out)
 
     # -- recursive evaluation ------------------------------------------
 
@@ -194,6 +196,7 @@ class BoundedEvaluator:
             # id() match on a *live* object guarantees identity — without
             # the reference CPython could reuse the id of a dead formula
             self.stats.bump("memo_hits")
+            self._last_result = cached[1]
             return cached[1]
         cache = self.subquery_cache
         ckey = None
@@ -208,13 +211,9 @@ class BoundedEvaluator:
                     # kernel ops on the table belong in its own trace
                     hit = self.backend.bind(hit, self.tracer)
                     self.stats.bump("subquery_cache_hits")
-                    if self.guard.enabled:
-                        self.guard.charge_rows(
-                            len(hit), node=type(formula).__name__
-                        )
-                    self.stats.observe_table(hit)
-                    self.backend.observe(hit)
+                    self._audit(hit, type(formula).__name__)
                     self._memo[key] = (formula, hit)
+                    self._last_result = hit
                     return hit
                 self.stats.bump("subquery_cache_misses")
         tracer = self.tracer
@@ -226,15 +225,25 @@ class BoundedEvaluator:
                 span.set(rows=len(table), arity=len(table.variables))
         else:
             table = self._eval_node(formula, env)
-        guard = self.guard
-        if guard.enabled:
-            guard.charge_rows(len(table), node=type(formula).__name__)
-        self.stats.observe_table(table)
-        self.backend.observe(table)
+        # a vacuous ∃/∀ or a one-part ∧/∨ hands up its child's table
+        # unchanged: the table the child's _eval returned last, audited
+        # when it was built
+        if table is not self._last_result:
+            self._audit(table, type(formula).__name__)
         if ckey is not None:
             cache.put(ckey, self.backend.bind(table, NULL_TRACER))
         self._memo[key] = (formula, table)
+        self._last_result = table
         return table
+
+    def _audit(self, table: VarTable, node: str) -> None:
+        """Record one intermediate table, once: charge it to the row
+        guard, audit it in ``stats`` and feed the backend's kernel
+        metrics."""
+        if self.guard.enabled:
+            self.guard.charge_rows(len(table), node=node)
+        self.stats.observe_table(table)
+        self.backend.observe(table)
 
     def _expr_label(self, formula: Formula) -> str:
         cached = self._expr_labels.get(id(formula))
@@ -276,21 +285,20 @@ class BoundedEvaluator:
             if not formula.subs:
                 return self.backend.tautology()
             table = self._eval(formula.subs[0], env)
-            for part in formula.subs[1:]:
+            for i, part in enumerate(formula.subs[1:]):
+                if i:
+                    # a fold step; the last one is the node's result
+                    self._audit(table, "And")
                 table = table.join(self._eval(part, env))
-                if self.guard.enabled:
-                    self.guard.charge_rows(len(table), node="And")
-                self.stats.observe_table(table)
             return table
         if isinstance(formula, Or):
             if not formula.subs:
                 return self.backend.contradiction()
             table = self._eval(formula.subs[0], env)
-            for part in formula.subs[1:]:
+            for i, part in enumerate(formula.subs[1:]):
+                if i:
+                    self._audit(table, "Or")
                 table = table.union(self._eval(part, env), self.domain)
-                if self.guard.enabled:
-                    self.guard.charge_rows(len(table), node="Or")
-                self.stats.observe_table(table)
             return table
         if isinstance(formula, Exists):
             sub = self._eval(formula.sub, env)

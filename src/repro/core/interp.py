@@ -74,8 +74,9 @@ class EvalStats:
 
     ``max_intermediate_rows``/``max_intermediate_arity`` verify Prop 3.1's
     ``n^k`` bound; ``fixpoint_iterations`` is the quantity Theorem 3.5
-    reduces from ``n^{k·l}`` to ``l·n^k``; ``table_ops`` counts elementary
-    relation operations (each polynomial-time, per Prop 3.1).
+    reduces from ``n^{k·l}`` to ``l·n^k``; ``table_ops`` counts the
+    intermediate tables, each built by one polynomial-time relation
+    operation (Prop 3.1) and audited once by :meth:`observe_table`.
 
     Every attribute is backed by an instrument in a
     :class:`~repro.obs.metrics.MetricsRegistry` (attribute reads/writes
@@ -138,7 +139,9 @@ class EvalStats:
         }
 
     def observe_table(self, table) -> None:
-        """Audit one intermediate table (``VarTable`` or any backend's).
+        """Audit one intermediate table (``VarTable``, any backend's, or
+        an algebra plan's ``Table``: anything with ``len`` and
+        ``variables``).
 
         Uses ``len(table)`` rather than ``len(table.rows)`` so a packed
         table answers with a popcount instead of decoding its rows.

@@ -155,7 +155,6 @@ class ResourceGuard:
         "_decisions",
         "_clauses_total",
         "_states",
-        "_peak_rows",
         "_stage_clauses",
         "_started",
         "_deadline",
@@ -179,7 +178,6 @@ class ResourceGuard:
         self._decisions = self.registry.counter("guard.decisions")
         self._clauses_total = self.registry.counter("guard.clauses")
         self._states = self.registry.counter("guard.states")
-        self._peak_rows = self.registry.gauge("guard.peak_rows")
         self._stage_clauses = 0
         self._started = clock()
         self._deadline = (
@@ -211,10 +209,6 @@ class ResourceGuard:
     def states(self) -> int:
         return self._states.value
 
-    @property
-    def peak_rows(self) -> int:
-        return self._peak_rows.value
-
     def elapsed_seconds(self) -> float:
         return self._clock() - self._started
 
@@ -231,7 +225,6 @@ class ResourceGuard:
             "decisions": self.decisions,
             "clauses": self._clauses_total.value,
             "states": self.states,
-            "peak_rows": self.peak_rows,
             "elapsed_seconds": self.elapsed_seconds(),
         }
 
@@ -280,12 +273,13 @@ class ResourceGuard:
     def charge_rows(self, rows: int, **partial: object) -> None:
         """One intermediate relation of ``rows`` rows (the ``n^k`` bound).
 
-        A high-water check, not a cumulative one: the paper bounds every
-        *single* intermediate result, not their total.
+        A per-relation check, not a cumulative one: the paper bounds
+        every *single* intermediate result, not their total.  The rows
+        high-water itself is ``eval.max_intermediate_rows``, recorded by
+        the evaluator's audit of the same table.
         """
         if self._chaos is not None:
             rows += self._chaos.oversize_rows
-        self._peak_rows.set_max(rows)
         self.checkpoint("rows", **partial)
         limit = self.budget.max_rows
         if limit is not None and rows > limit:
@@ -352,8 +346,8 @@ class ResourceGuard:
 
         * the wall-clock deadline is re-anchored at *now*, so every
           request gets the full ``deadline_seconds``;
-        * all accounting (iterations, decisions, clauses, states, rows
-          high-water, checkpoints) restarts at zero, so one tenant's
+        * all accounting (iterations, decisions, clauses, states,
+          checkpoints) restarts at zero, so one tenant's
           consumption never leaks into the next request's budget
           arithmetic or error snapshots.
 
@@ -364,7 +358,6 @@ class ResourceGuard:
         self._decisions.set(0)
         self._clauses_total.set(0)
         self._states.set(0)
-        self._peak_rows.set(0)
         self._stage_clauses = 0
         self._started = self._clock()
         self._deadline = (

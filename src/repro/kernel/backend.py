@@ -20,8 +20,8 @@ Backends are resolved per evaluation by :func:`resolve_backend`:
 (default ``sparse``) so a whole test lane or bench run can be flipped
 without touching call sites.
 
-The packed backend reports ``kernel.*`` metrics (tables built, mask
-width, codec cache reuse) into the evaluation's
+The packed backend reports ``kernel.*`` metrics (mask width, codec
+and cache reuse) into the evaluation's
 :class:`~repro.obs.metrics.MetricsRegistry`.  They are deliberately
 *not* part of :meth:`EvalStats.as_dict`: the stats counters stay
 representation-independent, which is what lets the differential suites
@@ -189,7 +189,6 @@ class PackedBackend:
         registry = registry if registry is not None else MetricsRegistry()
         self.codec = codec_for(domain, registry, max_bits)
         self.tracer = tracer
-        self._tables = registry.counter("kernel.tables")
         self._mask_bits = registry.gauge("kernel.mask_bits")
         # cache tallies live on the shared codec; this backend publishes
         # the deltas it witnesses as kernel.cache.* counters
@@ -233,7 +232,9 @@ class PackedBackend:
         )
 
     def observe(self, table) -> None:
-        self._tables.inc()
+        """Kernel metrics of one audited table: the mask-bit high-water
+        and the cache tallies this backend has witnessed since the last
+        table."""
         if isinstance(table, PackedTable):
             # the widest schema observed, n^k bits, whether its mask is
             # built or not: a factored join reports n³ and builds none

@@ -51,11 +51,11 @@ class RunStoreError(ReproError):
     """A malformed record file or an impossible store operation."""
 
 
-def _git_sha(cwd: Optional[str] = None) -> str:
-    """The short commit sha, or ``""`` outside a git checkout."""
+def _git(args: Sequence[str], cwd: Optional[str]) -> str:
+    """The stripped stdout of ``git args``, or ``""`` when it fails."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", *args],
             cwd=cwd,
             capture_output=True,
             text=True,
@@ -64,6 +64,19 @@ def _git_sha(cwd: Optional[str] = None) -> str:
     except (OSError, subprocess.SubprocessError):
         return ""
     return out.stdout.strip() if out.returncode == 0 else ""
+
+
+def _git_sha(cwd: Optional[str] = None) -> str:
+    """The short commit sha, or ``""`` outside a git checkout.
+
+    The sha gets a ``-dirty`` suffix when tracked files differ from
+    that commit: a record measured on uncommitted code must not claim
+    the commit's name.
+    """
+    sha = _git(["rev-parse", "--short", "HEAD"], cwd)
+    if sha and _git(["status", "--porcelain", "--untracked-files=no"], cwd):
+        sha += "-dirty"
+    return sha
 
 
 def env_fingerprint(cwd: Optional[str] = None) -> Dict[str, object]:

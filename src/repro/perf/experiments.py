@@ -135,7 +135,7 @@ def chain_join_workload(
     by the bounded evaluator after variable minimization; both must
     return the same rows, and the evaluator must keep Prop 3.1's bound —
     every intermediate at most 3 columns, hence at most 7³ rows."""
-    from repro.algebra import ArityTracker, compile_naive_conjunctive
+    from repro.algebra import compile_naive_conjunctive
     from repro.core.fo_eval import BoundedEvaluator
     from repro.core.interp import EvalStats
     from repro.optimize import minimize_variables
@@ -145,7 +145,7 @@ def chain_join_workload(
     n, k = 7, 3
     graph = random_graph(n, 0.35, seed=13)
     q = chain_join_query(int(parameter))
-    naive = ArityTracker()
+    naive = EvalStats()
     naive_rows = set(
         compile_naive_conjunctive(q.formula, q.output_vars)
         .evaluate(graph, naive)
@@ -163,12 +163,12 @@ def chain_join_workload(
     arity, peak = bounded.max_intermediate_arity, bounded.max_intermediate_rows
     _check(arity <= k, f"intermediate arity {arity} > k = {k}")
     _check(peak <= n**k, f"{peak} intermediate rows > n^k = {n**k}")
+    # rows summed over every audited table: every plan node on the
+    # naive side, every intermediate table on the bounded side
     return {
-        "naive_arity": float(naive.max_arity),
-        "naive_rows": float(naive.total_rows_produced),
+        "naive_arity": float(naive.max_intermediate_arity),
+        "naive_rows": float(naive.registry.histogram("eval.table_rows").total),
         "bounded_arity": float(arity),
-        # rows over every audited table, as the naive side counts rows
-        # over every plan node
         "bounded_rows": float(
             bounded.registry.histogram("eval.table_rows").total
         ),
@@ -496,7 +496,7 @@ def company_plans_workload(
     query on a seeded company of ``parameter`` employees — the 12-ary
     cross-product plan vs the arity-3 join plan.  Both must return the
     same rows, and the bounded plan must dominate."""
-    from repro.algebra import dynamic_cost
+    from repro.core.interp import EvalStats
     from repro.workloads.company import (
         company_database,
         earns_less_bounded_algebra,
@@ -507,13 +507,19 @@ def company_plans_workload(
     db = company_database(
         num_employees=n, num_departments=max(2, n // 3), seed=n
     )
-    naive_table, naive = dynamic_cost(earns_less_naive_algebra(), db)
-    bounded_table, bounded = dynamic_cost(earns_less_bounded_algebra(), db)
+    naive, bounded = EvalStats(), EvalStats()
+    naive_table = earns_less_naive_algebra().evaluate(db, naive)
+    bounded_table = earns_less_bounded_algebra().evaluate(db, bounded)
     _check(
         set(naive_table.rows) == set(bounded_table.rows),
         "naive and bounded plans disagree",
     )
-    _check(bounded.dominates(naive), "the bounded plan does not dominate")
+    # strictly narrower, and no more rows in any intermediate
+    _check(
+        bounded.max_intermediate_arity < naive.max_intermediate_arity
+        and bounded.max_intermediate_rows <= naive.max_intermediate_rows,
+        "the bounded plan does not dominate",
+    )
     return {
         "naive_max_rows": float(naive.max_intermediate_rows),
         "naive_arity": float(naive.max_intermediate_arity),
@@ -741,7 +747,7 @@ def acyclic_joins_workload(
     """F7 (§1): a width-w chain join on a fixed 8-node graph three ways —
     cross product first, Yannakakis' semijoin algorithm, and the
     bounded evaluator; all three must return the same rows."""
-    from repro.algebra import ArityTracker, compile_naive_conjunctive
+    from repro.algebra import compile_naive_conjunctive
     from repro.algebra.acyclic import YannakakisStats, yannakakis
     from repro.core.fo_eval import BoundedEvaluator
     from repro.core.interp import EvalStats
@@ -755,7 +761,7 @@ def acyclic_joins_workload(
     out = (names[0], names[-1])
     middles = names[1:-1]
     formula = exists(middles, and_(*atoms)) if middles else atoms[0]
-    cross = ArityTracker()
+    cross = EvalStats()
     cross_rows = set(
         compile_naive_conjunctive(formula, out).evaluate(graph, cross).rows
     )
@@ -771,7 +777,7 @@ def acyclic_joins_workload(
     )
     _check(cross_rows == yk_rows == bounded_rows, "the three joins disagree")
     return {
-        "cross_max_rows": float(cross.max_rows),
+        "cross_max_rows": float(cross.max_intermediate_rows),
         "yannakakis_max_rows": float(yk.max_intermediate_rows),
         "semijoins": float(yk.semijoins),
         "bounded_max_rows": float(bounded.max_intermediate_rows),

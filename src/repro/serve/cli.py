@@ -89,8 +89,11 @@ def _parse_prepare(spec: str) -> Tuple[str, Tuple[str, ...], str]:
 def _build_service(args: argparse.Namespace) -> QueryService:
     injector = None
     if args.smoke is not None and args.crash_at > 0:
+        # fail_at=1 fires on every evaluation: one answered from a
+        # worker's subquery cache passes a single guard checkpoint, the
+        # audit of the one table it serves
         crash = ChaosPolicy(
-            seed=args.seed, fail_at=2, fault_kinds=("crash",)
+            seed=args.seed, fail_at=1, fault_kinds=("crash",)
         )
 
         def injector(index: int) -> ChaosSpec:

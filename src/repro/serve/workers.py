@@ -221,11 +221,6 @@ def evaluate_payload(
     result = evaluate(
         payload["formula"], payload["db"], payload["out"], options
     )
-    peak_rows = (
-        result.guard.peak_rows
-        if result.guard is not None and hasattr(result.guard, "peak_rows")
-        else result.stats.max_intermediate_rows
-    )
     relation = result.relation
     rows = relation if isinstance(relation, PackedRelation) else relation.tuples
     answer: Dict[str, object] = {
@@ -236,7 +231,7 @@ def evaluate_payload(
         "arity": result.relation.arity,
         "language": result.language.value,
         "stats": result.stats.as_dict(),
-        "peak_rows": int(peak_rows),
+        "peak_rows": int(result.stats.max_intermediate_rows),
         "pid": os.getpid(),
     }
     if tracer is not None:

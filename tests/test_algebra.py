@@ -3,7 +3,6 @@
 import pytest
 
 from repro.algebra import (
-    ArityTracker,
     CrossProduct,
     Join,
     Project,
@@ -12,10 +11,10 @@ from repro.algebra import (
     Select,
     column_eq_const,
     compile_naive_conjunctive,
-    dynamic_cost,
     static_max_arity,
 )
 from repro.core.fo_eval import BoundedEvaluator
+from repro.core.interp import EvalStats
 from repro.core.naive_eval import naive_answer
 from repro.errors import EvaluationError
 from repro.logic.parser import parse_formula
@@ -70,7 +69,7 @@ class TestOperators:
         plan = Rename(RelationScan("P", 1, columns=("v",)), (("v", "w"),))
         assert plan.evaluate(tiny_graph).columns == ("w",)
 
-    def test_tracker_records_every_operator(self, tiny_graph):
+    def test_stats_audit_every_operator(self, tiny_graph):
         plan = Project(
             Join(
                 RelationScan("E", 2, columns=("a", "b")),
@@ -79,10 +78,13 @@ class TestOperators:
             ("a", "c"),
             by_name=True,
         )
-        tracker = ArityTracker()
-        plan.evaluate(tiny_graph, tracker)
-        assert tracker.operators_executed == 4
-        assert tracker.max_arity == 3
+        stats = EvalStats()
+        result = plan.evaluate(tiny_graph, stats)
+        assert stats.table_ops == 4
+        assert stats.max_intermediate_arity == 3
+        # 4 edges per scan, 4 two-step paths joined and projected
+        assert stats.registry.histogram("eval.table_rows").total == 16.0
+        assert len(result) == 4
 
 
 class TestCompilers:
@@ -99,11 +101,11 @@ class TestCompilers:
 
     def test_naive_conjunctive_peaks_at_sum_of_arities(self, tiny_graph):
         q = chain_join_query(4)
-        tracker = ArityTracker()
+        stats = EvalStats()
         compile_naive_conjunctive(q.formula, q.output_vars).evaluate(
-            tiny_graph, tracker
+            tiny_graph, stats
         )
-        assert tracker.max_arity == 8  # four binary atoms crossed
+        assert stats.max_intermediate_arity == 8  # four binary atoms crossed
 
     def test_naive_compiler_rejects_disjunction(self):
         with pytest.raises(EvaluationError):
@@ -115,14 +117,13 @@ class TestCompilers:
 class TestIntroExample:
     def test_plans_agree_and_bounded_wins(self):
         db = company_database(num_employees=6, num_departments=2, seed=3)
-        naive_table, naive_cost = dynamic_cost(earns_less_naive_algebra(), db)
-        bounded_table, bounded_cost = dynamic_cost(
-            earns_less_bounded_algebra(), db
-        )
+        naive, bounded = EvalStats(), EvalStats()
+        naive_table = earns_less_naive_algebra().evaluate(db, naive)
+        bounded_table = earns_less_bounded_algebra().evaluate(db, bounded)
         assert set(naive_table.rows) == set(bounded_table.rows)
-        assert bounded_cost.max_intermediate_arity <= 4
-        assert naive_cost.max_intermediate_arity >= 10
-        assert bounded_cost.dominates(naive_cost)
+        assert bounded.max_intermediate_arity <= 4
+        assert naive.max_intermediate_arity >= 10
+        assert bounded.max_intermediate_rows <= naive.max_intermediate_rows
 
     def test_plans_agree_with_logic_query(self):
         # a tiny instance so the 6-variable brute-force reference (n^6
@@ -133,7 +134,7 @@ class TestIntroExample:
         )
         q = earns_less_naive()
         expected = set(naive_answer(q.formula, db, ("e",)).tuples)
-        table, _ = dynamic_cost(earns_less_bounded_algebra(), db)
+        table = earns_less_bounded_algebra().evaluate(db)
         assert set(table.rows) == expected
 
     def test_static_arity_analysis(self):

@@ -6,8 +6,9 @@ differently.  This table-driven test fixes, for a small corpus, the
 exact :meth:`~repro.core.interp.EvalStats.as_dict`, the ordered
 ``fp.*`` / ``pfp.*`` spans with their attributes (and their nesting
 depth among such spans), and the StageLog stage and delta sizes of
-every solve, plus the iteration, state and row charges of an ample
-resource guard:
+every solve, plus the checkpoint, iteration and state counts of an
+ample resource guard (every row charge is a checkpoint; the rows
+high-water is the stats' ``max_intermediate_rows``):
 
 * transitive closure on a path, a nested alternation-free lfp, a gfp,
   an ifp, the Section 2.2 gfp/lfp nest and a gfp/lfp nest whose inner
@@ -261,7 +262,7 @@ def record(case_id: str, backend: str) -> dict:
         "space": space,
         "guard": {
             key: charges[key]
-            for key in ("checkpoints", "iterations", "states", "peak_rows")
+            for key in ("checkpoints", "iterations", "states")
         },
     }
 

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given
 
+from repro.core.engine import EvalOptions, evaluate
 from repro.core.fo_eval import BoundedEvaluator
 from repro.core.interp import EvalStats
 from repro.core.naive_eval import naive_answer
@@ -11,6 +12,7 @@ from repro.errors import EvaluationError, VariableBoundError
 from repro.kernel.backend import SparseBackend
 from repro.logic.parser import parse_formula
 from repro.logic.variables import free_variables, variable_width
+from repro.perf.cache import SubqueryCache
 
 from tests.conftest import databases, fo_formulas
 
@@ -102,6 +104,82 @@ class TestBoundsAndStats:
         stats = EvalStats()
         BoundedEvaluator(tiny_graph, stats=stats).answer(phi, ("x",))
         assert stats.notes.get("memo_hits", 0) >= 1
+
+
+class TestAuditOnce:
+    """Every intermediate table is audited exactly once: ``table_ops``
+    counts tables, not the places that saw them."""
+
+    CORPUS = [
+        # (query, output variables, tables built)
+        ("E(x, y)", ("x", "y"), 1),
+        ("E(x, y)", ("x", "y", "z"), 2),  # the answer's cylinder
+        ("exists x. P(y)", ("y",), 1),  # vacuous: P's table, handed up
+        ("forall x. P(y)", ("y",), 1),
+        ("P(x) & Q(x) & E(x, x)", ("x",), 5),  # 3 atoms, 2 fold steps
+        ("P(x) | Q(x) | E(x, x)", ("x",), 5),
+        ("exists z. (E(x, z) & E(z, y))", ("x", "y"), 4),
+        (
+            "[lfp S(x, y). E(x, y) | exists z. (E(x, z) & S(z, y))](u, v)",
+            ("u", "v"),
+            19,
+        ),
+    ]
+
+    @pytest.fixture
+    def audited(self, monkeypatch):
+        """The tables ``EvalStats.observe_table`` sees, in order."""
+        seen = []
+        observe = EvalStats.observe_table
+
+        def spy(stats, table):
+            seen.append(table)
+            observe(stats, table)
+
+        monkeypatch.setattr(EvalStats, "observe_table", spy)
+        return seen
+
+    def _check(self, result, audited, db, backend, tables):
+        stats = result.stats
+        assert len({id(table) for table in audited}) == len(audited)
+        assert stats.table_ops == len(audited) == tables
+        snap = stats.registry.snapshot()
+        # the kernel keeps no table count of its own: besides its cache
+        # tallies it reports only the widest mask of the audited tables
+        kernel = {
+            name for name in snap
+            if name.startswith("kernel.") and not name.startswith(
+                ("kernel.cache.", "kernel.codec_")
+            )
+        }
+        if backend == "packed":
+            assert kernel == {"kernel.mask_bits"}
+            n = len(db.domain)
+            assert snap["kernel.mask_bits"] == n ** stats.max_intermediate_arity
+        else:
+            assert kernel == set()
+
+    @pytest.mark.parametrize("backend", ["sparse", "packed"])
+    @pytest.mark.parametrize("query,out,tables", CORPUS)
+    def test_each_table_audited_once(
+        self, tiny_graph, audited, backend, query, out, tables
+    ):
+        result = evaluate(
+            parse_formula(query), tiny_graph, out, EvalOptions(backend=backend)
+        )
+        self._check(result, audited, tiny_graph, backend, tables)
+
+    @pytest.mark.parametrize("backend", ["sparse", "packed"])
+    def test_subquery_cache_hit_audited_once(
+        self, tiny_graph, audited, backend
+    ):
+        phi = parse_formula("exists z. (E(x, z) & E(z, y))")
+        options = EvalOptions(backend=backend, subquery_cache=SubqueryCache())
+        evaluate(phi, tiny_graph, ("x", "y"), options)
+        audited.clear()
+        result = evaluate(phi, tiny_graph, ("x", "y"), options)
+        assert result.stats.notes["subquery_cache_hits"] == 1
+        self._check(result, audited, tiny_graph, backend, 1)
 
 
 class TestAnswerAPI:

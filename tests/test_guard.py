@@ -95,7 +95,7 @@ class TestCharges:
         guard = ResourceGuard(Budget(max_rows=10))
         for _ in range(100):
             guard.charge_rows(9)  # 900 cumulative rows never trip
-        assert guard.peak_rows == 9
+        assert guard.checkpoints == 100
         with pytest.raises(SpaceBudgetExceeded):
             guard.charge_rows(11)
 
@@ -239,14 +239,14 @@ class TestGuardReset:
         with pytest.raises(DeadlineExceeded):
             guard.checkpoint()
 
-    def test_reset_clears_rows_high_water_and_snapshot(self):
+    def test_reset_clears_snapshot(self):
         guard = ResourceGuard(Budget(max_rows=10))
         guard.charge_rows(9)
         guard.charge_decision()
         guard.reset()
-        assert guard.peak_rows == 0
         snap = guard.snapshot()
         assert snap["decisions"] == 0
+        assert snap["checkpoints"] == 0
         guard.charge_rows(9)  # no leak from the first request
 
     def test_reset_clears_stage_clauses(self):

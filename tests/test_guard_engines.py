@@ -75,7 +75,9 @@ class TestFOGuard:
             EvalOptions(budget=Budget(max_rows=100)),
         )
         assert result.guard is not None
-        assert result.guard.snapshot()["peak_rows"] <= 100
+        # one table, P's, audited once: one row charge, one checkpoint
+        assert result.guard.snapshot()["checkpoints"] == 1
+        assert result.stats.max_intermediate_rows == 2
 
 
 class TestFPGuard:

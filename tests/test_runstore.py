@@ -3,6 +3,8 @@
 import glob
 import json
 import os
+import shutil
+import subprocess
 
 import pytest
 
@@ -58,6 +60,27 @@ class TestEnvFingerprint:
     def test_format_handles_missing_sha(self):
         line = format_fingerprint({"git_sha": ""})
         assert "git=unknown" in line
+
+    @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+    def test_dirty_tree_marks_the_sha(self, tmp_path):
+        def git(*args):
+            return subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+                 "-c", "commit.gpgsign=false", *args],
+                cwd=tmp_path, check=True, capture_output=True, text=True,
+            ).stdout.strip()
+
+        git("init", "-q")
+        (tmp_path / "a.txt").write_text("one\n")
+        git("add", "a.txt")
+        git("commit", "-q", "-m", "init")
+        head = git("rev-parse", "--short", "HEAD")
+        # an untracked file leaves the tree clean
+        (tmp_path / "b.txt").write_text("new\n")
+        assert env_fingerprint(str(tmp_path))["git_sha"] == head
+        # a changed tracked file makes it dirty
+        (tmp_path / "a.txt").write_text("two\n")
+        assert env_fingerprint(str(tmp_path))["git_sha"] == head + "-dirty"
 
 
 class TestRunRecord:

@@ -321,10 +321,9 @@ class TestAnswerWire:
                 EvalOptions(
                     strategy=FixpointStrategy.MONOTONE,
                     backend=backend,
-                    budget=Budget(deadline_seconds=30.0),
                     subquery_cache=cache,
                 ),
-            ).guard.peak_rows
+            ).stats.max_intermediate_rows
             for _ in range(2)
         ]
 

@@ -414,7 +414,8 @@ class TestResidentDatabases:
         service = make_service(workers=1)
         try:
             run(service.call("t0", "tc", "g"))  # hydrates the first pool
-            crash = ChaosPolicy(seed=0, fail_at=2, fault_kinds=("crash",))
+            # the warm call is a cache hit: one checkpoint, its one audit
+            crash = ChaosPolicy(seed=0, fail_at=1, fault_kinds=("crash",))
             response = run(
                 service.call("t0", "tc", "g", chaos=[crash, None])
             )
