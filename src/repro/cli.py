@@ -468,7 +468,6 @@ def _sweep_workload(
     counters = {"answer_rows": float(len(result.relation))}
     for key, value in result.stats.as_dict().items():
         counters[key] = float(value)
-    counters["peak_rows"] = float(result.stats.max_intermediate_rows)
     return counters
 
 
@@ -505,7 +504,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 "answer_rows",
                 "fixpoint_iterations",
                 "max_intermediate_rows",
-                "peak_rows",
             ]
         )
     )

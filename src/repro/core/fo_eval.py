@@ -130,6 +130,9 @@ class BoundedEvaluator:
         )
         self.tracer = tracer
         self.guard = guard
+        if guard.enabled:
+            # an exhaustion's metrics snapshot carries the kernel tallies
+            guard.add_publisher(self.backend.publish_tallies)
         self.subquery_cache = subquery_cache
         # memo entries keep a strong reference to their formula so the
         # id()-based key can never alias a recycled object
@@ -151,7 +154,10 @@ class BoundedEvaluator:
         """The table ``{assignments a : (B, a) ⊨ formula}``."""
         check_variable_bound(formula, self.k_limit)
         env = dict(rel_env or {})
-        return self._eval(formula, env)
+        try:
+            return self._eval(formula, env)
+        finally:
+            self.backend.publish_tallies()
 
     def answer(
         self,
@@ -174,11 +180,14 @@ class BoundedEvaluator:
                 f"output variables {out} do not cover free variables "
                 f"{sorted(missing)}"
             )
-        table = self.evaluate(formula, rel_env)
-        out_table = table.cylindrify(out, self.domain)
-        if out_table is not table:
-            self._audit(out_table, "answer")
-        return out_table.to_relation(out)
+        try:
+            table = self.evaluate(formula, rel_env)
+            out_table = table.cylindrify(out, self.domain)
+            if out_table is not table:
+                self._audit(out_table, "answer")
+            return out_table.to_relation(out)
+        finally:
+            self.backend.publish_tallies()
 
     # -- recursive evaluation ------------------------------------------
 
@@ -188,7 +197,7 @@ class BoundedEvaluator:
         # their materialized tuple sets
         key = (
             id(formula),
-            tuple((name, env[name].state_key()) for name in rels if name in env),
+            tuple([(name, env[name].state_key()) for name in rels if name in env]),
         )
         cached = self._memo.get(key)
         if cached is not None:
@@ -238,8 +247,9 @@ class BoundedEvaluator:
 
     def _audit(self, table: VarTable, node: str) -> None:
         """Record one intermediate table, once: charge it to the row
-        guard, audit it in ``stats`` and feed the backend's kernel
-        metrics."""
+        guard, audit it in ``stats`` and feed the backend's mask-bit
+        high-water.  Its cache tallies are published once, when
+        :meth:`evaluate` or :meth:`answer` returns or raises."""
         if self.guard.enabled:
             self.guard.charge_rows(len(table), node=node)
         self.stats.observe_table(table)

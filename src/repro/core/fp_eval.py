@@ -82,7 +82,7 @@ def apply_operator(
     evaluator: BoundedEvaluator,
     body: Formula,
     env: Dict[str, Relation],
-    columns: Sequence[str],
+    columns: Tuple[str, ...],
     rel: str,
 ) -> Relation:
     """One application of a fixpoint operator.
@@ -90,17 +90,22 @@ def apply_operator(
     Evaluates ``body`` under ``env`` (which binds the recursion variable
     ``rel`` and whatever else the body reads) and returns the result as
     a relation over ``columns``, the bound variables in order; a column
-    the body leaves free ranges over the domain.  A free variable
+    the body leaves free ranges over the domain, and the cylinder that
+    adds it is audited like any intermediate table.  A free variable
     outside ``columns`` is an error.
     """
     table = evaluator._eval(body, env)
-    extra = set(table.variables) - set(columns)
-    if extra:
-        raise EvaluationError(
-            f"fixpoint body of {rel} has unexpected free variables "
-            f"{sorted(extra)}"
-        )
-    table = table.cylindrify(columns, evaluator.domain)
+    if table.variables != columns:
+        extra = set(table.variables) - set(columns)
+        if extra:
+            raise EvaluationError(
+                f"fixpoint body of {rel} has unexpected free variables "
+                f"{sorted(extra)}"
+            )
+        cylinder = table.cylindrify(columns, evaluator.domain)
+        if cylinder is not table:
+            evaluator._audit(cylinder, "fixpoint")
+        table = cylinder
     return table.to_relation(columns)
 
 
@@ -268,7 +273,7 @@ class KleeneSolver:
         """
         stats, tracer, guard = self._stats, self._tracer, self._guard
         observer, meter = self._observer, self._meter
-        columns = [v.name for v in node.bound_vars]
+        columns = tuple(v.name for v in node.bound_vars)
         rule = "delta" if prepared is not None else type(node).__name__
         delta_rel, dbody = prepared if prepared is not None else (None, None)
         delta = seen = None

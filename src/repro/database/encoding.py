@@ -19,7 +19,8 @@ binary with exactly ``ceil(log2(n))`` digits (minimum 1).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+import re
+from typing import Dict, List, Tuple
 
 from repro.database.database import Database
 from repro.database.domain import Domain
@@ -72,6 +73,16 @@ def encoded_length(db: Database) -> int:
     return len(encode_database(db))
 
 
+#: The start of a database: ``(`` and the domain ``{bits,...}``.
+_DOMAIN = re.compile(r"\(\{((?:[01]+(?:,[01]+)*)?)\}")
+#: A relation head ``;name:arity:{``.  ``\w`` is exactly the characters
+#: ``str.isalnum()`` accepts, plus ``_``; ``\d`` the decimal digits
+#: ``int()`` reads.
+_HEAD = re.compile(r";([\w-]+):(\d+):\{")
+#: One tuple ``<bits,...>`` or ``<>``.
+_TUPLE = re.compile(r"<((?:[01]+(?:,[01]+)*)?)>")
+
+
 def decode_database(text: str) -> Database:
     """Inverse of :func:`encode_database`.
 
@@ -79,116 +90,90 @@ def decode_database(text: str) -> Database:
     values with their canonical indices, exactly as the paper's bit strings
     do.  ``decode(encode(db))`` is therefore ``db`` up to the canonical
     renaming of domain values.
+
+    One streaming pass: compiled patterns match the domain, each relation
+    head and each tuple at the current position, so no match spans more
+    than one token and memory stays that of the decoded tuples.  Every
+    :class:`~repro.errors.SchemaError` names the position it refers to.
     """
-    parser = _Parser(text)
-    db = parser.parse_db()
-    parser.expect_end()
-    return db
-
-
-class _Parser:
-    """Tiny recursive-descent parser for the standard encoding."""
-
-    def __init__(self, text: str):
-        self._text = text
-        self._pos = 0
-
-    def parse_db(self) -> Database:
-        self._expect("(")
-        indices = self._parse_domain()
-        n = len(indices)
-        if sorted(indices) != list(range(n)):
-            raise SchemaError("domain encoding is not 0..n-1")
-        relations = {}
-        while self._peek() == ";":
-            self._expect(";")
-            name, rel = self._parse_relation(n)
-            if name in relations:
-                raise SchemaError(f"duplicate relation {name!r} in encoding")
-            relations[name] = rel
-        self._expect(")")
-        return Database(Domain.range(n), relations)
-
-    def expect_end(self) -> None:
-        if self._pos != len(self._text):
+    match = _DOMAIN.match(text)
+    if match is None:
+        raise _expected("'({' and a domain of bit strings", text, 0)
+    body = match[1]
+    indices = [int(bits, 2) for bits in body.split(",")] if body else []
+    n = len(indices)
+    if sorted(indices) != list(range(n)):
+        raise SchemaError("domain encoding at position 1 is not 0..n-1")
+    relations: Dict[str, Relation] = {}
+    pos = match.end()
+    while text.startswith(";", pos):
+        head = _HEAD.match(text, pos)
+        if head is None:
+            raise _expected("a relation head 'name:arity:{'", text, pos + 1)
+        name, arity = head[1], int(head[2])
+        if not name.isascii():
+            # the letters and digits a relation name may hold
+            # (repro.database.schema) are the ASCII ones
             raise SchemaError(
-                f"trailing characters at position {self._pos}: "
-                f"{self._text[self._pos:self._pos + 10]!r}"
+                f"relation name {name!r} at position {pos + 1} contains "
+                f"illegal characters"
             )
-
-    def _parse_domain(self) -> List[int]:
-        self._expect("{")
-        indices: List[int] = []
-        if self._peek() != "}":
-            indices.append(self._parse_bits())
-            while self._peek() == ",":
-                self._expect(",")
-                indices.append(self._parse_bits())
-        self._expect("}")
-        return indices
-
-    def _parse_relation(self, n: int) -> Tuple[str, Relation]:
-        name = self._parse_name()
-        self._expect(":")
-        arity = self._parse_int()
-        self._expect(":")
-        self._expect("{")
-        tuples = []
-        if self._peek() != "}":
-            tuples.append(self._parse_tuple(n))
-            while self._peek() == ",":
-                self._expect(",")
-                tuples.append(self._parse_tuple(n))
-        self._expect("}")
-        return name, Relation(arity, tuples)
-
-    def _parse_tuple(self, n: int) -> Tuple[int, ...]:
-        self._expect("<")
-        values: List[int] = []
-        if self._peek() != ">":
-            values.append(self._parse_bits())
-            while self._peek() == ",":
-                self._expect(",")
-                values.append(self._parse_bits())
-        self._expect(">")
-        for v in values:
-            if v >= n:
-                raise SchemaError(f"tuple value index {v} out of domain range {n}")
-        return tuple(values)
-
-    def _parse_bits(self) -> int:
-        start = self._pos
-        while self._peek() in ("0", "1"):
-            self._pos += 1
-        if self._pos == start:
-            raise SchemaError(f"expected bits at position {start}")
-        return int(self._text[start:self._pos], 2)
-
-    def _parse_int(self) -> int:
-        start = self._pos
-        while self._peek().isdigit():
-            self._pos += 1
-        if self._pos == start:
-            raise SchemaError(f"expected integer at position {start}")
-        return int(self._text[start:self._pos])
-
-    def _parse_name(self) -> str:
-        start = self._pos
-        while self._peek().isalnum() or self._peek() in ("_", "-"):
-            self._pos += 1
-        if self._pos == start:
-            raise SchemaError(f"expected relation name at position {start}")
-        return self._text[start:self._pos]
-
-    def _peek(self) -> str:
-        if self._pos >= len(self._text):
-            return ""
-        return self._text[self._pos]
-
-    def _expect(self, ch: str) -> None:
-        if self._peek() != ch:
+        rows, end = _decode_tuples(text, head.end(), n, arity)
+        if name in relations:
             raise SchemaError(
-                f"expected {ch!r} at position {self._pos}, "
-                f"found {self._peek()!r}"
+                f"duplicate relation {name!r} in encoding at position {pos + 1}"
             )
-        self._pos += 1
+        relations[name] = Relation._trusted(arity, frozenset(rows))
+        pos = end
+    if not text.startswith(")", pos):
+        raise _expected("';' or ')'", text, pos)
+    pos += 1
+    if pos != len(text):
+        raise SchemaError(
+            f"trailing characters at position {pos}: {text[pos:pos + 10]!r}"
+        )
+    return Database(Domain.range(n), relations)
+
+
+def _decode_tuples(
+    text: str, pos: int, n: int, arity: int
+) -> Tuple[List[Tuple[int, ...]], int]:
+    """The tuples of one relation body, which starts at ``pos`` just
+    after its ``{``, and the position after its closing ``}``."""
+    rows: List[Tuple[int, ...]] = []
+    if text.startswith("}", pos):
+        return rows, pos + 1
+    match = _TUPLE.match
+    append = rows.append
+    while True:
+        token = match(text, pos)
+        if token is None:
+            raise _expected("a tuple '<bits,...>'", text, pos)
+        body = token[1]
+        # a tuple built from a list is allocated at its length; one
+        # built from an iterator is over-allocated and then shrunk
+        row = tuple([int(bits, 2) for bits in body.split(",")]) if body else ()
+        if len(row) != arity:
+            raise SchemaError(
+                f"tuple at position {pos} has {len(row)} values, expected "
+                f"arity {arity}"
+            )
+        if row and max(row) >= n:
+            raise SchemaError(
+                f"tuple value index {max(row)} at position {pos} out of "
+                f"domain range {n}"
+            )
+        append(row)
+        pos = token.end()
+        if not text.startswith(",", pos):
+            break
+        pos += 1
+    if not text.startswith("}", pos):
+        raise _expected("',' or '}'", text, pos)
+    return rows, pos + 1
+
+
+def _expected(what: str, text: str, pos: int) -> SchemaError:
+    return SchemaError(
+        f"expected {what} at position {pos}, found {text[pos:pos + 10]!r}"
+    )

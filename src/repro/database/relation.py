@@ -45,11 +45,13 @@ class Relation:
 
     @classmethod
     def _trusted(cls, arity: int, tuples: FrozenSet[TupleOfValues]) -> "Relation":
-        """Internal constructor for answers the engines build.
+        """Internal constructor for answers the engines build and for
+        the tuples :func:`~repro.database.encoding.decode_database` has
+        checked as it read them.
 
         Skips all validation: ``tuples`` must already be a frozenset of
         tuples of length ``arity``.  It is shared, not copied — frozensets
-        are immutable.  Every public path still goes through ``__init__``.
+        are immutable.  Every other public path goes through ``__init__``.
         """
         relation = cls.__new__(cls)
         relation._arity = arity

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.errors import (
     ClauseBudgetExceeded,
@@ -158,6 +158,7 @@ class ResourceGuard:
         "_stage_clauses",
         "_started",
         "_deadline",
+        "_publishers",
     )
 
     def __init__(
@@ -185,6 +186,14 @@ class ResourceGuard:
             if self.budget.deadline_seconds is not None
             else None
         )
+        self._publishers: List[Callable[[], None]] = []
+
+    def add_publisher(self, publish: Callable[[], None]) -> None:
+        """Run ``publish`` before an exhaustion takes its metrics
+        snapshot — for readings a component adds to the registry in
+        bulk rather than as they happen (the packed backend's
+        ``kernel.cache.*`` tallies)."""
+        self._publishers.append(publish)
 
     # -- readings --------------------------------------------------------
 
@@ -404,6 +413,8 @@ class ResourceGuard:
         progress = dict(partial)
         progress.setdefault("checkpoints", self.checkpoints)
         progress.setdefault("elapsed_seconds", self.elapsed_seconds())
+        for publish in self._publishers:
+            publish()
         raise exc_type(
             message,
             kind=kind,

@@ -117,6 +117,10 @@ def selected_rows(relation: Relation, pattern) -> Iterator[Tuple[Value, ...]]:
     tuples are read only once iteration starts."""
     columns, var_positions, const_positions = pattern
     firsts = [var_positions[v][0] for v in columns]
+    if firsts == list(range(relation.arity)):
+        # distinct variables in sorted order select every row as it is
+        yield from relation.tuples
+        return
     repeats = [(ps[0], p) for ps in var_positions.values() for p in ps[1:]]
     for tup in relation.tuples:
         if all(tup[i] == value for i, value in const_positions) and all(
@@ -158,12 +162,77 @@ class SparseBackend:
     def observe(self, table) -> None:
         """No kernel metrics for the reference representation."""
 
+    def publish_tallies(self) -> None:
+        """No kernel cache tallies for the reference representation."""
+
     def bind(self, table: VarTable, tracer: TracerLike) -> VarTable:
         """Sparse tables trace nothing: there is nothing to re-bind."""
         return table
 
     def __repr__(self) -> str:
         return f"SparseBackend(n={len(self.domain)})"
+
+
+class _AtomPlan:
+    """The mask steps of one atom ``R(t_1, ..., t_m)`` over a packed
+    relation, with digit ``m-1-i`` for positional column ``i``: the
+    constant selections as ``(digit, value index)`` (``None`` when a
+    constant lies outside the domain, so the table is empty), the
+    ``(digit, digit)`` equalities of repeated variables, the digits to
+    project away (highest first), and the reordering to sorted
+    columns — a transposition for two columns, a digit permutation for
+    more.  ``pattern`` is the :func:`select_atom` pattern the sparse
+    path reads; ``terms`` keeps the planned object, and with it its
+    ``id``, alive."""
+
+    __slots__ = (
+        "terms",
+        "pattern",
+        "columns",
+        "arity",
+        "selects",
+        "equal",
+        "drops",
+        "transposed",
+        "src_for",
+    )
+
+    def __init__(self, terms: Sequence[Term], pattern, domain: Domain):
+        columns, var_positions, const_positions = pattern
+        m = len(terms)
+        self.terms = terms
+        self.pattern = pattern
+        self.columns = tuple(columns)
+        self.arity = m
+        self.selects: Optional[list] = None
+        try:
+            self.selects = [
+                (m - 1 - i, domain.index_of(value))
+                for i, value in const_positions
+            ]
+        except SchemaError:
+            pass
+        self.equal = [
+            (m - 1 - positions[0], m - 1 - p)
+            for positions in var_positions.values()
+            for p in positions[1:]
+        ]
+        keep = {positions[0] for positions in var_positions.values()}
+        self.drops = sorted(
+            (m - 1 - i for i in range(m) if i not in keep), reverse=True
+        )
+        # remaining digits follow the kept positions' relative order
+        names = sorted(var_positions, key=lambda v: var_positions[v][0])
+        self.transposed = False
+        self.src_for: Optional[list] = None
+        if names != columns:
+            k = len(names)
+            if k == 2:
+                self.transposed = True
+            else:
+                self.src_for = [0] * k
+                for j, name in enumerate(columns):
+                    self.src_for[k - 1 - j] = k - 1 - names.index(name)
 
 
 class PackedBackend:
@@ -198,8 +267,15 @@ class PackedBackend:
             for tally in tallies
         ]
         self._cache_seen = [tally.value for tally in tallies]
+        # atom plans, keyed by (id(terms), arity); each entry holds its
+        # terms so the id cannot be reused while the backend lives
+        self._plans: Dict[Tuple[int, int], _AtomPlan] = {}
 
-    def _sync_cache_tallies(self) -> None:
+    def publish_tallies(self) -> None:
+        """Add the cache tallies witnessed since the last call to the
+        registry's ``kernel.cache.*`` counters.  The evaluator calls it
+        once per evaluation and the guard before an exhaustion's metrics
+        snapshot; no table pays for it."""
         seen = self._cache_seen
         for i, (tally, counter) in enumerate(self._cache_tallies):
             if tally.value != seen[i]:
@@ -232,14 +308,11 @@ class PackedBackend:
         )
 
     def observe(self, table) -> None:
-        """Kernel metrics of one audited table: the mask-bit high-water
-        and the cache tallies this backend has witnessed since the last
-        table."""
+        """Kernel metrics of one audited table: the mask-bit high-water."""
         if isinstance(table, PackedTable):
             # the widest schema observed, n^k bits, whether its mask is
             # built or not: a factored join reports n³ and builds none
             self._mask_bits.set_max(self.codec.size(len(table.variables)))
-        self._sync_cache_tallies()
 
     def bind(self, table: PackedTable, tracer: TracerLike) -> PackedTable:
         """``table`` over this backend's codec, tracing into ``tracer``.
@@ -262,62 +335,50 @@ class PackedBackend:
         variables, permutation to sorted columns — runs as mask kernels
         with no per-row Python work.  A 2-column atom that lists its
         columns out of sorted order (``S(z, y)``) comes back as a
-        :meth:`PackedTable.transposed` table.
+        :meth:`PackedTable.transposed` table.  The steps are planned
+        once per terms object and arity (:class:`_AtomPlan`), so a
+        round runs only the kernels.
         """
-        pattern = select_atom(relation, terms)
-        columns, var_positions, const_positions = pattern
-        self.codec.check_width(len(columns))
+        plan = self._plans.get((id(terms), relation.arity))
+        if plan is None:
+            plan = self._plan(relation, terms)
         if isinstance(relation, PackedRelation) and relation.codec is self.codec:
-            return self._atom_from_mask(
-                relation, var_positions, const_positions, columns
-            )
+            return self._atom_from_mask(relation.mask, plan)
         # Encoding a sparse relation walks it row by row — the only
         # per-row loop left in the packed pipeline.  Within one
         # evaluation the evaluator's memo serves a repeated atom.
         encode = self.codec.encode_row
         mask = 0
-        for row in selected_rows(relation, pattern):
+        for row in selected_rows(relation, plan.pattern):
             mask |= 1 << encode(row)
-        return PackedTable(self.codec, tuple(columns), mask, self.tracer)
+        return PackedTable(self.codec, plan.columns, mask, self.tracer)
 
-    def _atom_from_mask(
-        self, relation, var_positions, const_positions, columns
-    ) -> PackedTable:
+    def _plan(self, relation: Relation, terms: Sequence[Term]) -> "_AtomPlan":
+        pattern = select_atom(relation, terms)
+        self.codec.check_width(len(pattern[0]))
+        plan = _AtomPlan(terms, pattern, self.domain)
+        self._plans[(id(terms), relation.arity)] = plan
+        return plan
+
+    def _atom_from_mask(self, mask: int, plan: "_AtomPlan") -> PackedTable:
         codec = self.codec
-        m = relation.arity
-        mask = relation.mask
-        # positional column i of the relation is digit m-1-i
-        for i, value in const_positions:
-            try:
-                v = self.domain.index_of(value)
-            except SchemaError:
-                return PackedTable(codec, tuple(columns), 0, self.tracer)
-            mask = codec.select_value(mask, m, m - 1 - i, v)
-        for positions in var_positions.values():
-            first = positions[0]
-            for p in positions[1:]:
-                mask &= codec.eq_mask(m, m - 1 - first, m - 1 - p)
-        keep = sorted(ps[0] for ps in var_positions.values())
-        keep_set = set(keep)
-        k = m
-        for d in sorted((m - 1 - i for i in range(m) if i not in keep_set), reverse=True):
+        if plan.selects is None:
+            return PackedTable(codec, plan.columns, 0, self.tracer)
+        k = m = plan.arity
+        for d, v in plan.selects:
+            mask = codec.select_value(mask, m, d, v)
+        for da, db in plan.equal:
+            mask &= codec.eq_mask(m, da, db)
+        for d in plan.drops:
             mask = codec.project(mask, k, d, universal=False)
             k -= 1
-        # remaining digits follow the kept positions' relative order
-        names = sorted(var_positions, key=lambda v: var_positions[v][0])
-        if names != columns:
-            if k == 2:
-                # the mask transposes only if something needs it; a
-                # composition cuts the relation's order in place
-                return PackedTable.transposed(
-                    codec, tuple(columns), mask, self.tracer
-                )
-            src_for = [0] * k
-            for j, name in enumerate(columns):
-                i = names.index(name)
-                src_for[k - 1 - j] = k - 1 - i
-            mask = codec.permute(mask, k, src_for)
-        return PackedTable(codec, tuple(columns), mask, self.tracer)
+        if plan.transposed:
+            # the mask transposes only if something needs it; a
+            # composition cuts the relation's order in place
+            return PackedTable.transposed(codec, plan.columns, mask, self.tracer)
+        if plan.src_for is not None:
+            mask = codec.permute(mask, k, plan.src_for)
+        return PackedTable(codec, plan.columns, mask, self.tracer)
 
     def __repr__(self) -> str:
         return f"PackedBackend(n={len(self.domain)})"

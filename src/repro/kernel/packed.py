@@ -119,6 +119,36 @@ DEFAULT_MAX_BITS = 1 << 27
 ALIGN_CACHE_LIMIT = 64
 
 
+def _decode_block(
+    text: str,
+    k: int,
+    prefix: Row,
+    n: int,
+    values: Sequence[Value],
+    append,
+) -> None:
+    """Append ``prefix`` plus each row of one ``k``-digit block to a
+    row list; ``text`` holds the block's ``n^k`` bits, most significant
+    first (see :meth:`DomainCodec.iter_rows`).  Module-level, so a decode
+    leaves no reference cycle for the collector: a nested function that
+    called itself would keep its cell, and with it the row list, alive
+    until a cyclic collection."""
+    if k == 1:
+        block = int(text, 2)
+        while block:
+            low = block & -block
+            append(prefix + (values[low.bit_length() - 1],))
+            block ^= low
+        return
+    width = n ** (k - 1)
+    end = len(text)
+    for value in values:
+        part = text[end - width : end]
+        end -= width
+        if "1" in part:
+            _decode_block(part, k - 1, prefix + (value,), n, values, append)
+
+
 class DomainCodec:
     """Mixed-radix row↔bit-index codec and mask kernels for one domain.
 
@@ -221,31 +251,13 @@ class DomainCodec:
         integer.  That is ``O(n^k)`` character work plus a few
         small-integer steps per row, where clearing the lowest bit of
         the whole mask once per row was ``O(rows · n^k)``."""
-        values = self.domain.values
         rows: List[Row] = []
-        append = rows.append
-
-        def decode(text: str, k: int, prefix: Row) -> None:
-            # text: one block's bits, most significant first
-            if k == 1:
-                block = int(text, 2)
-                while block:
-                    low = block & -block
-                    append(prefix + (values[low.bit_length() - 1],))
-                    block ^= low
-                return
-            width = self.n ** (k - 1)
-            end = len(text)
-            for value in values:
-                part = text[end - width : end]
-                end -= width
-                if "1" in part:
-                    decode(part, k - 1, prefix + (value,))
-
         if k == 0:
             return [()] if mask else rows
         if mask:
-            decode(format(mask, f"0{self.n ** k}b"), k, ())
+            n = self.n
+            bits = format(mask, f"0{n ** k}b")
+            _decode_block(bits, k, (), n, self.domain.values, rows.append)
         return rows
 
     # -- selector masks (cached per (k, digit)) ------------------------
@@ -864,21 +876,19 @@ class PackedTable:
 
     def to_relation(self, output_vars: Sequence[str]) -> Relation:
         """Read the table out as a (packed) relation in the given order."""
-        if set(output_vars) != set(self._vars) or len(output_vars) != len(
-            self._vars
-        ):
+        k = len(self._vars)
+        if tuple(output_vars) == self._vars:
+            return PackedRelation(k, self.mask, self._codec, tracer=self._tracer)
+        if set(output_vars) != set(self._vars) or len(output_vars) != k:
             raise EvaluationError(
                 f"output variables {tuple(output_vars)} must be a permutation "
                 f"of table columns {self._vars}"
             )
-        k = len(self._vars)
         pos = {v: i for i, v in enumerate(self._vars)}
         src_for = [0] * k
         for j, v in enumerate(output_vars):
             src_for[k - 1 - j] = k - 1 - pos[v]
-        mask = self.mask
-        if src_for != list(range(k)):
-            mask = self._codec.permute(mask, k, src_for)
+        mask = self._codec.permute(self.mask, k, src_for)
         return PackedRelation(k, mask, self._codec, tracer=self._tracer)
 
     # -- dunder --------------------------------------------------------

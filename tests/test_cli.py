@@ -279,15 +279,16 @@ class TestEvalJson:
 
 
 class TestSweepPeakRows:
-    def test_sweep_reports_peak_rows_column(self, capsys):
+    def test_sweep_reports_max_intermediate_rows_column(self, capsys):
         code = main(
             ["sweep", "--query", "E(x, y)", "--sizes", "4", "6"]
         )
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         header = lines[0].split()
-        assert "peak_rows" in header
-        column = header.index("peak_rows")
+        # one column for the rows high-water, not a copy under a second name
+        assert "peak_rows" not in header
+        column = header.index("max_intermediate_rows")
         for line in lines[1:]:
             assert float(line.split()[column]) > 0
 

@@ -98,6 +98,24 @@ class TestFPGuard:
         )
         assert free.relation == guarded.relation
 
+    @pytest.mark.parametrize("backend", ["sparse", "packed"])
+    def test_stage_cylinder_is_charged(self, backend):
+        # the body leaves y free, so each stage is the cylinder of x = 0
+        # over y: a 30-row table that the row budget must see
+        query = parse_formula("[lfp S(x, y). x = 0](u, 5)")
+        with pytest.raises(SpaceBudgetExceeded) as info:
+            evaluate(
+                query, path_graph(30), ("u",),
+                EvalOptions(backend=backend, budget=Budget(max_rows=5)),
+            )
+        assert info.value.used == 30
+        result = evaluate(
+            query, path_graph(30), ("u",), EvalOptions(backend=backend)
+        )
+        assert sorted(result.relation.tuples) == [(0,)]
+        assert result.stats.max_intermediate_rows == 30
+        assert result.stats.table_ops == 4
+
 
 class TestPFPGuard:
     def test_cycling_pfp_with_deadline_terminates(self):

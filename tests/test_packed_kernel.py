@@ -13,11 +13,14 @@ Three layers:
   cross-representation equality/hash contract the engines rely on;
 * the factored join of two 2-column tables against the align-and-AND
   join it stands in for, operation by operation;
-* the bounded atom/align mask caches and their ``kernel.cache.*``
-  counters, the mask-bit cap on tables a join or union widens, and
-  codecs kept apart for domains whose values differ only in type.
+* atom plans reused across relations, the bounded align mask caches
+  and their ``kernel.cache.*`` counters, published once per evaluation
+  and before an exhaustion's snapshot, the mask-bit cap on tables a
+  join or union widens, and codecs kept apart for domains whose values
+  differ only in type.
 """
 
+import gc
 import itertools
 import random
 
@@ -25,13 +28,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import EvalOptions, evaluate
-from repro.core.fp_eval import FixpointStrategy
-from repro.core.interp import VarTable
+from repro.core.fp_eval import FixpointStrategy, solve_query
+from repro.core.interp import EvalStats, VarTable
 from repro.database.database import Database
 from repro.database.domain import Domain
 from repro.database.relation import Relation
-from repro.errors import EvaluationError, SchemaError
-from repro.kernel.backend import PackedBackend, SparseBackend
+from repro.errors import EvaluationError, IterationBudgetExceeded, SchemaError
+from repro.guard.budget import Budget, resolve_guard
+from repro.kernel.backend import PackedBackend, SparseBackend, codec_for
 from repro.kernel.lru import LRU
 from repro.kernel.packed import (
     ALIGN_CACHE_LIMIT,
@@ -44,6 +48,7 @@ from repro.kernel.packed import (
 from repro.logic.parser import parse_formula
 from repro.logic.syntax import Const, Var
 from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.workloads.graphs import path_graph
 
 VARS = ("w", "x", "y", "z")
 
@@ -239,6 +244,21 @@ def test_iter_rows_matches_decode_index(n, k):
             codec.decode_index(i, k) for i in range(size) if mask >> i & 1
         ]
         assert list(codec.iter_rows(mask, k)) == expected
+
+
+def test_iter_rows_leaves_no_reference_cycle():
+    """A decoded row list is freed by reference counting alone: the
+    block decoder keeps no cycle that only the collector could free."""
+    codec = DomainCodec(Domain.range(9))
+    rows = [(a, b) for a in range(9) for b in range(9) if (a * b) % 4 == 1]
+    mask = mask_of(codec, rows)
+    gc.collect()
+    gc.disable()
+    try:
+        assert codec.iter_rows(mask, 2) == sorted(rows)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -646,6 +666,44 @@ def test_atom_over_a_packed_relation_never_decodes_it():
         assert table == expected
 
 
+#: Atoms whose plans cover every mask step: sorted and transposed
+#: columns, a repeated variable, constants in and out of every tested
+#: domain, dropped positions and 3-column permutations.
+PLANNED_ATOMS = [
+    (Var("x"), Var("y")),
+    (Var("y"), Var("x")),
+    (Var("x"), Var("x")),
+    (Var("x"), Const(1)),
+    (Const(9), Var("x")),
+    (Const(0), Const(0)),
+    (Var("z"), Var("x"), Var("y")),
+    (Var("y"), Var("z"), Var("x")),
+    (Var("x"), Var("y"), Var("x")),
+    (Var("y"), Const(0), Var("x")),
+    (Var("z"), Var("z"), Var("y")),
+    (Const(1), Var("y"), Const(9)),
+]
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+@pytest.mark.parametrize("terms", PLANNED_ATOMS, ids=repr)
+def test_one_atom_plan_serves_every_relation(n, terms):
+    """One terms object, planned once, against two packed relations of
+    its arity: each table equals the sparse backend's."""
+    domain = Domain.range(n)
+    backend = PackedBackend(domain)
+    sparse = SparseBackend(domain)
+    rng = random.Random(f"{n}:{terms}")
+    every = list(itertools.product(range(n), repeat=len(terms)))
+    for _ in range(2):
+        rows = [row for row in every if rng.random() < 0.5]
+        mask = mask_of(backend.codec, rows)
+        rel = PackedRelation(len(terms), mask, backend.codec)
+        table = backend.atom_table(rel, terms)
+        assert table == sparse.atom_table(Relation(len(terms), rows), terms)
+    assert len(backend._plans) == 1
+
+
 def test_rebound_tables_share_one_align_cache():
     # a cached table is stored bound to no tracer and served rebound to
     # each evaluation's tracer; alignments one binding computes are hits
@@ -676,6 +734,36 @@ def test_kernel_cache_counters_reach_registry():
     # the closure joins E against S every round, so the align cache sees use
     assert snap["kernel.cache.align_hits"] + snap["kernel.cache.align_misses"] >= 1
     assert not any(name.startswith("kernel.cache.atom_") for name in snap)
+
+
+def test_exhaustion_snapshot_carries_the_kernel_tallies():
+    """Tallies are published once per evaluation, and also before an
+    exhausted budget takes its metrics snapshot: the snapshot, the
+    registry after the unwind and the codec's own tallies agree."""
+    db = path_graph(20)
+    tallies = codec_for(db.domain).align_tallies
+    before = [tally.value for tally in tallies]
+    stats = EvalStats()
+    guard = resolve_guard(Budget(max_iterations=3), registry=stats.registry)
+    with pytest.raises(IterationBudgetExceeded) as info:
+        solve_query(
+            parse_formula(
+                "[lfp S(x, y). E(x, y) | exists z. (E(x, z) & S(z, y))](u, v)"
+            ),
+            db,
+            ("u", "v"),
+            stats=stats,
+            guard=guard,
+            backend="packed",
+        )
+    metrics = info.value.metrics
+    assert metrics["kernel.cache.align_hits"] == 8
+    assert metrics["kernel.cache.align_misses"] == 4
+    assert metrics["kernel.cache.align_evictions"] == 0
+    for tally, old in zip(tallies, before):
+        name = "kernel.cache." + tally.name
+        assert stats.registry.get(name).value == metrics[name]
+        assert metrics[name] == tally.value - old
 
 
 # ---------------------------------------------------------------------------
