@@ -32,12 +32,15 @@ shared per domain (see :func:`repro.kernel.backend.codec_for`).
 The composition step of Prop 3.1 — join two binary tables on their one
 shared variable, then project it away, the inner loop of every path
 query and transitive closure — never builds its ``n^3``-bit join.  The
-join stays *factored*: it holds its two operands, counts its rows from
-their per-value slices, and projects the shared variable away as a
-bit-matrix product over ``n^2``-bit masks (:meth:`PackedTable.join`,
-:meth:`DomainCodec.compose`).  Any other use of the join builds its
-mask by aligning and ANDing the operands, so every table, answer and
-counter equals the eager join's.
+join stays *factored*: it holds its two operands and cuts them once,
+computing its row count and the projection of the shared variable
+together.  The *slice cut* multiplies one ``n^2``-bit mask per value of
+the shared variable (:meth:`DomainCodec.compose`); the *diagonal cut*,
+taken when an operand met again lies on fewer diagonals than it has
+slices, shifts the other operand whole once per diagonal
+(:meth:`DomainCodec.diagonals`, :meth:`PackedTable.join`).  Any other
+use of the join builds its mask by aligning and ANDing the operands, so
+every table, answer and counter equals the eager join's.
 
 :class:`PackedTable` mirrors the full operation surface of
 :class:`repro.core.interp.VarTable`; :class:`PackedRelation` is a
@@ -467,6 +470,48 @@ class DomainCodec:
                 mask |= spread * row
         return mask
 
+    def diagonals(self, mask: int, d: int) -> Optional[List[Tuple[int, int]]]:
+        """Group a 2-digit mask's set bits by diagonal, for the shared
+        digit ``d``: ``(t, bits)`` per diagonal ``t = other − shared``
+        (value indices), in ascending ``t``, where ``bits`` marks the
+        other digit's values on that diagonal.
+
+        ``None`` unless the mask lies on fewer diagonals than it has
+        slices, nonempty values of digit ``d``.  The slice count comes
+        first, from one fold; the walk over the mask's ``n``-bit rows
+        then marks the diagonal of every set bit, one shift per row, and
+        stops as soon as the diagonals reach the slice count.  Only a
+        mask the rule accepts is decoded bit by bit."""
+        n = self.n
+        # a nonempty mask lies on at least one diagonal, so it needs two
+        # slices to lie on fewer
+        slices = popcount(self.project(mask, 2, 1 - d)) if n else 0
+        if slices < 2:
+            return None
+        full_row = (1 << n) - 1
+        rows = []
+        # bit (l - h) + n - 1 marks the diagonal of the bit at high digit
+        # h and low digit l
+        seen = 0
+        for h in range(n):
+            row = (mask >> (h * n)) & full_row
+            rows.append(row)
+            if row:
+                seen |= row << (n - 1 - h)
+                if popcount(seen) >= slices:
+                    return None
+        groups: Dict[int, int] = {}
+        for h, row in enumerate(rows):
+            while row:
+                low = row & -row
+                row ^= low
+                l = low.bit_length() - 1
+                # shared high: t = l - h, other value l; shared low:
+                # t = h - l, other value h
+                t, other = (l - h, l) if d == 1 else (h - l, h)
+                groups[t] = groups.get(t, 0) | (1 << other)
+        return sorted(groups.items())
+
     def __repr__(self) -> str:
         return f"DomainCodec(n={self.n})"
 
@@ -484,7 +529,7 @@ class PackedTable:
     * a *factored* table, the join of two 2-column tables that share one
       column (see :meth:`join`), holds the two operands instead of its
       ``n^3``-bit mask and answers ``len`` and the ∃-projection of the
-      shared column from their slices;
+      shared column from one cut of them, by slices or by diagonals;
     * a *transposed* table (see :meth:`transposed`), a 2-column atom
       whose relation lists its columns in the other order, holds the
       relation's mask and is cut into slices from it directly.
@@ -497,7 +542,7 @@ class PackedTable:
         "_row_cache",
         "_align_cache",
         "_factors",
-        "_count",
+        "_cut",
         "_transposed",
         "_tracer",
     )
@@ -516,9 +561,9 @@ class PackedTable:
         self._row_cache: Optional[FrozenSet[Row]] = None
         self._align_cache: Optional[LRU] = None
         # a factored join's (left, right, shared column); its mask is
-        # None until built and its row count None until counted
+        # None until built and its cut None until decided
         self._factors: Optional[Tuple["PackedTable", "PackedTable", str]] = None
-        self._count: Optional[int] = None
+        self._cut: Optional[tuple] = None
         # a transposed table's mask with its two digits swapped
         self._transposed: Optional[int] = None
 
@@ -613,7 +658,7 @@ class PackedTable:
                 right.bound_to(codec, tracer),
                 shared,
             )
-            table._count = self._count
+            table._cut = self._cut
         table._transposed = self._transposed
         return table
 
@@ -732,15 +777,88 @@ class PackedTable:
             cache.put(key, slices)
         return slices
 
-    def _factor_slices(self):
-        """A factored join's ``(spreads, rows)`` slice pairs along its
-        shared column, oriented so their product lands in sorted column
-        order: the operand holding the first remaining column supplies
-        the spread (high) digit."""
+    def _held(self, high: str) -> Optional[int]:
+        """This 2-column table's mask with column ``high`` as its high
+        digit, if the table holds that layout; ``None`` if only a
+        transposition would give it."""
+        return self._mask if high == self._vars[0] else self._transposed
+
+    def _diagonal_steps(self, var: str, rows: bool) -> list:
+        """The diagonal cut's steps for this 2-column table as the
+        reused operand of a factored join on column ``var``: one
+        ``(shift, selector)`` per diagonal ``t``, the shift ``t`` rows
+        (``rows``) or ``t`` columns, the selector the output rows or
+        columns on that diagonal.  Empty when the cut does not apply.
+
+        Only a table met again is walked, one whose cache an earlier
+        operation made: a table used once never pays for the walk.  The
+        steps, or the rule's rejection, are cached beside the slices,
+        under ``("diagonals", var, rows)`` (no schema of variable names
+        equals it), so the walk runs once per table and orientation."""
+        cache = self._align_cache
+        if cache is None:
+            return []
+        key = ("diagonals", var, rows)
+        steps = cache.get(key)
+        if steps is None:
+            codec = self._codec
+            mask, high = self._mask, self._vars[0]
+            if mask is None:
+                mask, high = self._transposed, self._vars[1]
+            groups = codec.diagonals(mask, 1 if var == high else 0) or ()
+            unit, digit = (codec.n, 0) if rows else (1, 1)
+            steps = [
+                (t * unit, codec.expand(bits, 1, digit)) for t, bits in groups
+            ]
+            cache.put(key, steps)
+        return steps
+
+    def _factor_cut(self) -> tuple:
+        """A factored join's cut, decided once and computing its row
+        count and the ∃-projection of its shared column together:
+        ``(cut, count, pieces, parts)``.
+
+        The operand holding the first remaining column is the *upper*
+        one.  The diagonal cut (``parts`` the projection's mask) shifts
+        the other operand whole, as it is held, once per diagonal of a
+        reused operand: by rows when the reused one is the upper, by
+        columns when it is the lower.  It applies when the reused
+        operand lies on fewer diagonals than it has slices and the other
+        holds the shared column as its high digit (row shifts) or low
+        digit (column shifts).  Otherwise the slice cut (``parts`` the
+        ``(spreads, rows)`` slices, see :meth:`DomainCodec.compose`)
+        counts from the slices' popcounts.  ``pieces`` is the number of
+        shifted masks or slice products the projection ORs."""
+        cut = self._cut
+        if cut is not None:
+            return cut
         left, right, shared = self._factors
         high = self._vars[1] if self._vars[0] == shared else self._vars[0]
-        spread, row = (left, right) if high in left._vars else (right, left)
-        return spread._slices(shared, True), row._slices(shared, False)
+        upper, lower = (left, right) if high in left._vars else (right, left)
+        for reused, by_rows, held in (
+            (upper, True, lower._held(shared)),
+            (lower, False, upper._held(high)),
+        ):
+            if held is None:
+                continue
+            steps = reused._diagonal_steps(shared, by_rows)
+            if steps:
+                count = mask = 0
+                for shift, selector in steps:
+                    shifted = held << shift if shift >= 0 else held >> -shift
+                    piece = shifted & selector
+                    count += popcount(piece)
+                    mask |= piece
+                cut = ("diagonal", count, len(steps), mask)
+                break
+        else:
+            spreads, spread_counts = upper._slices(shared, True)
+            rows, row_counts = lower._slices(shared, False)
+            products = list(map(mul, spread_counts, row_counts))
+            pieces = len(products) - products.count(0)
+            cut = ("slices", sum(products), pieces, (spreads, rows))
+        self._cut = cut
+        return cut
 
     # -- relational operations -----------------------------------------
 
@@ -750,13 +868,14 @@ class PackedTable:
         Two 2-column tables over one codec that share exactly one column
         ``v`` — ``A(u, v) ⋈ B(v, w)``, the inner step of every path query
         and transitive closure — join *factored* instead: the result
-        holds ``A`` and ``B`` rather than its ``n^3``-bit mask.  Its row
-        count is ``Σ_z |A_{v=z}|·|B_{v=z}|`` over the operands'
-        per-value slices, and ``project_out(v)`` is their bit-matrix
-        product (:meth:`DomainCodec.compose`), so ``∃v. A ∧ B`` never
-        builds the mask; any other use builds it by the align-and-AND
-        path.  The width cap refuses the ``n^3``-bit schema here either
-        way."""
+        holds ``A`` and ``B`` rather than its ``n^3``-bit mask.  One cut
+        of the operands gives both its row count and ``project_out(v)``
+        (:meth:`_factor_cut`): by slices, ``Σ_z |A_{v=z}|·|B_{v=z}|`` and
+        the bit-matrix product :meth:`DomainCodec.compose`; by
+        diagonals, the popcounts and the OR of one shifted operand per
+        diagonal of the other.  So ``∃v. A ∧ B`` never builds the mask;
+        any other use builds it by the align-and-AND path.  The width
+        cap refuses the ``n^3``-bit schema here either way."""
         tracer = self._tracer
         if not tracer.enabled:
             return self._join(other)
@@ -834,6 +953,9 @@ class PackedTable:
         ) as span:
             result = self._project_out(variable)
             span.set(rows=len(result))
+            if self._factors is not None and variable == self._factors[2]:
+                cut, _, pieces, _ = self._cut
+                span.set(cut=cut, pieces=pieces)
         return result
 
     def _project_out(self, variable: str) -> "PackedTable":
@@ -841,8 +963,8 @@ class PackedTable:
         i = self._vars.index(variable)
         remaining = self._vars[:i] + self._vars[i + 1 :]
         if self._factors is not None and variable == self._factors[2]:
-            (spreads, _), (rows, _) = self._factor_slices()
-            mask = self._codec.compose(spreads, rows)
+            cut, _, _, parts = self._factor_cut()
+            mask = parts if cut == "diagonal" else self._codec.compose(*parts)
         else:
             mask = self._codec.project(self.mask, k, k - 1 - i, universal=False)
         return PackedTable(self._codec, remaining, mask, self._tracer)
@@ -912,12 +1034,7 @@ class PackedTable:
             return popcount(self._mask)
         if self._factors is None:
             return popcount(self._transposed)
-        count = self._count
-        if count is None:
-            (_, spread_counts), (_, row_counts) = self._factor_slices()
-            count = sum(map(mul, spread_counts, row_counts))
-            self._count = count
-        return count
+        return self._factor_cut()[1]
 
     def __repr__(self) -> str:
         return f"PackedTable(vars={self._vars}, rows={len(self)})"

@@ -167,15 +167,17 @@ class TestDegradation:
 
     def test_deadline_exhaustion_is_never_degraded(self):
         service = make_service()
-        # a database slow enough (tens of ms even packed) that a 5ms
-        # deadline exhausts mid-evaluation, yet clears admission
-        # (dispatch is microseconds)
+        # every checkpoint sleeps past the 5ms deadline, so the first
+        # one exhausts it mid-evaluation however fast the evaluation
+        # runs, yet the request clears admission (dispatch is
+        # microseconds)
         service.register_database("big", path_db(40))
         service.set_tenant(
             "late", TenantPolicy(budget=Budget(deadline_seconds=5e-3))
         )
+        slow = ChaosPolicy(slow_step_seconds=6e-3)
         with pytest.raises(ResourceExhausted) as exc:
-            run(service.call("late", "tc", "big", backend="packed"))
+            run(service.call("late", "tc", "big", backend="packed", chaos=slow))
         assert exc.value.kind == "deadline"
         assert service.registry.snapshot()["serve.degraded"] == 0
         service.close()
