@@ -50,13 +50,9 @@ from repro.errors import (
     VariableBoundError,
 )
 from repro.guard import Budget, ChaosPolicy, ResourceGuard
-from repro.obs import (
-    NULL_TRACER,
-    MetricsRegistry,
-    Span,
-    Tracer,
-    render_report,
-)
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.report import render_report
+from repro.obs.tracer import NULL_TRACER, Span, Tracer
 
 __version__ = "1.0.0"
 

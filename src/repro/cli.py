@@ -186,7 +186,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs import Tracer, render_report
+    from repro.obs.report import render_report
+    from repro.obs.tracer import Tracer
 
     db = _load_db(args.db)
     formula = parse_formula(args.query)

@@ -35,7 +35,6 @@ from repro.core.interp import EvalStats
 from repro.core.pfp_eval import SpaceMeter
 from repro.guard.budget import Budget, GuardLike, resolve_guard
 from repro.guard.chaos import ChaosPolicy
-from repro.obs.provenance import NULL_STAGE_LOG, StageLog, StageLogLike
 from repro.obs.tracer import Tracer, TracerLike, resolve_tracer
 from repro.logic.analysis import Language, classify_language
 from repro.logic.parser import parse_formula
@@ -81,12 +80,6 @@ class EvalOptions:
     never change answers or the representation-independent stats
     counters.  The ESO engine grounds to SAT rather than iterating
     tables, so it ignores the backend.
-
-    ``stage_log`` optionally records every fixpoint solve's Kleene
-    stages into a :class:`~repro.obs.provenance.StageLog` (answer
-    provenance: first-entry stages, semi-naive deltas, PFP
-    trajectories).  Like ``trace``, the default ``None`` costs the
-    engines nothing.
     """
 
     strategy: FixpointStrategy = FixpointStrategy.MONOTONE
@@ -100,7 +93,6 @@ class EvalOptions:
     degrade: bool = True
     subquery_cache: Union[bool, "SubqueryCache", None] = None
     backend: Union[str, None] = None
-    stage_log: Optional[StageLog] = None
 
 
 @dataclass
@@ -119,7 +111,6 @@ class EvalResult:
     space: Optional[SpaceMeter] = None
     tracer: Optional[Tracer] = None
     guard: Optional[GuardLike] = None
-    stage_log: Optional[StageLog] = None
 
     def as_bool(self) -> bool:
         """Boolean answer, for sentence queries (0-ary output)."""
@@ -172,10 +163,6 @@ def _dispatch(
 ) -> EvalResult:
     recorded = tracer if tracer.enabled else None
     watched = guard if guard.enabled else None
-    observer: StageLogLike = (
-        options.stage_log if options.stage_log is not None else NULL_STAGE_LOG
-    )
-    logged = observer if observer.enabled else None
     cache = resolve_subquery_cache(options.subquery_cache)
     if language == Language.FO:
         evaluator = BoundedEvaluator(
@@ -189,13 +176,7 @@ def _dispatch(
         )
         relation = evaluator.answer(formula, tuple(output_vars))
         return EvalResult(
-            relation,
-            language,
-            None,
-            stats,
-            tracer=recorded,
-            guard=watched,
-            stage_log=logged,
+            relation, language, None, stats, tracer=recorded, guard=watched
         )
     if language == Language.ESO:
         from repro.core.eso_eval import eso_answer
@@ -211,13 +192,7 @@ def _dispatch(
             degrade=options.degrade,
         )
         return EvalResult(
-            relation,
-            language,
-            None,
-            stats,
-            tracer=recorded,
-            guard=watched,
-            stage_log=logged,
+            relation, language, None, stats, tracer=recorded, guard=watched
         )
     # FP and PFP: one fixpoint solver.  Pure lfp/gfp formulas run under
     # any strategy; pfp/ifp mixtures classify as Language.PFP and take
@@ -238,7 +213,6 @@ def _dispatch(
         # like pfp_answer, the metered path runs without the cache
         subquery_cache=None if metered else cache,
         backend=options.backend,
-        observer=observer,
         meter=meter,
         strict_space=options.strict_pfp_space,
         degrade=options.degrade,
@@ -251,7 +225,6 @@ def _dispatch(
         space=meter,
         tracer=recorded,
         guard=watched,
-        stage_log=logged,
     )
 
 

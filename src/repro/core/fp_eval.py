@@ -51,7 +51,6 @@ from repro.errors import EvaluationError
 from repro.core.fo_eval import BoundedEvaluator
 from repro.core.interp import EvalStats
 from repro.guard.budget import GuardLike, NULL_GUARD
-from repro.obs.provenance import NULL_STAGE_LOG, StageLogLike
 from repro.obs.tracer import NULL_TRACER, TracerLike
 from repro.logic.analysis import check_positivity, polarity_of
 from repro.logic.syntax import (
@@ -159,7 +158,6 @@ class KleeneSolver:
         stats: EvalStats,
         tracer: TracerLike = NULL_TRACER,
         guard: GuardLike = NULL_GUARD,
-        observer: StageLogLike = NULL_STAGE_LOG,
         meter: Optional[SpaceMeter] = None,
         strict_space: bool = False,
         degrade: bool = False,
@@ -177,7 +175,6 @@ class KleeneSolver:
         self._stats = stats
         self._tracer = tracer
         self._guard = guard
-        self._observer = observer
         self._meter = meter
         self._strict = strict_space
         self._degrade = degrade
@@ -197,23 +194,16 @@ class KleeneSolver:
         node: _FixpointBase,
         env: Dict[str, Relation],
     ) -> Relation:
-        kind = type(node).__name__.lower()
-        observer = self._observer
-        if observer.enabled:
-            observer.begin(node.rel, kind)
-        limit = None
-        try:
-            if self._tracer.enabled:
-                with self._tracer.span(
-                    "fp.solve", rel=node.rel, kind=kind, arity=node.arity
-                ) as span:
-                    limit = self._solve(evaluator, node, env)
-                    span.set(limit_size=len(limit))
-            else:
-                limit = self._solve(evaluator, node, env)
-        finally:
-            if observer.enabled:
-                observer.end(limit)
+        if not self._tracer.enabled:
+            return self._solve(evaluator, node, env)
+        with self._tracer.span(
+            "fp.solve",
+            rel=node.rel,
+            kind=type(node).__name__.lower(),
+            arity=node.arity,
+        ) as span:
+            limit = self._solve(evaluator, node, env)
+            span.set(limit_size=len(limit))
         return limit
 
     def _solve(
@@ -264,15 +254,16 @@ class KleeneSolver:
     ) -> Relation:
         """The one round loop, from ``start`` to the limit.
 
-        Each round counts one ``fixpoint_iterations``, charges the guard,
-        runs under an ``fp.iteration`` span and reports its stage
-        (stage ``i`` is the ``i``-th iterate, stage 0 the start); only
-        the rule that turns a round's operator output into the next
-        iterate varies with the kind.  ``prepared`` (delta name,
+        Each round counts one ``fixpoint_iterations``, charges the guard
+        and runs under an ``fp.iteration`` span recording the ``size``
+        of the stage it produced and its ``delta`` from the previous
+        one (stage ``i`` is the ``i``-th iterate, stage 0 the start);
+        only the rule that turns a round's operator output into the
+        next iterate varies with the kind.  ``prepared`` (delta name,
         differential body) selects the semi-naive LFP rule.
         """
         stats, tracer, guard = self._stats, self._tracer, self._guard
-        observer, meter = self._observer, self._meter
+        meter = self._meter
         columns = tuple(v.name for v in node.bound_vars)
         rule = "delta" if prepared is not None else type(node).__name__
         delta_rel, dbody = prepared if prepared is not None else (None, None)
@@ -304,8 +295,6 @@ class KleeneSolver:
 
         current = start
         index = 0
-        if observer.enabled:
-            observer.stage(0, current)
         if meter is not None:
             key = self._next_key
             self._next_key += 1
@@ -326,11 +315,16 @@ class KleeneSolver:
                                 live_relations=meter.live_relations,
                             )
                         if rule == "delta":
-                            size, moved = len(current) + len(after), len(after)
+                            size = len(current) + len(after)
+                        elif rule == "IFP":
+                            # the stage is current ∪ after: the body may
+                            # drop tuples of the stage it reads
+                            size = len(current.union(after))
                         else:
                             size = len(after)
-                            moved = size - len(current)
-                        span.set(index=index, size=size, delta=moved)
+                        span.set(
+                            index=index, size=size, delta=size - len(current)
+                        )
                 else:
                     after = step(current)
                     if meter is not None:
@@ -340,8 +334,6 @@ class KleeneSolver:
                     if not after:
                         return current
                     current = after if index == 1 else current.union(after)
-                    if observer.enabled:
-                        observer.stage(index, current, delta=after)
                     delta = after
                     stats.bump("seminaive_delta_rounds")
                     stats.bump("seminaive_delta_tuples", len(after))
@@ -352,18 +344,11 @@ class KleeneSolver:
                     if after.issubset(current):
                         stats.bump("empty_delta_exits")
                         return current
-                    grown = current.union(after)
-                    if observer.enabled:
-                        observer.stage(
-                            index, grown, delta=after.difference(current)
-                        )
-                    current = grown
+                    current = current.union(after)
                     continue
                 if after == current:
                     return current
                 if rule == "PFP":
-                    if observer.enabled:
-                        observer.stage(index, after)
                     if seen is not None:
                         if after.state_key() in seen:
                             return start
@@ -396,16 +381,6 @@ class KleeneSolver:
                         "descending fixpoint iteration grew: the operator is "
                         "not monotone (a lfp/gfp body must bind its "
                         "recursion variable positively)"
-                    )
-                if observer.enabled:
-                    observer.stage(
-                        index,
-                        after,
-                        delta=(
-                            after.difference(current)
-                            if rule == "LFP"
-                            else current.difference(after)
-                        ),
                     )
                 current = after
         finally:
@@ -500,7 +475,6 @@ def solve_query(
     guard: GuardLike = NULL_GUARD,
     subquery_cache=None,
     backend=None,
-    observer: StageLogLike = NULL_STAGE_LOG,
     meter: Optional[SpaceMeter] = None,
     strict_space: bool = False,
     degrade: bool = False,
@@ -511,10 +485,7 @@ def solve_query(
     :class:`repro.perf.cache.SubqueryCache` into the bounded evaluator
     (shared-table memoization across subformulas and evaluations);
     ``backend`` selects the table representation (see
-    :func:`repro.kernel.backend.resolve_backend`); ``observer``
-    optionally records every fixpoint solve's Kleene stages (see
-    :class:`repro.obs.provenance.StageLog` — ignored by the
-    ALTERNATION strategy, which does not iterate per-node stages).
+    :func:`repro.kernel.backend.resolve_backend`).
     ``meter``, ``strict_space`` and ``degrade`` configure PFP
     iteration and its space accounting (see :class:`KleeneSolver`;
     :func:`repro.core.pfp_eval.pfp_answer` is the Theorem 3.8 entry
@@ -544,7 +515,6 @@ def solve_query(
         stats,
         tracer=tracer,
         guard=guard,
-        observer=observer,
         meter=meter,
         strict_space=strict_space,
         degrade=degrade,

@@ -26,7 +26,6 @@ from repro.core.fp_eval import FixpointStrategy, solve_query
 from repro.core.interp import EvalStats
 from repro.guard.budget import GuardLike, NULL_GUARD
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.provenance import NULL_STAGE_LOG, StageLogLike
 from repro.obs.tracer import NULL_TRACER, TracerLike
 from repro.logic.syntax import Formula
 
@@ -107,7 +106,6 @@ def pfp_answer(
     guard: GuardLike = NULL_GUARD,
     degrade: bool = True,
     backend=None,
-    observer: StageLogLike = NULL_STAGE_LOG,
 ) -> Relation:
     """Evaluate a PFP^k query with live-space accounting.
 
@@ -136,7 +134,6 @@ def pfp_answer(
         tracer=tracer,
         guard=guard,
         backend=backend,
-        observer=observer,
         meter=meter,
         strict_space=strict_space,
         degrade=degrade,

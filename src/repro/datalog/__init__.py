@@ -7,7 +7,7 @@ program::
     P(x) ← Q(x, y, z), P(y), P(z)
 
 This subpackage provides that machinery as a first-class component:
-rules, stratified programs, semi-naive bottom-up evaluation over
+rules, programs, naive and semi-naive bottom-up evaluation over
 :class:`repro.database.Database`, and a translation of non-recursive
 rule bodies into the library's FO formulas.  Datalog is also the natural
 companion of FP^k: every Datalog program is a simultaneous least fixpoint
@@ -17,12 +17,6 @@ whose arities are bounded by the rule-head arities.
 from repro.datalog.syntax import Atom, DatalogProgram, Rule, Term as DatalogTerm
 from repro.datalog.engine import evaluate_program, semi_naive
 from repro.datalog.parser import parse_program
-from repro.datalog.stratified import (
-    StratifiedProgram,
-    evaluate_stratified,
-    parse_stratified_program,
-    stratify,
-)
 
 __all__ = [
     "Atom",
@@ -32,8 +26,4 @@ __all__ = [
     "evaluate_program",
     "semi_naive",
     "parse_program",
-    "StratifiedProgram",
-    "stratify",
-    "evaluate_stratified",
-    "parse_stratified_program",
 ]

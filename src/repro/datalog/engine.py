@@ -16,7 +16,6 @@ from repro.database.relation import Relation
 from repro.errors import EvaluationError
 from repro.datalog.syntax import Atom, DatalogConst, DatalogProgram, Rule
 from repro.guard.budget import GuardLike, NULL_GUARD
-from repro.obs.provenance import NULL_STAGE_LOG, StageLogLike
 from repro.obs.tracer import NULL_TRACER, TracerLike
 
 Row = Tuple[object, ...]
@@ -139,23 +138,16 @@ def evaluate_program(
     stats: Optional[DatalogStats] = None,
     tracer: TracerLike = NULL_TRACER,
     guard: GuardLike = NULL_GUARD,
-    observer: StageLogLike = NULL_STAGE_LOG,
 ) -> Dict[str, Relation]:
     """Naive bottom-up evaluation: re-derive everything each round.
 
     Each round is a guarded iteration; the total IDB size is charged
-    against the row budget per round.  ``observer`` optionally records
-    the per-round IDB snapshots as one ``kind="datalog"`` solve whose
-    stages are predicate → tuple-set dicts (see
-    :meth:`repro.obs.provenance.SolveRecord.first_entry`).
+    against the row budget per round.
     """
     stats = stats if stats is not None else DatalogStats()
     idb: Dict[str, Set[Row]] = {
         pred: set() for pred in program.idb_predicates()
     }
-    if observer.enabled:
-        observer.begin("<idb>", "datalog")
-        observer.stage(0, _idb_snapshot(idb))
     changed = True
     while changed:
         stats.rounds += 1
@@ -170,20 +162,10 @@ def evaluate_program(
                 )
         else:
             changed = _naive_round(program, db, idb, stats)
-        if observer.enabled and changed:
-            observer.stage(stats.rounds, _idb_snapshot(idb))
-    result = {
+    return {
         pred: Relation(program.arity_of(pred), rows)
         for pred, rows in idb.items()
     }
-    if observer.enabled:
-        observer.end(result)
-    return result
-
-
-def _idb_snapshot(idb: Dict[str, Set[Row]]) -> Dict[str, FrozenSet[Row]]:
-    """An immutable copy of the IDB — the engines mutate it in place."""
-    return {pred: frozenset(rows) for pred, rows in idb.items()}
 
 
 def _charge_round(
@@ -219,22 +201,16 @@ def semi_naive(
     stats: Optional[DatalogStats] = None,
     tracer: TracerLike = NULL_TRACER,
     guard: GuardLike = NULL_GUARD,
-    observer: StageLogLike = NULL_STAGE_LOG,
 ) -> Dict[str, Relation]:
     """Semi-naive evaluation: join against the per-round deltas only.
 
     Guarded identically to :func:`evaluate_program`: every round charges
-    one iteration and re-checks the IDB against the row budget.  The
-    ``observer`` stage record additionally carries the per-round delta
-    dicts (the newly derived tuples per predicate).
+    one iteration and re-checks the IDB against the row budget.
     """
     stats = stats if stats is not None else DatalogStats()
     idb: Dict[str, Set[Row]] = {
         pred: set() for pred in program.idb_predicates()
     }
-    if observer.enabled:
-        observer.begin("<idb>", "datalog")
-        observer.stage(0, _idb_snapshot(idb))
 
     def seed_round() -> Dict[str, Set[Row]]:
         # round 0: rules fired with empty IDB (facts and EDB-only rules)
@@ -268,8 +244,6 @@ def semi_naive(
             )
     else:
         delta = seed_round()
-    if observer.enabled and any(delta.values()):
-        observer.stage(1, _idb_snapshot(idb), delta=_idb_snapshot(delta))
     while any(delta.values()):
         stats.rounds += 1
         if guard.enabled:
@@ -283,14 +257,7 @@ def semi_naive(
                 )
         else:
             delta = delta_round(delta)
-        if observer.enabled and any(delta.values()):
-            observer.stage(
-                stats.rounds, _idb_snapshot(idb), delta=_idb_snapshot(delta)
-            )
-    result = {
+    return {
         pred: Relation(program.arity_of(pred), rows)
         for pred, rows in idb.items()
     }
-    if observer.enabled:
-        observer.end(result)
-    return result

@@ -15,7 +15,7 @@ Section 2.2 / Section 3.2:
 from __future__ import annotations
 
 import enum
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.errors import PositivityError, SyntaxError_
 from repro.logic.syntax import (
@@ -205,14 +205,6 @@ def _kind_of(node: _FixpointBase) -> str:
     raise SyntaxError_(f"unknown fixpoint node {node!r}")
 
 
-def max_fixpoint_arity(formula: Formula) -> int:
-    """Largest arity of any recursion variable (bounded by k in FP^k)."""
-    return max(
-        (n.arity for n in formula.walk() if isinstance(n, _FixpointBase)),
-        default=0,
-    )
-
-
 def max_so_arity(formula: Formula) -> int:
     """Largest arity of any second-order quantified relation.
 
@@ -222,12 +214,3 @@ def max_so_arity(formula: Formula) -> int:
     return max(
         (n.arity for n in formula.walk() if isinstance(n, SOExists)), default=0
     )
-
-
-def count_nodes_by_type(formula: Formula) -> Dict[str, int]:
-    """Histogram of node type names, for diagnostics and benchmarks."""
-    counts: Dict[str, int] = {}
-    for node in formula.walk():
-        name = type(node).__name__
-        counts[name] = counts.get(name, 0) + 1
-    return counts

@@ -1,9 +1,8 @@
 """A small fluent DSL for constructing formulas.
 
 The AST constructors in :mod:`repro.logic.syntax` are exact but verbose;
-these helpers accept bare strings for variables and desugar implication,
-biconditional, and inequality, so tests, examples and reductions stay
-readable::
+these helpers accept bare strings for variables and desugar implication
+and biconditional, so tests, examples and reductions stay readable::
 
     from repro.logic.builders import atom, exists, forall, implies, V
 
@@ -62,11 +61,6 @@ def atom(name: str, *terms: TermLike) -> RelAtom:
 def eq(left: TermLike, right: TermLike) -> Equals:
     """``t1 = t2``."""
     return Equals(_term(left), _term(right))
-
-
-def neq(left: TermLike, right: TermLike) -> Formula:
-    """``t1 ≠ t2`` (desugared to a negated equality)."""
-    return Not(eq(left, right))
 
 
 def true_() -> Truth:

@@ -1,4 +1,4 @@
-"""Normal forms: negation normal form and light simplification.
+"""Normal forms: negation normal form and fixpoint duals.
 
 NNF pushes negations down to atoms, turning ``¬∃`` into ``∀¬``, ``¬[lfp]``
 into ``[gfp]`` of the dualized body, and ``¬[gfp]`` into ``[lfp]`` — the
@@ -101,55 +101,3 @@ def _nnf(formula: Formula, negate: bool) -> Formula:
         return Not(rebuilt) if negate else rebuilt
     raise SyntaxError_(f"unknown formula node {formula!r}")
 
-
-def simplify(formula: Formula) -> Formula:
-    """Constant folding and connective flattening.
-
-    Logically equivalence-preserving: drops ``true`` from conjunctions,
-    ``false`` from disjunctions, collapses double negation, flattens nested
-    same-kind connectives, and short-circuits on absorbing constants.
-    """
-    if isinstance(formula, (RelAtom, Equals, Truth)):
-        return formula
-    if isinstance(formula, Not):
-        sub = simplify(formula.sub)
-        if isinstance(sub, Truth):
-            return Truth(not sub.value)
-        if isinstance(sub, Not):
-            return sub.sub
-        return Not(sub)
-    if isinstance(formula, (And, Or)):
-        is_and = isinstance(formula, And)
-        absorbing = Truth(not is_and)
-        neutral = Truth(is_and)
-        flat = []
-        for sub in formula.subs:
-            simplified = simplify(sub)
-            if simplified == absorbing:
-                return absorbing
-            if simplified == neutral:
-                continue
-            if type(simplified) is type(formula):
-                flat.extend(simplified.subs)
-            else:
-                flat.append(simplified)
-        if not flat:
-            return neutral
-        if len(flat) == 1:
-            return flat[0]
-        return And(tuple(flat)) if is_and else Or(tuple(flat))
-    if isinstance(formula, (Exists, Forall)):
-        sub = simplify(formula.sub)
-        if isinstance(sub, Truth):
-            # Valid only on non-empty domains; all paper databases have
-            # non-empty domains (D is a finite set of naturals with at least
-            # the values mentioned by the relations).
-            return sub
-        return type(formula)(formula.var, sub)
-    if isinstance(formula, _FixpointBase):
-        return type(formula)(
-            formula.rel, formula.bound_vars, simplify(formula.body), formula.args
-        )
-    if isinstance(formula, SOExists):
-        return SOExists(formula.rel, formula.arity, simplify(formula.body))
-    raise SyntaxError_(f"unknown formula node {formula!r}")

@@ -207,49 +207,6 @@ def substitute_relation(
     raise SyntaxError_(f"unknown formula node {formula!r}")
 
 
-def rename_relation(formula: Formula, old: str, new: str) -> Formula:
-    """Rename every occurrence (free or binding) of relation ``old``.
-
-    Raises if ``new`` already occurs, which would change meaning.
-    """
-    for node in formula.walk():
-        if isinstance(node, RelAtom) and node.name == new:
-            raise SyntaxError_(f"relation name {new!r} already used")
-        if isinstance(node, (_FixpointBase,)) and node.rel == new:
-            raise SyntaxError_(f"relation name {new!r} already bound")
-        if isinstance(node, SOExists) and node.rel == new:
-            raise SyntaxError_(f"relation name {new!r} already bound")
-    return _rename_rel(formula, old, new)
-
-
-def _rename_rel(formula: Formula, old: str, new: str) -> Formula:
-    if isinstance(formula, RelAtom):
-        if formula.name == old:
-            return RelAtom(new, formula.terms)
-        return formula
-    if isinstance(formula, (Equals, Truth)):
-        return formula
-    if isinstance(formula, Not):
-        return Not(_rename_rel(formula.sub, old, new))
-    if isinstance(formula, And):
-        return And(tuple(_rename_rel(s, old, new) for s in formula.subs))
-    if isinstance(formula, Or):
-        return Or(tuple(_rename_rel(s, old, new) for s in formula.subs))
-    if isinstance(formula, Exists):
-        return Exists(formula.var, _rename_rel(formula.sub, old, new))
-    if isinstance(formula, Forall):
-        return Forall(formula.var, _rename_rel(formula.sub, old, new))
-    if isinstance(formula, _FixpointBase):
-        rel = new if formula.rel == old else formula.rel
-        return type(formula)(
-            rel, formula.bound_vars, _rename_rel(formula.body, old, new), formula.args
-        )
-    if isinstance(formula, SOExists):
-        rel = new if formula.rel == old else formula.rel
-        return SOExists(rel, formula.arity, _rename_rel(formula.body, old, new))
-    raise SyntaxError_(f"unknown formula node {formula!r}")
-
-
 def rename_bound_apart(formula: Formula) -> Formula:
     """Rename bound individual variables so no name is bound twice.
 

@@ -13,7 +13,6 @@ from typing import FrozenSet, Set, Tuple
 
 from repro.logic.syntax import (
     And,
-    Const,
     Equals,
     Exists,
     Forall,
@@ -113,35 +112,3 @@ def free_relation_variables(formula: Formula) -> FrozenSet[str]:
         return free_relation_variables(formula.body) - {formula.rel}
     raise SyntaxError_(f"unknown formula node {formula!r}")
 
-
-def bound_relation_variables(formula: Formula) -> FrozenSet[str]:
-    """All relation names bound somewhere inside ``formula``."""
-    names: Set[str] = set()
-    for node in formula.walk():
-        if isinstance(node, _FixpointBase):
-            names.add(node.rel)
-        elif isinstance(node, SOExists):
-            names.add(node.rel)
-    return frozenset(names)
-
-
-def is_sentence(formula: Formula) -> bool:
-    """True when ``formula`` has no free individual variables."""
-    return not free_variables(formula)
-
-
-def constants_used(formula: Formula) -> FrozenSet[object]:
-    """All constant values occurring in ``formula``."""
-    values: Set[object] = set()
-    for node in formula.walk():
-        terms: Tuple[Term, ...] = ()
-        if isinstance(node, RelAtom):
-            terms = node.terms
-        elif isinstance(node, Equals):
-            terms = (node.left, node.right)
-        elif isinstance(node, _FixpointBase):
-            terms = node.args
-        for t in terms:
-            if isinstance(t, Const):
-                values.add(t.value)
-    return frozenset(values)

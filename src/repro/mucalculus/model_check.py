@@ -14,7 +14,6 @@ from typing import Dict, FrozenSet, Optional
 
 from repro.errors import EvaluationError
 from repro.guard.budget import GuardLike, NULL_GUARD
-from repro.obs.provenance import NULL_STAGE_LOG, StageLogLike
 from repro.obs.tracer import NULL_TRACER, TracerLike
 from repro.mucalculus.kripke import KripkeStructure
 from repro.mucalculus.syntax import (
@@ -40,22 +39,18 @@ def model_check(
     environment: Optional[Dict[str, StateSet]] = None,
     tracer: TracerLike = NULL_TRACER,
     guard: GuardLike = NULL_GUARD,
-    observer: StageLogLike = NULL_STAGE_LOG,
 ) -> StateSet:
     """The denotation ``‖formula‖`` ⊆ states of ``structure``.
 
     With tracing on, every µ/ν subformula shows up as a ``mu.fixpoint``
     span annotated with its recursion variable, iteration count, and
     final denotation size.  With a guard, every Kleene iteration of every
-    fixpoint is a charged checkpoint.  ``observer`` records the Kleene
-    stage sets of every µ/ν solve (plain frozensets of states, so the
-    :class:`~repro.obs.provenance.SolveRecord` helpers take a state
-    where the query engines take a tuple).
+    fixpoint is a charged checkpoint.
     """
     if environment is None:
         check_closed(formula)
     env = dict(environment or {})
-    return _denote(structure, formula, env, tracer, guard, observer)
+    return _denote(structure, formula, env, tracer, guard)
 
 
 def holds_at(structure: KripkeStructure, formula: MuFormula, state: int) -> bool:
@@ -69,7 +64,6 @@ def _denote(
     env: Dict[str, StateSet],
     tracer: TracerLike = NULL_TRACER,
     guard: GuardLike = NULL_GUARD,
-    observer: StageLogLike = NULL_STAGE_LOG,
 ) -> StateSet:
     all_states = frozenset(range(structure.num_states))
     if isinstance(formula, Prop):
@@ -92,46 +86,35 @@ def _denote(
     if isinstance(formula, MuAnd):
         result = all_states
         for sub in formula.subs:
-            result &= _denote(structure, sub, env, tracer, guard, observer)
+            result &= _denote(structure, sub, env, tracer, guard)
         return result
     if isinstance(formula, MuOr):
         result: StateSet = frozenset()
         for sub in formula.subs:
-            result |= _denote(structure, sub, env, tracer, guard, observer)
+            result |= _denote(structure, sub, env, tracer, guard)
         return result
     if isinstance(formula, Diamond):
-        target = _denote(structure, formula.sub, env, tracer, guard, observer)
+        target = _denote(structure, formula.sub, env, tracer, guard)
         return frozenset(
             u for u, v in structure.transitions if v in target
         )
     if isinstance(formula, Box):
-        target = _denote(structure, formula.sub, env, tracer, guard, observer)
+        target = _denote(structure, formula.sub, env, tracer, guard)
         return frozenset(
             s for s in all_states if structure.successors(s) <= target
         )
     if isinstance(formula, (Mu, Nu)):
+        if not tracer.enabled:
+            current, _ = _iterate_fixpoint(
+                structure, formula, env, all_states, tracer, guard
+            )
+            return current
         kind = "mu" if isinstance(formula, Mu) else "nu"
-        if observer.enabled:
-            observer.begin(formula.var, kind)
-        current = None
-        try:
-            if tracer.enabled:
-                with tracer.span(
-                    "mu.fixpoint", var=formula.var, kind=kind
-                ) as span:
-                    current, iterations = _iterate_fixpoint(
-                        structure, formula, env, all_states, tracer, guard,
-                        observer,
-                    )
-                    span.set(iterations=iterations, size=len(current))
-            else:
-                current, _ = _iterate_fixpoint(
-                    structure, formula, env, all_states, tracer, guard,
-                    observer,
-                )
-        finally:
-            if observer.enabled:
-                observer.end(current)
+        with tracer.span("mu.fixpoint", var=formula.var, kind=kind) as span:
+            current, iterations = _iterate_fixpoint(
+                structure, formula, env, all_states, tracer, guard
+            )
+            span.set(iterations=iterations, size=len(current))
         return current
     raise EvaluationError(f"unknown µ-calculus node {formula!r}")
 
@@ -143,13 +126,10 @@ def _iterate_fixpoint(
     all_states: StateSet,
     tracer: TracerLike,
     guard: GuardLike = NULL_GUARD,
-    observer: StageLogLike = NULL_STAGE_LOG,
 ):
     """Kleene iteration for a µ (from ∅) or ν (from all states) node."""
     current: StateSet = frozenset() if isinstance(formula, Mu) else all_states
     iterations = 0
-    if observer.enabled:
-        observer.stage(0, current)
     while True:
         iterations += 1
         if guard.enabled:
@@ -157,13 +137,8 @@ def _iterate_fixpoint(
                 var=formula.var, iteration=iterations, size=len(current)
             )
         env[formula.var] = current
-        after = _denote(structure, formula.sub, env, tracer, guard, observer)
+        after = _denote(structure, formula.sub, env, tracer, guard)
         del env[formula.var]
         if after == current:
             return current, iterations
-        if observer.enabled:
-            delta = (
-                after - current if isinstance(formula, Mu) else current - after
-            )
-            observer.stage(iterations, after, delta=delta)
         current = after

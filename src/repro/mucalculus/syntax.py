@@ -141,15 +141,6 @@ def check_closed(formula: MuFormula) -> None:
         )
 
 
-def propositions_used(formula: MuFormula) -> FrozenSet[str]:
-    """All atomic proposition names occurring in ``formula``."""
-    names = set()
-    for node in formula.walk():
-        if isinstance(node, (Prop, PropNeg)):
-            names.add(node.name)
-    return frozenset(names)
-
-
 def mu_alternation_depth(formula: MuFormula) -> int:
     """Dependent µ/ν alternation depth (the [EL86] complexity parameter)."""
     if isinstance(formula, (Mu, Nu)):

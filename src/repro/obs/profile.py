@@ -206,15 +206,6 @@ def profile_sweep(sweep) -> SpanProfile:
     return profile
 
 
-def profile_record(record) -> SpanProfile:
-    """A profile from the span dicts embedded in a run record's points."""
-    profile = SpanProfile()
-    for point in record.points:
-        if point.spans:
-            profile.add_spans(point.parameter, point.spans)
-    return profile
-
-
 def render_profile(profile: SpanProfile, top: int = 10) -> str:
     """The hot-span matrix: rows = span names, columns = parameters.
 

@@ -1,40 +1,25 @@
-"""Answer provenance: stage logs, witness trees, and witness checking.
+"""Answer provenance: witness trees and witness checking.
 
-Two complementary facilities live here:
-
-* :class:`StageLog` — a zero-cost-when-disabled observer the fixpoint
-  engines report their Kleene stages into (one :class:`SolveRecord` per
-  solve, holding the stage iterates and semi-naive deltas by reference).
-  From a record you can read the stage at which each tuple *first
-  entered* an LFP/IFP iteration, or a tuple's full stage *trajectory*
-  through a PFP iteration.  The observer follows the
-  ``tracer.enabled`` hot-path convention: engines guard every call on
-  ``observer.enabled``, and the shared :data:`NULL_STAGE_LOG` makes a
-  disabled run cost one attribute check per solve.
-
-* Witness trees — :func:`explain_membership` answers "why is tuple ``t``
-  an answer" with a :class:`Witness`: a tree through the connectives
-  recording the chosen disjunct of each ``∨``, the chosen value of each
-  ``∃``, the database fact at each atom, and — for fixpoint nodes — the
-  first-entry stage plus a *derivation chain* (the body witness at the
-  previous stage, whose recursion-variable atoms recurse to strictly
-  earlier stages, bottoming out at the database).  Witnesses are built
-  on the reference semantics of :mod:`repro.core.naive_eval`, the
-  oracle the differential suites judge every engine by: fixpoint nodes
-  cite its :func:`~repro.core.naive_eval.kleene_stages`, and terms are
-  evaluated by it.  :func:`check_witness` replays a witness against the
-  same oracle, and ``repro explain --why`` compares its claim with the
-  engine's answer.
-
-The oracle imports only the logic/database layers, so the core engines
-can import :data:`NULL_STAGE_LOG` from here without cycles.
+:func:`explain_membership` answers "why is tuple ``t`` an answer" with a
+:class:`Witness`: a tree through the connectives recording the chosen
+disjunct of each ``∨``, the chosen value of each ``∃``, the database
+fact at each atom, and — for fixpoint nodes — the first-entry stage
+plus a *derivation chain* (the body witness at the previous stage,
+whose recursion-variable atoms recurse to strictly earlier stages,
+bottoming out at the database).  Witnesses are built on the reference
+semantics of :mod:`repro.core.naive_eval`, the oracle the differential
+suites judge every engine by: fixpoint nodes cite its
+:func:`~repro.core.naive_eval.kleene_stages`, and terms are evaluated
+by it.  :func:`check_witness` replays a witness against the same
+oracle, and ``repro explain --why`` compares its claim with the
+engine's answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.naive_eval import _term_value, holds, kleene_stages
 from repro.database.database import Database
@@ -65,143 +50,6 @@ from repro.logic.variables import free_variables
 
 class ProvenanceError(ReproError):
     """A witness could not be built or failed structural validation."""
-
-
-# ---------------------------------------------------------------------------
-# Stage observation (engine side)
-# ---------------------------------------------------------------------------
-
-
-class SolveRecord:
-    """The stage iterates of one fixpoint solve, held by reference.
-
-    ``stages[i]`` is the iterate after round ``i`` (round 0 is the first
-    application of the operator); ``deltas[i]`` is the set of tuples new
-    in that round when the engine knows it (semi-naive ascent), else
-    ``None``.  Engines append whatever relation type they iterate —
-    sparse or packed — so reading tuples out may materialize a packed
-    mask; that cost is only paid by observer-enabled runs.
-    """
-
-    __slots__ = ("rel", "kind", "stages", "deltas", "limit")
-
-    def __init__(self, rel: str, kind: str):
-        self.rel = rel
-        self.kind = kind
-        self.stages: List[object] = []
-        self.deltas: List[Optional[object]] = []
-        self.limit: Optional[object] = None
-
-    def stage_sizes(self) -> List[int]:
-        return [len(stage) for stage in self.stages]
-
-    def delta_sizes(self) -> List[Optional[int]]:
-        return [None if d is None else len(d) for d in self.deltas]
-
-    def _stage_tuples(self, stage: object, key: Optional[str]):
-        if key is not None:
-            stage = stage[key]
-        return stage.tuples if hasattr(stage, "tuples") else stage
-
-    def first_entry(self, key: Optional[str] = None) -> Dict[tuple, int]:
-        """Tuple → index of the first stage containing it.
-
-        Meaningful for ascending iterations (LFP/IFP, datalog rounds);
-        ``key`` selects one predicate when the stages are per-predicate
-        dicts (the datalog engine).
-        """
-        out: Dict[tuple, int] = {}
-        for index, stage in enumerate(self.stages):
-            for tup in self._stage_tuples(stage, key):
-                if tup not in out:
-                    out[tup] = index
-        return out
-
-    def trajectory(
-        self, tup: tuple, key: Optional[str] = None
-    ) -> List[int]:
-        """Stage indices at which ``tup`` is present (PFP's quantity)."""
-        return [
-            index
-            for index, stage in enumerate(self.stages)
-            if tup in self._stage_tuples(stage, key)
-        ]
-
-    def __repr__(self) -> str:
-        return (
-            f"SolveRecord({self.rel!r}, kind={self.kind!r}, "
-            f"stages={len(self.stages)})"
-        )
-
-
-class NullStageLog:
-    """The disabled observer: every operation is a no-op."""
-
-    __slots__ = ()
-
-    enabled = False
-    solves: tuple = ()
-
-    def begin(self, rel: str, kind: str) -> None:
-        return None
-
-    def stage(self, index: int, relation: object, delta: object = None) -> None:
-        return None
-
-    def end(self, limit: object) -> None:
-        return None
-
-    def __repr__(self) -> str:
-        return "NullStageLog()"
-
-
-#: The shared no-op observer every engine defaults to.
-NULL_STAGE_LOG = NullStageLog()
-
-
-class StageLog:
-    """Records the Kleene stages of every fixpoint solve in a run.
-
-    Solves nest (an inner fixpoint re-solves per outer round), so the
-    log keeps a stack; completed records land in ``solves`` in
-    completion order.  Pass one via ``EvalOptions.stage_log`` (or the
-    ``observer`` keyword of the solver layer) and read it back after
-    the run.
-    """
-
-    __slots__ = ("solves", "_stack")
-
-    enabled = True
-
-    def __init__(self) -> None:
-        self.solves: List[SolveRecord] = []
-        self._stack: List[SolveRecord] = []
-
-    def begin(self, rel: str, kind: str) -> None:
-        self._stack.append(SolveRecord(rel, kind))
-
-    def stage(self, index: int, relation: object, delta: object = None) -> None:
-        if not self._stack:
-            return
-        record = self._stack[-1]
-        record.stages.append(relation)
-        record.deltas.append(delta)
-
-    def end(self, limit: object) -> None:
-        if not self._stack:
-            return
-        record = self._stack.pop()
-        record.limit = limit
-        self.solves.append(record)
-
-    def records_for(self, rel: str) -> List[SolveRecord]:
-        return [r for r in self.solves if r.rel == rel]
-
-    def __repr__(self) -> str:
-        return f"StageLog({len(self.solves)} solves)"
-
-
-StageLogLike = Union[StageLog, NullStageLog]
 
 
 # ---------------------------------------------------------------------------
@@ -953,12 +801,7 @@ class _WitnessChecker:
 
 
 __all__ = [
-    "NULL_STAGE_LOG",
-    "NullStageLog",
     "ProvenanceError",
-    "SolveRecord",
-    "StageLog",
-    "StageLogLike",
     "Witness",
     "check_witness",
     "explain_answer",

@@ -8,8 +8,7 @@ dependency-free:
   formula trees;
 * :mod:`~repro.sat.tseitin` — structure-preserving CNF conversion;
 * :mod:`~repro.sat.dpll` — a DPLL solver with unit propagation and a
-  simple activity heuristic;
-* :mod:`~repro.sat.dimacs` — DIMACS import/export for interoperability.
+  simple activity heuristic.
 """
 
 from repro.sat.cnf import (

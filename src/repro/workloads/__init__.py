@@ -1,7 +1,7 @@
 """Workload generators: databases and query families for tests and benches.
 
 * :mod:`~repro.workloads.graphs` — graph-shaped databases (paths, cycles,
-  grids, random digraphs, DAGs) with optional unary labels;
+  random digraphs) with optional unary labels;
 * :mod:`~repro.workloads.company` — the EMP/MGR/SCY/SAL schema of the
   paper's introduction and its "earn less than the manager's secretary"
   query, in naive and bounded-variable forms;
@@ -17,8 +17,6 @@ they exercise.
 
 from repro.workloads.graphs import (
     cycle_graph,
-    dag_graph,
-    grid_graph,
     labeled_graph,
     path_graph,
     random_graph,
@@ -27,7 +25,6 @@ from repro.workloads.company import (
     company_database,
     earns_less_bounded,
     earns_less_naive_algebra,
-    earns_less_query,
 )
 from repro.workloads.formulas import (
     alternating_fixpoint_family,
@@ -36,23 +33,14 @@ from repro.workloads.formulas import (
     path_query_fo3,
     path_query_naive,
     random_fo_formula,
-    reachability_query,
-)
-from repro.workloads.ordered import (
-    domain_parity,
-    even_cardinality_query,
-    with_order,
 )
 
 __all__ = [
     "path_graph",
     "cycle_graph",
-    "grid_graph",
     "random_graph",
-    "dag_graph",
     "labeled_graph",
     "company_database",
-    "earns_less_query",
     "earns_less_bounded",
     "earns_less_naive_algebra",
     "path_query_naive",
@@ -61,8 +49,4 @@ __all__ = [
     "random_fo_formula",
     "alternating_fixpoint_family",
     "nested_lfp_family",
-    "reachability_query",
-    "with_order",
-    "even_cardinality_query",
-    "domain_parity",
 ]

@@ -129,11 +129,6 @@ def earns_less_bounded() -> Query:
     return Query(body, output_vars=("e",), name="earns-less-fo3")
 
 
-def earns_less_query(bounded: bool = True) -> Query:
-    """The intro query in either form."""
-    return earns_less_bounded() if bounded else earns_less_naive()
-
-
 def earns_less_naive_algebra():
     """The cross-product-first algebra plan the introduction warns about.
 

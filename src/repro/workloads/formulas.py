@@ -93,17 +93,6 @@ def chain_join_query(width: int, edge_name: str = "E") -> Query:
     )
 
 
-def reachability_query(edge_name: str = "E") -> Query:
-    """Transitive reachability ``x →* y`` as an FP^3 query."""
-    body = lfp(
-        "S",
-        ["x"],
-        or_(eq("x", "y"), exists("z", and_(atom(edge_name, "z", "x"), atom("S", "z")))),
-        ["x"],
-    )
-    return Query(body, output_vars=("x", "y"), name="reachability")
-
-
 def alternating_fixpoint_family(
     depth: int, edge_name: str = "E", label_prefix: str = "P"
 ) -> Query:

@@ -9,7 +9,7 @@ application of Section 1.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping
 
 from repro.database.database import Database
 from repro.database.domain import Domain
@@ -28,19 +28,6 @@ def cycle_graph(n: int, edge_name: str = "E") -> Database:
     return Database(Domain.range(n), {edge_name: Relation(2, edges)})
 
 
-def grid_graph(rows: int, cols: int, edge_name: str = "E") -> Database:
-    """A directed grid: right and down edges on a ``rows × cols`` lattice."""
-    edges: List[Tuple[int, int]] = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                edges.append((v, v + 1))
-            if r + 1 < rows:
-                edges.append((v, v + cols))
-    return Database(Domain.range(rows * cols), {edge_name: Relation(2, edges)})
-
-
 def random_graph(
     n: int, p: float, seed: int = 0, edge_name: str = "E"
 ) -> Database:
@@ -51,18 +38,6 @@ def random_graph(
         for u in range(n)
         for v in range(n)
         if u != v and rng.random() < p
-    ]
-    return Database(Domain.range(n), {edge_name: Relation(2, edges)})
-
-
-def dag_graph(n: int, p: float, seed: int = 0, edge_name: str = "E") -> Database:
-    """A random DAG: edges only go from smaller to larger vertex ids."""
-    rng = random.Random(seed)
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < p
     ]
     return Database(Domain.range(n), {edge_name: Relation(2, edges)})
 
@@ -83,20 +58,3 @@ def labeled_graph(
     for name, members in labels.items():
         relations[name] = Relation(1, [(m,) for m in members])
     return Database(base.domain, relations)
-
-
-def random_labeled_graph(
-    n: int,
-    p: float,
-    label_names: Sequence[str],
-    label_density: float = 0.5,
-    seed: int = 0,
-) -> Database:
-    """A random graph with random unary labels — µ-calculus workloads."""
-    rng = random.Random(seed)
-    base = random_graph(n, p, seed=rng.randrange(1 << 30))
-    labels = {
-        name: [v for v in range(n) if rng.random() < label_density]
-        for name in label_names
-    }
-    return labeled_graph(base, labels)

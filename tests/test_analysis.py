@@ -8,9 +8,7 @@ from repro.logic.analysis import (
     alternation_depth,
     check_positivity,
     classify_language,
-    count_nodes_by_type,
     fixpoint_nesting_depth,
-    max_fixpoint_arity,
     max_so_arity,
     polarity_of,
 )
@@ -132,17 +130,10 @@ class TestClassification:
 
 
 class TestArities:
-    def test_max_fixpoint_arity(self):
-        phi = parse_formula("[lfp S(x, y). E(x, y)](u, v)")
-        assert max_fixpoint_arity(phi) == 2
 
     def test_max_so_arity(self):
         phi = so_exists("R", 4, atom("R", "x", "x", "y", "y"))
         assert max_so_arity(phi) == 4
-
-    def test_count_nodes(self):
-        counts = count_nodes_by_type(parse_formula("P(x) & Q(x)"))
-        assert counts == {"And": 1, "RelAtom": 2}
 
 
 class TestQuantifierRank:

@@ -8,7 +8,6 @@ from repro.logic.builders import (
     V,
     and_,
     atom,
-    eq,
     exists,
     false_,
     forall,
@@ -17,7 +16,6 @@ from repro.logic.builders import (
     ifp,
     implies,
     lfp,
-    neq,
     not_,
     or_,
     pfp,
@@ -35,9 +33,6 @@ class TestTermHelpers:
     def test_atom_promotes_strings(self):
         a = atom("E", "x", C(3))
         assert a.terms == (Var("x"), Const(3))
-
-    def test_eq_and_neq(self):
-        assert neq("x", "y") == Not(eq("x", "y"))
 
 
 class TestConnectives:

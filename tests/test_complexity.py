@@ -92,7 +92,7 @@ class TestSweep:
         assert lines[2].split("\t")[-1] == "-"
 
     def test_tracer_factory_records_per_point_traces(self):
-        from repro.obs import Tracer
+        from repro.obs.tracer import Tracer
 
         def workload(n, tracer):
             with tracer.span("work", n=n):

@@ -8,7 +8,6 @@ from repro import Database, EvalOptions, FixpointStrategy, Query, evaluate
 from repro.core.naive_eval import holds, naive_answer
 from repro.errors import EvaluationError
 from repro.logic.parser import parse_formula
-from repro.logic.serialize import formula_dumps, formula_loads
 
 
 class TestNullaryRelations:
@@ -104,16 +103,6 @@ class TestMixedDeepFormulas:
             phi, tiny_graph, ("u",), EvalOptions(strategy=FixpointStrategy.ALTERNATION)
         ).relation
         assert got == naive_answer(phi, tiny_graph, ("u",))
-
-    def test_serialize_evaluate_pipeline(self, tiny_graph):
-        phi = parse_formula(
-            "[gfp S(x). [lfp T(z). forall y. (~E(z, y) | S(y) | "
-            "(P(y) & T(y)))](x)](u)"
-        )
-        reloaded = formula_loads(formula_dumps(phi))
-        assert evaluate(reloaded, tiny_graph, ("u",)).relation == evaluate(
-            phi, tiny_graph, ("u",)
-        ).relation
 
 
 class TestBinaryFixpoints:

@@ -5,10 +5,10 @@ every answer while counting rounds, charging work or reporting stages
 differently.  This table-driven test fixes, for a small corpus, the
 exact :meth:`~repro.core.interp.EvalStats.as_dict`, the ordered
 ``fp.*`` / ``pfp.*`` spans with their attributes (and their nesting
-depth among such spans), and the StageLog stage and delta sizes of
-every solve, plus the checkpoint, iteration and state counts of an
-ample resource guard (every row charge is a checkpoint; the rows
-high-water is the stats' ``max_intermediate_rows``):
+depth among such spans; an ``fp.iteration`` span carries the size of
+the stage its round produced), plus the checkpoint, iteration and
+state counts of an ample resource guard (every row charge is a
+checkpoint; the rows high-water is the stats' ``max_intermediate_rows``):
 
 * transitive closure on a path, a nested alternation-free lfp, a gfp,
   an ifp, the Section 2.2 gfp/lfp nest and a gfp/lfp nest whose inner
@@ -20,14 +20,19 @@ high-water is the stats' ``max_intermediate_rows``):
   :class:`~repro.core.pfp_eval.SpaceMeter` readings.
 
 Every case runs on both backends against the same record: the
-counters, spans and stages are representation-independent.  Each case
-runs twice, instrumented (tracer, stage log, guard) and bare; both
-runs must count the same.
+counters and spans are representation-independent.  Each case runs
+twice, instrumented (tracer, guard) and bare; both runs must count the
+same.
 
 The records live in ``tests/golden/fixpoint_golden.json``.  After a
 change that is *meant* to alter them, regenerate with
 ``PYTHONPATH=src python -m tests.test_fixpoint_golden`` and review the
 diff.
+
+The spans are also checked against an oracle: on single closed
+fixpoints, each ``fp.iteration`` span's ``size`` is the size of the
+stage its round produced in :func:`repro.core.naive_eval.kleene_stages`,
+and ``delta`` is that stage's change from the one before.
 """
 
 from __future__ import annotations
@@ -40,10 +45,10 @@ import pytest
 from repro.core.engine import EvalOptions, evaluate
 from repro.core.fp_eval import FixpointStrategy, solve_query
 from repro.core.interp import EvalStats
+from repro.core.naive_eval import kleene_stages
 from repro.database import Database
 from repro.guard.budget import Budget, resolve_guard
 from repro.logic.parser import parse_formula
-from repro.obs.provenance import StageLog
 from repro.obs.tracer import Tracer
 from repro.workloads.graphs import labeled_graph, path_graph, random_graph
 
@@ -172,28 +177,14 @@ def _spans(tracer: Tracer) -> list:
     return out
 
 
-def _stages(log: StageLog) -> list:
-    return [
-        {
-            "rel": record.rel,
-            "kind": record.kind,
-            "stages": record.stage_sizes(),
-            "deltas": record.delta_sizes(),
-            "limit": None if record.limit is None else len(record.limit),
-        }
-        for record in log.solves
-    ]
-
-
 AMPLE = Budget(max_iterations=10**9, max_states=10**9, max_rows=10**9)
 
 
 def _run(case_id: str, backend: str, instrumented: bool):
     """One evaluation of a corpus case: (answer, stats, meter, tracer,
-    stage log, guard); the last three are ``None`` when bare."""
+    guard); the last two are ``None`` when bare."""
     name, mode = case_id.split("/")
     tracer = Tracer() if instrumented else None
-    log = StageLog() if instrumented else None
     if name in FP_CASES:
         text, out, make_db = FP_CASES[name]
         stats = EvalStats()
@@ -206,9 +197,9 @@ def _run(case_id: str, backend: str, instrumented: bool):
             stats=stats,
             guard=guard,
             backend=backend,
-            **({"tracer": tracer, "observer": log} if instrumented else {}),
+            **({"tracer": tracer} if instrumented else {}),
         )
-        return answer, stats, None, tracer, log, guard
+        return answer, stats, None, tracer, guard
     text, out, make_db = PFP_CASES[name]
     result = evaluate(
         parse_formula(text),
@@ -218,7 +209,6 @@ def _run(case_id: str, backend: str, instrumented: bool):
             strict_pfp_space=(mode == "strict"),
             check_positive=False,
             trace=tracer,
-            stage_log=log,
             budget=AMPLE if instrumented else None,
             backend=backend,
         ),
@@ -228,17 +218,14 @@ def _run(case_id: str, backend: str, instrumented: bool):
         result.stats,
         result.space,
         tracer,
-        log,
         result.guard,
     )
 
 
 def record(case_id: str, backend: str) -> dict:
     """Run one corpus case and return its golden record."""
-    answer, stats, meter, tracer, log, guard = _run(case_id, backend, True)
-    bare_answer, bare_stats, bare_meter, _, _, _ = _run(
-        case_id, backend, False
-    )
+    answer, stats, meter, tracer, guard = _run(case_id, backend, True)
+    bare_answer, bare_stats, bare_meter, _, _ = _run(case_id, backend, False)
     assert bare_answer == answer
     assert bare_stats.as_dict() == stats.as_dict()
     charges = guard.snapshot()
@@ -258,7 +245,6 @@ def record(case_id: str, backend: str) -> dict:
         "answer": sorted(list(row) for row in answer.tuples),
         "stats": stats.as_dict(),
         "spans": _spans(tracer),
-        "stages": _stages(log),
         "space": space,
         "guard": {
             key: charges[key]
@@ -278,7 +264,6 @@ def test_matches_golden_record(case_id, backend):
     got = record(case_id, backend)
     assert got["answer"] == expected["answer"]
     assert got["stats"] == expected["stats"]
-    assert got["stages"] == expected["stages"]
     assert got["spans"] == expected["spans"]
     assert got["space"] == expected["space"]
     assert got["guard"] == expected["guard"]
@@ -286,6 +271,87 @@ def test_matches_golden_record(case_id, backend):
 
 def test_corpus_is_complete():
     assert sorted(_load()) == sorted(CASE_IDS)
+
+
+#: single closed fixpoints whose spans are checked against the stages
+#: of the reference semantics
+STAGE_CASES = {
+    **{name: FP_CASES[name] for name in ("tc-path", "gfp", "ifp")},
+    # an IFP body that drops tuples of the stage it reads: each stage
+    # is S ∪ φ(S), which φ(S) alone undercounts
+    "ifp-drop": (
+        "[ifp S(x). P(x) | (~S(x) & exists y. (E(y, x) & S(y)))](u)",
+        ("u",),
+        lambda: labeled_graph(path_graph(5), {"P": [0]}),
+    ),
+    **{name: PFP_CASES[name] for name in ("pfp-reach", "pfp-flip")},
+}
+
+STAGE_IDS = [
+    f"{name}/{mode}"
+    for name in STAGE_CASES
+    for mode in (("seen",) if name in PFP_CASES else STRATEGIES)
+]
+
+
+def _iteration_spans(case_id: str, backend: str) -> list:
+    """``(size, delta)`` of each ``fp.iteration`` span of one run."""
+    name, mode = case_id.split("/")
+    text, out, make_db = STAGE_CASES[name]
+    tracer = Tracer()
+    if mode == "seen":
+        options = EvalOptions(
+            check_positive=False, trace=tracer, backend=backend
+        )
+        evaluate(parse_formula(text), make_db(), out, options)
+    else:
+        solve_query(
+            parse_formula(text),
+            make_db(),
+            out,
+            strategy=FixpointStrategy(mode),
+            tracer=tracer,
+            backend=backend,
+        )
+    return [
+        (span.attrs["size"], span.attrs["delta"])
+        for span in tracer.spans
+        if span.name == "fp.iteration"
+    ]
+
+
+@pytest.mark.parametrize("backend", ["sparse", "packed"])
+@pytest.mark.parametrize("case_id", STAGE_IDS)
+def test_iteration_spans_follow_the_kleene_stages(case_id, backend):
+    text, _, make_db = STAGE_CASES[case_id.split("/")[0]]
+    stages, diverged = kleene_stages(parse_formula(text), make_db())
+    sizes = [len(stage) for stage in stages]
+    # round i produces stage i + 1; a sequence that converges takes one
+    # more round, which reproduces the limit
+    expected = sizes[1:] + ([] if diverged else sizes[-1:])
+    spans = _iteration_spans(case_id, backend)
+    assert [size for size, _ in spans] == expected
+    assert [delta for _, delta in spans] == [
+        after - before for before, after in zip(sizes, expected)
+    ]
+
+
+def test_reference_stages_follow_a_hand_built_chain():
+    # transitive closure on a path: S_0 = ∅, S_{i+1} = E ∪ (E ∘ S_i)
+    text, _, make_db = FP_CASES["tc-path"]
+    db = make_db()
+    edges = set(db.relation("E").tuples)
+    chain = [set()]
+    while True:
+        after = edges | {
+            (a, d) for a, b in edges for c, d in chain[-1] if b == c
+        }
+        if after == chain[-1]:
+            break
+        chain.append(after)
+    stages, diverged = kleene_stages(parse_formula(text), db)
+    assert not diverged
+    assert [set(stage.tuples) for stage in stages] == chain
 
 
 if __name__ == "__main__":

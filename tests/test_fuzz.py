@@ -62,15 +62,3 @@ class TestEncodingFuzz:
             decode_database(text)
         except ReproError:
             pass
-
-
-class TestDimacsFuzz:
-    @given(st.text(alphabet="pcnf 0123456789-\n", max_size=50))
-    @settings(max_examples=60)
-    def test_never_crashes_unexpectedly(self, text):
-        from repro.sat.dimacs import from_dimacs
-
-        try:
-            from_dimacs(text)
-        except ReproError:
-            pass

@@ -25,7 +25,6 @@ from repro.mucalculus.syntax import (
     check_closed,
     free_recursion_variables,
     mu_alternation_depth,
-    propositions_used,
 )
 from repro.logic.variables import variable_width
 
@@ -69,10 +68,6 @@ class TestSyntax:
         assert free_recursion_variables(phi) == {"Y"}
         with pytest.raises(SyntaxError_):
             check_closed(phi)
-
-    def test_propositions_used(self):
-        phi = parse_mu("mu X. p | <>(q & X)")
-        assert propositions_used(phi) == {"p", "q"}
 
     def test_alternation_depth(self):
         assert mu_alternation_depth(parse_mu("mu X. p | <> X")) == 1

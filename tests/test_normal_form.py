@@ -1,12 +1,12 @@
-"""Tests for NNF and simplification (repro.logic.normal_form)."""
+"""Tests for NNF and fixpoint duals (repro.logic.normal_form)."""
 
 from hypothesis import given
 
 from repro.core.naive_eval import naive_answer
 from repro.logic.builders import atom, lfp, gfp, not_
-from repro.logic.normal_form import negate_fixpoint_dual, simplify, to_nnf
+from repro.logic.normal_form import negate_fixpoint_dual, to_nnf
 from repro.logic.parser import parse_formula
-from repro.logic.syntax import And, Exists, Forall, GFP, LFP, Not, Or, RelAtom, Truth
+from repro.logic.syntax import Exists, Forall, GFP, LFP, Not, Or, RelAtom
 from repro.logic.variables import free_variables
 
 from tests.conftest import databases, fo_formulas
@@ -81,24 +81,3 @@ class TestDual:
         direct = naive_answer(Not(node), db, ("u",))
         dual = naive_answer(negate_fixpoint_dual(node), db, ("u",))
         assert direct == dual
-
-
-class TestSimplify:
-    def test_constant_folding(self):
-        assert simplify(parse_formula("P(x) & true")) == parse_formula("P(x)")
-        assert simplify(parse_formula("P(x) & false")) == Truth(False)
-        assert simplify(parse_formula("P(x) | true")) == Truth(True)
-        assert simplify(parse_formula("~~P(x)")) == parse_formula("P(x)")
-
-    def test_flattening(self):
-        phi = And((And((atom("P", "x"), atom("Q", "x"))), atom("P", "y")))
-        assert len(simplify(phi).subs) == 3
-
-    @given(fo_formulas(), databases(min_size=1, max_size=3))
-    def test_simplify_preserves_semantics_on_nonempty_domains(self, phi, db):
-        out = sorted(free_variables(phi))
-        simplified = simplify(phi)
-        missing = free_variables(phi) - free_variables(simplified)
-        # simplification may drop variables (e.g. P(x) & false); evaluate
-        # over the original output tuple either way
-        assert naive_answer(phi, db, out) == naive_answer(simplified, db, out)

@@ -4,22 +4,26 @@ import json
 
 import pytest
 
-from repro.obs import (
-    NULL_TRACER,
+from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
     MetricsError,
     MetricsRegistry,
-    NullTracer,
-    Tracer,
+)
+from repro.obs.report import (
     render_hot_spans,
     render_metrics,
     render_report,
     render_span_tree,
+)
+from repro.obs.tracer import (
+    _NULL_SPAN,
+    NULL_TRACER,
+    NullTracer,
+    Tracer,
     resolve_tracer,
 )
-from repro.obs.tracer import _NULL_SPAN
 
 
 class FakeClock:

@@ -14,7 +14,7 @@ import pytest
 from repro import EvalOptions, Language, evaluate
 from repro.logic.parser import parse_formula
 from repro.logic.variables import variable_width
-from repro.obs import NULL_TRACER, Tracer
+from repro.obs.tracer import NULL_TRACER, Tracer
 
 CASES = [
     pytest.param(

@@ -5,14 +5,14 @@ empty tracers, single-span traces, pathological nesting depth, and a
 registry mixing every metric kind.
 """
 
-from repro.obs import (
-    MetricsRegistry,
-    Tracer,
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.report import (
     render_hot_spans,
     render_metrics,
     render_report,
     render_span_tree,
 )
+from repro.obs.tracer import Tracer
 
 
 class FakeClock:

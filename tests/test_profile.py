@@ -7,7 +7,6 @@ from repro.obs.profile import (
     ProfileWarning,
     SpanProfile,
     parse_trace_jsonl,
-    profile_record,
     profile_sweep,
     render_profile,
 )
@@ -171,21 +170,6 @@ class TestProfileSources:
         profile = profile_sweep(sweep)
         assert profile.names() == ["work"]
         assert profile.parameters == [2.0, 3.0]
-
-    def test_profile_record_reads_embedded_spans(self):
-        from repro.obs.runstore import build_record
-
-        tracer = _traced()
-        spans = parse_trace_jsonl(tracer.export_jsonl())
-        record = build_record(
-            "PR",
-            "t",
-            parameters=[4.0],
-            seconds=[0.1],
-            spans=[spans],
-        )
-        profile = profile_record(record)
-        assert profile.cell("outer", 4.0)["self"] == 3.0
 
 
 class TestRenderProfile:

@@ -1,22 +1,17 @@
-"""Answer provenance: witnesses, stage logs, and differential checks.
+"""Answer provenance: witnesses checked against the engines.
 
-The contract under test is twofold: (1) a witness built by
-``explain_answer`` is a *checkable certificate* — replaying it against
-the database finds no problems, and tampering with it does; (2) turning
-the observer machinery on changes no answers and no stats counters, so
-provenance is free to leave enabled in differential harnesses.
+A witness built by ``explain_answer`` is a *checkable certificate*:
+replaying it against the database finds no problems, tampering with it
+does, and its claims agree with the engines' answers.
 """
 
 import pytest
 
-from repro.core.engine import EvalOptions, evaluate
-from repro.core.fp_eval import FixpointStrategy
+from repro.core.engine import evaluate
 from repro.database.database import Database
 from repro.logic.parser import parse_formula
 from repro.obs.provenance import (
-    NULL_STAGE_LOG,
     ProvenanceError,
-    StageLog,
     check_witness,
     explain_answer,
     explain_membership,
@@ -109,177 +104,3 @@ class TestWitnesses:
         formula = parse_formula("E(x, y)")
         with pytest.raises(ProvenanceError):
             explain_answer(formula, db, ("x", "y"), (0, 99))
-
-
-class TestStageLog:
-    def test_lfp_first_entry_matches_manual_kleene(self):
-        db = path_db(5)
-        formula = parse_formula(TC_QUERY)
-        log = StageLog()
-        evaluate(formula, db, ("u", "v"), EvalOptions(stage_log=log))
-        (record,) = log.solves
-        assert record.kind == "lfp"
-        # manual Kleene chain: S_0 = {}, S_{i+1} = E ∪ (E ∘ S_i)
-        edges = set(db.relation("E").tuples)
-        manual = []
-        current = set()
-        while True:
-            after = set(edges)
-            for a, b in edges:
-                for c, d in current:
-                    if b == c:
-                        after.add((a, d))
-            if after == current:
-                break
-            current = after
-            manual.append(set(current))
-        first = record.first_entry()
-        for stage_index, stage in enumerate(manual, start=1):
-            for tup in stage:
-                expected = next(
-                    i + 1 for i, s in enumerate(manual) if tup in s
-                )
-                assert first[tup] == expected
-
-    def test_seminaive_and_monotone_stages_agree(self):
-        db = path_db(6)
-        formula = parse_formula(TC_QUERY)
-        logs = {}
-        for strategy in ("monotone", "seminaive", "naive"):
-            log = StageLog()
-            evaluate(
-                formula,
-                db,
-                ("u", "v"),
-                EvalOptions(
-                    strategy=FixpointStrategy(strategy), stage_log=log
-                ),
-            )
-            logs[strategy] = log.solves[0]
-        sizes = {k: rec.stage_sizes() for k, rec in logs.items()}
-        assert sizes["seminaive"] == sizes["monotone"] == sizes["naive"]
-        assert (
-            logs["seminaive"].first_entry() == logs["monotone"].first_entry()
-        )
-
-    def test_pfp_trajectory(self):
-        db = path_db(4)
-        formula = parse_formula(
-            "[pfp S(x). P(x) | exists y. (E(y, x) & S(y))](u)"
-        )
-        log = StageLog()
-        result = evaluate(formula, db, ("u",), EvalOptions(stage_log=log))
-        (record,) = log.solves
-        assert record.kind == "pfp"
-        trajectory = record.trajectory((0,))
-        assert trajectory  # 0 is in P, so it enters at stage 1 and stays
-        assert trajectory[-1] == len(record.stages) - 1
-        assert (0,) in result.relation.tuples
-
-    def test_null_stage_log_records_nothing(self):
-        db = path_db(4)
-        formula = parse_formula(TC_QUERY)
-        evaluate(formula, db, ("u", "v"))
-        assert NULL_STAGE_LOG.solves == ()
-        assert not NULL_STAGE_LOG.enabled
-
-
-class TestDatalogStageLog:
-    def test_naive_and_seminaive_agree_with_first_entries(self):
-        from repro.datalog.engine import evaluate_program, semi_naive
-        from repro.datalog.parser import parse_program
-
-        db = path_db(5)
-        program = parse_program(
-            "T(X, Y) :- E(X, Y).\nT(X, Y) :- E(X, Z), T(Z, Y)."
-        )
-        log_naive, log_semi = StageLog(), StageLog()
-        res_naive = evaluate_program(program, db, observer=log_naive)
-        res_semi = semi_naive(program, db, observer=log_semi)
-        assert res_naive["T"].tuples == res_semi["T"].tuples
-        first = log_semi.solves[0].first_entry(key="T")
-        assert first[(0, 1)] == 1
-        assert first[(0, 2)] <= first[(0, 3)] <= first[(0, 4)]
-
-
-class TestMuCalculusStageLog:
-    def test_mu_solve_stages_and_trajectory(self):
-        from repro.mucalculus.kripke import KripkeStructure
-        from repro.mucalculus.model_check import model_check
-        from repro.mucalculus.syntax import Diamond, Mu, MuOr, Prop, RecVar
-
-        # path 0 -> 1 -> 2 -> 3, p holds at 3; mu X. p | <>X = "can reach p"
-        structure = KripkeStructure(
-            4,
-            frozenset({(0, 1), (1, 2), (2, 3)}),
-            (("p", frozenset({3})),),
-        )
-        formula = Mu("X", MuOr((Prop("p"), Diamond(RecVar("X")))))
-        log = StageLog()
-        states = model_check(structure, formula, observer=log)
-        assert states == frozenset({0, 1, 2, 3})
-        (record,) = log.solves
-        assert record.kind == "mu"
-        assert record.stage_sizes() == [0, 1, 2, 3, 4]
-        # states enter in distance order from p
-        first = record.first_entry()
-        assert first[3] == 1 and first[2] == 2 and first[1] == 3
-
-
-class TestObserverDifferential:
-    """Observer-enabled runs change no answers and no counters."""
-
-    QUERIES = [
-        ("exists y. (E(x, y) & P(x))", ("x",), "monotone"),
-        (TC_QUERY, ("u", "v"), "monotone"),
-        (TC_QUERY, ("u", "v"), "seminaive"),
-        (TC_QUERY, ("u", "v"), "naive"),
-        ("[pfp S(x). P(x) | exists y. (E(y, x) & S(y))](u)", ("u",), "monotone"),
-    ]
-
-    @pytest.mark.parametrize("query,out,strategy", QUERIES)
-    def test_engines(self, query, out, strategy):
-        db = path_db(5)
-        formula = parse_formula(query)
-        plain = evaluate(
-            formula, db, out, EvalOptions(strategy=FixpointStrategy(strategy))
-        )
-        logged = evaluate(
-            formula,
-            db,
-            out,
-            EvalOptions(
-                strategy=FixpointStrategy(strategy), stage_log=StageLog()
-            ),
-        )
-        assert plain.relation == logged.relation
-        assert plain.stats.as_dict() == logged.stats.as_dict()
-
-    def test_datalog(self):
-        from repro.datalog.engine import semi_naive
-        from repro.datalog.parser import parse_program
-
-        db = path_db(5)
-        program = parse_program(
-            "T(X, Y) :- E(X, Y).\nT(X, Y) :- E(X, Z), T(Z, Y)."
-        )
-        plain = semi_naive(program, db)
-        logged = semi_naive(program, db, observer=StageLog())
-        assert {k: v.tuples for k, v in plain.items()} == {
-            k: v.tuples for k, v in logged.items()
-        }
-
-    def test_mucalculus(self):
-        from repro.mucalculus.kripke import KripkeStructure
-        from repro.mucalculus.model_check import model_check
-        from repro.mucalculus.syntax import Box, Mu, MuOr, Nu, Prop, RecVar
-
-        structure = KripkeStructure(
-            4,
-            frozenset({(0, 1), (1, 2), (2, 3), (3, 3)}),
-            (("p", frozenset({3})),),
-        )
-        formula = Nu("X", MuOr((Prop("p"), Box(RecVar("X")))))
-        plain = model_check(structure, formula)
-        logged = model_check(structure, formula, observer=StageLog())
-        assert plain == logged

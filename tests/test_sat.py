@@ -1,4 +1,4 @@
-"""Tests for the SAT stack (CNF, Tseitin, DPLL, DIMACS)."""
+"""Tests for the SAT stack (CNF, Tseitin, DPLL)."""
 
 import itertools
 
@@ -15,7 +15,6 @@ from repro.sat.cnf import (
     Clause,
     CnfError,
 )
-from repro.sat.dimacs import from_dimacs, to_dimacs
 from repro.sat.dpll import solve
 from repro.sat.tseitin import to_cnf
 from repro.reductions.qbf import eval_matrix
@@ -167,23 +166,3 @@ class TestTseitin:
         assert solve(cnf).satisfiable
         cnf, _ = to_cnf(BoolConst(False))
         assert not solve(cnf).satisfiable
-
-
-class TestDimacs:
-    def test_roundtrip(self):
-        cnf = CNF()
-        x, y = cnf.var("x"), cnf.var("y")
-        cnf.add_clause([x, -y])
-        cnf.add_clause([y])
-        text = to_dimacs(cnf, comments=["hello"])
-        back = from_dimacs(text)
-        assert back.num_vars == 2
-        assert solve(back).satisfiable == solve(cnf).satisfiable
-
-    def test_parse_errors(self):
-        with pytest.raises(CnfError):
-            from_dimacs("1 2 0\n")  # clause before header
-        with pytest.raises(CnfError):
-            from_dimacs("p cnf 1 1\n1 2 0\n")  # literal out of range
-        with pytest.raises(CnfError):
-            from_dimacs("p cnf 1 1\n1\n")  # missing terminator

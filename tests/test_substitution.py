@@ -9,7 +9,6 @@ from repro.logic.printer import format_formula
 from repro.logic.substitution import (
     fresh_names,
     rename_bound_apart,
-    rename_relation,
     substitute,
     substitute_relation,
 )
@@ -85,18 +84,6 @@ class TestSubstituteRelation:
             substitute_relation(
                 atom("P", "x", "y"), "P", (Var("x"),), atom("Q", "x")
             )
-
-
-class TestRenameRelation:
-    def test_rename(self):
-        phi = lfp("S", ["x"], atom("S", "x") | atom("P", "x"), ["y"])
-        out = rename_relation(phi, "S", "T")
-        assert "T" in format_formula(out)
-        assert "S" not in format_formula(out)
-
-    def test_clash_rejected(self):
-        with pytest.raises(SyntaxError_):
-            rename_relation(atom("P", "x") & atom("Q", "x"), "P", "Q")
 
 
 class TestRenameBoundApart:

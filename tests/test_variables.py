@@ -5,11 +5,8 @@ from hypothesis import given
 from repro.logic.builders import atom, eq, exists, forall, gfp, lfp, so_exists
 from repro.logic.parser import parse_formula
 from repro.logic.variables import (
-    bound_relation_variables,
-    constants_used,
     free_relation_variables,
     free_variables,
-    is_sentence,
     variable_names,
     variable_width,
 )
@@ -38,11 +35,6 @@ class TestFreeVariables:
     def test_constants_are_not_variables(self):
         phi = RelAtom("P", (Const(3),))
         assert free_variables(phi) == set()
-        assert constants_used(phi) == {3}
-
-    def test_is_sentence(self):
-        assert is_sentence(exists("x", atom("P", "x")))
-        assert not is_sentence(atom("P", "x"))
 
 
 class TestWidth:
@@ -75,7 +67,6 @@ class TestRelationVariables:
     def test_so_exists_binds(self):
         phi = so_exists("R", 1, atom("R", "x") & atom("P", "x"))
         assert free_relation_variables(phi) == {"P"}
-        assert bound_relation_variables(phi) == {"R"}
 
     def test_unbound_recursion_var_is_free(self):
         assert free_relation_variables(atom("S", "x")) == {"S"}
@@ -84,4 +75,3 @@ class TestRelationVariables:
         inner = lfp("T", ["y"], atom("S", "y") & atom("T", "y"), ["x"])
         outer = gfp("S", ["x"], inner, ["z"])
         assert free_relation_variables(outer) == set()
-        assert bound_relation_variables(outer) == {"S", "T"}
