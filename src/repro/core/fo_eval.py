@@ -352,7 +352,10 @@ class BoundedEvaluator:
         if isinstance(left, Var) and isinstance(right, Const):
             if right.value not in self.domain:
                 return self.backend.table((left.name,), [])
-            return self.backend.table((left.name,), [(right.value,)])
+            # the domain's own value, as the packed backend decodes it:
+            # the constant 1 names True over a domain of booleans
+            value = self.domain.values[self.domain.index_of(right.value)]
+            return self.backend.table((left.name,), [(value,)])
         if isinstance(left, Const) and isinstance(right, Const):
             return (
                 self.backend.tautology()

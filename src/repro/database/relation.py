@@ -79,7 +79,17 @@ class Relation:
 
     @property
     def tuples(self) -> FrozenSet[TupleOfValues]:
-        """The underlying frozen set of tuples."""
+        """The underlying frozen set of tuples.
+
+        It is always a ``frozenset``.  A plain relation's iterates in
+        hash order.  A packed relation's
+        (:class:`repro.kernel.packed.PackedRelation`) is a
+        :class:`repro.kernel.packed.RowSet`, which iterates in row
+        order: lexicographic over the domain's canonical values, as
+        :meth:`repro.database.domain.Domain.tuples` lists them.  Over a
+        domain of one type that is sorted order, so
+        ``sorted(r.tuples)`` is one linear pass.
+        """
         return self._tuples
 
     def as_bool(self) -> bool:

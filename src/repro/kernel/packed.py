@@ -52,6 +52,7 @@ masks end-to-end and convergence checks are integer comparisons.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import compress, repeat
 from operator import mul
 from typing import (
     Dict,
@@ -122,34 +123,36 @@ DEFAULT_MAX_BITS = 1 << 27
 ALIGN_CACHE_LIMIT = 64
 
 
-def _decode_block(
-    text: str,
-    k: int,
-    prefix: Row,
-    n: int,
-    values: Sequence[Value],
-    append,
-) -> None:
-    """Append ``prefix`` plus each row of one ``k``-digit block to a
-    row list; ``text`` holds the block's ``n^k`` bits, most significant
-    first (see :meth:`DomainCodec.iter_rows`).  Module-level, so a decode
-    leaves no reference cycle for the collector: a nested function that
-    called itself would keep its cell, and with it the row list, alive
-    until a cyclic collection."""
-    if k == 1:
-        block = int(text, 2)
-        while block:
-            low = block & -block
-            append(prefix + (values[low.bit_length() - 1],))
-            block ^= low
-        return
-    width = n ** (k - 1)
-    end = len(text)
-    for value in values:
-        part = text[end - width : end]
-        end -= width
-        if "1" in part:
-            _decode_block(part, k - 1, prefix + (value,), n, values, append)
+#: ``bytes.translate`` table turning a mask's binary digits ``b"0"`` and
+#: ``b"1"`` into the flag bytes 0 and 1 that ``itertools.compress`` reads.
+_FLAG_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+class RowSet(frozenset):
+    """A decoded answer: a ``frozenset`` of rows that iterates in row
+    order, the ascending mask-index order of its packed mask.
+
+    That order is lexicographic over the domain's canonical values
+    (:meth:`repro.database.domain.Domain.tuples`), so over a domain of
+    one orderable type ``list(rows) == sorted(rows)``, and ``sorted``
+    finds one ascending run: ``r - 1`` comparisons for ``r`` rows.
+
+    Everything else is ``frozenset``'s own: equality, hashing and
+    membership ignore the order, and ``|``, ``&``, ``-`` return plain
+    frozensets.  Pickling keeps the order."""
+
+    __slots__ = ("_rows",)
+
+    def __new__(cls, rows: List[Row]) -> "RowSet":
+        self = super().__new__(cls, rows)
+        self._rows = rows
+        return self
+
+    def __iter__(self) -> Iterator[Row]:
+        return iter(self._rows)
+
+    def __reduce__(self):
+        return (RowSet, (self._rows,))
 
 
 class DomainCodec:
@@ -247,20 +250,41 @@ class DomainCodec:
         """Decode every set bit of ``mask`` into its row, in ascending
         index order.
 
-        One pass over the mask's binary string, block by block on the
-        top digit: each of its ``n`` values owns ``n^{k-1}`` characters,
-        decoded only if they hold a ``1``, down to the ``n`` characters
-        of a last-digit block, whose set bits are walked as a small
-        integer.  That is ``O(n^k)`` character work plus a few
-        small-integer steps per row, where clearing the lowest bit of
-        the whole mask once per row was ``O(rows · n^k)``."""
+        The mask is formatted once and translated into one flag byte per
+        bit, most significant first: flag ``p`` is bit ``n^k - 1 - p``,
+        and each run of ``n`` flags is a last-digit block, the rows that
+        share their first ``k - 1`` values.  ``bytes.find`` skips to the
+        next block that holds a row; ``itertools.compress`` picks that
+        block's last values, zipped with ``repeat`` of its prefix.  Each
+        row then costs one tuple built in C, and each block a few Python
+        steps.  The walk meets the rows in descending index order, so it
+        reads digits and values through the reversed value tuple and
+        reverses the row list once at the end.  One flag buffer, a byte
+        per bit, lives through the walk.
+        """
         rows: List[Row] = []
         if k == 0:
             return [()] if mask else rows
-        if mask:
-            n = self.n
-            bits = format(mask, f"0{n ** k}b")
-            _decode_block(bits, k, (), n, self.domain.values, rows.append)
+        if not mask:
+            return rows
+        n = self.n
+        high = self.domain.values[::-1]
+        flags = format(mask, f"0{n ** k}b").encode().translate(_FLAG_BYTES)
+        find = flags.find
+        extend = rows.extend
+        start = find(1)
+        while start >= 0:
+            block, offset = divmod(start, n)
+            start -= offset
+            prefix = []
+            for _ in range(k - 1):
+                block, digit = divmod(block, n)
+                prefix.append(repeat(high[digit]))
+            prefix.reverse()
+            stop = start + n
+            extend(zip(*prefix, compress(high, flags[start:stop])))
+            start = find(1, stop)
+        rows.reverse()
         return rows
 
     # -- selector masks (cached per (k, digit)) ------------------------
@@ -689,12 +713,11 @@ class PackedTable:
 
     @property
     def rows(self) -> FrozenSet[Row]:
-        """The decoded row set (materialized once, then cached)."""
+        """The decoded row set, a :class:`RowSet` in row order
+        (materialized once, then cached)."""
         cached = self._row_cache
         if cached is None:
-            cached = frozenset(
-                self._codec.iter_rows(self.mask, len(self._vars))
-            )
+            cached = RowSet(self._codec.iter_rows(self.mask, len(self._vars)))
             self._row_cache = cached
         return cached
 
@@ -1073,7 +1096,7 @@ class PackedRelation(Relation):
     def _tuples(self) -> FrozenSet[Row]:  # shadows the Relation slot
         frozen = self._materialized
         if frozen is None:
-            frozen = frozenset(self._codec.iter_rows(self._mask, self._arity))
+            frozen = RowSet(self._codec.iter_rows(self._mask, self._arity))
             self._materialized = frozen
         return frozen
 
@@ -1179,5 +1202,6 @@ __all__ = [
     "DomainCodec",
     "PackedRelation",
     "PackedTable",
+    "RowSet",
     "popcount",
 ]

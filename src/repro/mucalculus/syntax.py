@@ -139,19 +139,3 @@ def check_closed(formula: MuFormula) -> None:
             f"µ-calculus formula has unbound recursion variables "
             f"{sorted(free)}"
         )
-
-
-def mu_alternation_depth(formula: MuFormula) -> int:
-    """Dependent µ/ν alternation depth (the [EL86] complexity parameter)."""
-    if isinstance(formula, (Mu, Nu)):
-        opposite = Nu if isinstance(formula, Mu) else Mu
-        best = max(1, mu_alternation_depth(formula.sub))
-        for node in formula.sub.walk():
-            if isinstance(node, opposite) and formula.var in (
-                free_recursion_variables(node)
-            ):
-                best = max(best, 1 + mu_alternation_depth(node))
-        return best
-    return max(
-        (mu_alternation_depth(c) for c in formula.children()), default=0
-    )

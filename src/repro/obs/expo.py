@@ -193,14 +193,6 @@ def render_families(families: Sequence[Family]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def render_exposition(
-    registry: MetricsRegistry,
-    extra_families: Sequence[Family] = (),
-) -> str:
-    """The full ``/metrics`` document for a registry plus extras."""
-    return render_families(list(registry_families(registry)) + list(extra_families))
-
-
 def _parse_labels(block: Optional[str]) -> Dict[str, str]:
     labels: Dict[str, str] = {}
     if not block:
@@ -299,6 +291,5 @@ __all__ = [
     "metric_name",
     "parse_exposition",
     "registry_families",
-    "render_exposition",
     "render_families",
 ]

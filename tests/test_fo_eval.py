@@ -221,6 +221,17 @@ class TestAnswerAPI:
                 parse_formula("[lfp S(x). S(x)](u)"), ("u",)
             )
 
+    @pytest.mark.parametrize("backend", ["sparse", "packed"])
+    def test_a_constant_answers_with_its_domain_value(self, backend):
+        # 1 == True: over a domain of booleans the constant 1 names True,
+        # and the answer holds the domain's value, as packed decodes it
+        db = Database.from_tuples([False, True], {})
+        relation = evaluate(
+            parse_formula("x = 1"), db, ("x",), EvalOptions(backend=backend)
+        ).relation
+        [(value,)] = relation.tuples
+        assert value is True
+
     def test_so_exists_rejected_here(self, tiny_graph):
         with pytest.raises(EvaluationError):
             BoundedEvaluator(tiny_graph).answer(

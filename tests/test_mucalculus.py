@@ -24,7 +24,6 @@ from repro.mucalculus.model_check import holds_at
 from repro.mucalculus.syntax import (
     check_closed,
     free_recursion_variables,
-    mu_alternation_depth,
 )
 from repro.logic.variables import variable_width
 
@@ -68,17 +67,6 @@ class TestSyntax:
         assert free_recursion_variables(phi) == {"Y"}
         with pytest.raises(SyntaxError_):
             check_closed(phi)
-
-    def test_alternation_depth(self):
-        assert mu_alternation_depth(parse_mu("mu X. p | <> X")) == 1
-        assert (
-            mu_alternation_depth(parse_mu("nu X. mu Y. <>((p & X) | Y)")) == 2
-        )
-        # independent nesting does not alternate
-        assert (
-            mu_alternation_depth(parse_mu("nu X. (mu Y. p | <> Y) & [] X"))
-            == 1
-        )
 
 
 class TestParser:

@@ -11,7 +11,6 @@ from repro.obs.expo import (
     metric_name,
     parse_exposition,
     registry_families,
-    render_exposition,
     render_families,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -25,6 +24,11 @@ def small_registry():
     for value in (0.05, 0.5, 2.0):
         latency.observe(value)
     return registry
+
+
+def exposition(registry):
+    """The document ``/metrics`` renders for a registry."""
+    return render_families(registry_families(registry))
 
 
 #: The full exposition for ``small_registry`` — every byte pinned.
@@ -47,11 +51,11 @@ repro_serve_requests_total 3
 
 class TestGoldenExposition:
     def test_exact_document(self):
-        assert render_exposition(small_registry()) == GOLDEN
+        assert exposition(small_registry()) == GOLDEN
 
     def test_stable_across_renders(self):
         registry = small_registry()
-        assert render_exposition(registry) == render_exposition(registry)
+        assert exposition(registry) == exposition(registry)
 
     def test_parses_line_by_line(self):
         samples = parse_exposition(GOLDEN)
@@ -66,7 +70,7 @@ class TestGoldenExposition:
         ]
 
     def test_histogram_buckets_are_cumulative_and_end_at_inf(self):
-        samples = parse_exposition(render_exposition(small_registry()))
+        samples = parse_exposition(exposition(small_registry()))
         buckets = [
             (labels["le"], value)
             for name, labels, value in samples

@@ -24,6 +24,7 @@ Three layers:
 
 import gc
 import itertools
+import pickle
 import random
 
 import pytest
@@ -44,6 +45,7 @@ from repro.kernel.packed import (
     DomainCodec,
     PackedRelation,
     PackedTable,
+    RowSet,
     _rep_factor,
     popcount,
 )
@@ -232,15 +234,22 @@ def test_empty_domain_codec():
     assert codec.sel0(2, 0) == 0
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 5])
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 9, 40])
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_iter_rows_matches_decode_index(n, k):
     """The block decode lists exactly the set bits, in ascending index
-    order, as decoding each index on its own does."""
+    order, as decoding each index on its own does: on random masks,
+    single bits, one row per last-digit block and full blocks."""
     codec = DomainCodec(Domain.range(n))
     rng = random.Random(n * 10 + k)
     size = codec.size(k)
     masks = [0, codec.full_mask(k)] + [rng.getrandbits(size) for _ in range(5)]
+    masks += [1 << i for i in rng.sample(range(size), min(size, 6))]
+    if k and n:
+        blocks = range(0, size, n)
+        masks.append(sum(1 << (b + rng.randrange(n)) for b in blocks))
+        full_block = (1 << n) - 1
+        masks.append(sum(full_block << b for b in blocks if rng.random() < 0.5))
     for mask in masks:
         expected = [
             codec.decode_index(i, k) for i in range(size) if mask >> i & 1
@@ -261,6 +270,62 @@ def test_iter_rows_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+class CountingInt(int):
+    """An ``int`` that counts the ``<`` comparisons made on it."""
+
+    lt_calls = 0
+
+    def __lt__(self, other):
+        CountingInt.lt_calls += 1
+        return int.__lt__(self, other)
+
+
+def closure_answers(values, out):
+    """The packed and sparse answers of a closure over ``values``."""
+    rng = random.Random(len(values))
+    edges = {tuple(rng.sample(values, 2)) for _ in range(2 * len(values))}
+    db = Database.from_tuples(values, {"E": (2, edges)})
+    formula = parse_formula(
+        "[lfp S(x, y). E(x, y) | exists z. (E(x, z) & S(z, y))](u, v)"
+    )
+    return [
+        evaluate(formula, db, out, EvalOptions(backend=backend)).relation
+        for backend in ("packed", "sparse")
+    ]
+
+
+@pytest.mark.parametrize("out", [("u", "v"), ("v", "u")])
+def test_packed_answers_and_tables_iterate_in_row_order(out):
+    packed, sparse = closure_answers(list(range(12)), out)
+    table = PackedTable.from_rows(packed.codec, ("y", "x"), sparse.tuples)
+    for rows in (packed.tuples, table.rows):
+        assert isinstance(rows, RowSet)
+        assert list(rows) == sorted(rows)
+    rows, plain = packed.tuples, sparse.tuples
+    assert type(plain) is frozenset
+    assert len(rows) > 1
+    assert rows == plain and hash(rows) == hash(plain)
+    half = frozenset(list(plain)[::2])
+    for combined in (rows | half, rows & half, rows - half, rows ^ half):
+        assert type(combined) is frozenset
+    assert rows | half == plain and rows & half == half
+    copy = pickle.loads(pickle.dumps(rows))
+    assert type(copy) is RowSet
+    assert list(copy) == list(rows) and copy == plain
+
+
+def test_sorting_a_packed_answer_is_one_pass():
+    """``sorted`` finds the rows in one ascending run: ``r - 1``
+    comparisons for ``r`` rows, whatever the host."""
+    values = [CountingInt(i) for i in range(12)]
+    packed, sparse = closure_answers(values, ("u", "v"))
+    rows = packed.tuples
+    CountingInt.lt_calls = 0
+    ordered = sorted(rows)
+    assert 0 < CountingInt.lt_calls <= len(rows) - 1
+    assert ordered == sorted(sparse.tuples)
 
 
 # ---------------------------------------------------------------------------
